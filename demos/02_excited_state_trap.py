@@ -36,4 +36,5 @@ print()
 print("Both rules stall at 2.0, one full unit above the true minimum:")
 print("the stagnation value is an excited level of the operator, not an")
 print("artifact of the solver.  Certification at generation time samples")
-print("thousands of random rank-one candidates to confirm the floor.")
+print("thousands of random rank-one candidates and evaluates every")
+print("coordinate element e_k x e_l to confirm the floor.")

@@ -69,7 +69,6 @@ from .tensor_core import (
     h_norm,
     normalize,
     rayleigh,
-    reduce_direction,
     shifted_inner,
 )
 

@@ -8,15 +8,16 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 * ``adm_residual_step``  - SPD linear solve of the shifted quadratic,
 * ``adm_explicit_step``  - symmetric (possibly indefinite) linear solve.
 
-Every direction update reports its objective value as a byproduct of the
-contracted data, so sweep convergence costs nothing extra.  Factors are
+The first three minimize an objective, which every direction update reports
+as a byproduct of the contracted data, so sweep convergence costs nothing
+extra; the explicit sweep stops once its iterate settles.  Factors are
 rebalanced to equal norms whenever an update leaves their norms far apart,
 and on return; the objectives are invariant under that rescaling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .tensor_core import (
     TensorSum,
     h_norm,
     normalize,
+    rayleigh,
     rebalance,
 )
 
@@ -72,14 +74,23 @@ def seed_rank_one(sizes, rng) -> RankOne:
     return RankOne([rng.standard_normal(n) for n in sizes]).rebalanced()
 
 
-def _sweep_loop(op, cfg, rng, update_direction, start=None):
+def _objective_settled(prev_factors, prev_obj, factors, obj, tol) -> bool:
+    """The objective changed by at most ``tol`` relative over the sweep."""
+    return abs(obj - prev_obj) <= tol * (1.0 + abs(prev_obj))
+
+
+def _sweep_loop(op, cfg, rng, update_direction, start=None,
+                settled=_objective_settled) -> AdmOutcome:
     """Generic ADM driver: cyclic direction updates with reseeding on collapse.
 
-    ``update_direction(factors, j)`` returns ``(new_factor, objective)``;
-    the sweep stops once the objective change over one full sweep falls
-    below the relative tolerance.  The first sweep has no previous objective
-    to compare with, so convergence takes at least two sweeps.
+    ``update_direction(factors, j)`` returns ``(new_factor, objective)``.
+    The sweep stops once ``settled(prev_factors, prev_obj, factors, obj,
+    cfg.tol_sweep)`` holds for the factors and objective before and after
+    a sweep.  The first sweep has nothing before it to compare with, so
+    convergence takes at least two sweeps.  Without ``rng``, reseeds draw
+    from ``cfg.rng_seed``.
     """
+    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     last_error = None
     for attempt in range(cfg.restart_attempts):
         z = start if (start is not None and attempt == 0) else seed_rank_one(op.sizes, rng)
@@ -89,7 +100,7 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None):
         converged = False
         try:
             for sweep in range(1, cfg.max_sweeps + 1):
-                prev_obj = obj
+                prev_factors, prev_obj = list(factors), obj
                 for j in range(op.d):
                     factors[j], obj = update_direction(factors, j)
                     # rebalancing makes new factors, which the workspaces
@@ -99,11 +110,12 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None):
                     if max(sq_norms) > REBALANCE_RATIO ** 2 * min(sq_norms):
                         factors = rebalance(factors) or factors
                         sq_norms = [f @ f for f in factors]
-                if sweep > 1 and (abs(obj - prev_obj)
-                                  <= cfg.tol_sweep * (1.0 + abs(prev_obj))):
+                if sweep > 1 and settled(prev_factors, prev_obj, factors, obj,
+                                         cfg.tol_sweep):
                     converged = True
                     break
-            return RankOne(rebalance(factors) or factors), sweep, converged, obj
+            return AdmOutcome(RankOne(rebalance(factors) or factors), sweep,
+                              converged, obj)
         except DegenerateDirection as exc:
             last_error = exc
             continue
@@ -119,7 +131,6 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
     Each direction update is the smallest eigenpair of the contracted pencil
     (A_j, Mj_eff); the returned element is H-normalized.
     """
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     ws = DirectionWorkspace(op, m, TensorSum.zero(op.sizes))
 
     def update(factors, j):
@@ -127,14 +138,11 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
         tau, s = gen_sym_eig_smallest(dd.A_j, dd.Mj_eff)
         return s, tau
 
-    z, sweeps, converged, obj = _sweep_loop(op, cfg, rng, update)
-    z_unit = normalize(TensorSum.from_rank_one(z), m)
-    scale = z_unit.coeffs[0]
-    unit = RankOne(
-        [z_unit.factors[j][:, 0] * (scale if j == 0 else 1.0)
-         for j in range(op.d)]
-    ).rebalanced()
-    return AdmOutcome(unit, sweeps, converged, obj)
+    out = _sweep_loop(op, cfg, rng, update)
+    z_unit = normalize(TensorSum.from_rank_one(out.z), m)
+    # the normalizing coefficient goes into the first factor
+    unit = RankOne([z_unit.factors[0] * z_unit.coeffs[0], *z_unit.factors[1:]])
+    return replace(out, z=unit.rebalanced())
 
 
 def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
@@ -145,7 +153,6 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     so each update is a global minimizer over its slot and the reported
     objective is the quotient value itself.
     """
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     ws = DirectionWorkspace(op, m, u_prev)
     rho = None   # the quotient after the previous update
 
@@ -157,8 +164,7 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         rho = secular.solve_secular(red.problem, start=rho)
         return secular.recover_minimizer(red, rho), rho
 
-    z, sweeps, converged, obj = _sweep_loop(op, cfg, rng, update, start=start)
-    return AdmOutcome(z, sweeps, converged, obj)
+    return _sweep_loop(op, cfg, rng, update, start=start)
 
 
 def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
@@ -170,7 +176,6 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     (A_j + nu Mj_eff) s = lambda_prev m_j - b_j; the quadratic objective
     follows from the same contracted data.
     """
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     nu = m.nu
     ws = DirectionWorkspace(op, m, u_prev)
 
@@ -188,8 +193,7 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         # at the solution of (A_j + nu M_j) s = rhs is:
         return s, 0.5 * (dd.alpha + nu * dd.beta - float(rhs @ s))
 
-    z, sweeps, converged, obj = _sweep_loop(op, cfg, rng, update, start=start)
-    return AdmOutcome(z, sweeps, converged, obj)
+    return _sweep_loop(op, cfg, rng, update, start=start)
 
 
 def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
@@ -199,10 +203,11 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
 
     Each direction solves the symmetric, possibly indefinite system
     (A_j - lambda_prev Mj_eff) s = lambda_prev m_j - b_j.  The sweep is a
-    fixed-point iteration with no variational objective; convergence is
-    measured on the iterate and reported honestly via ``converged``.
+    fixed-point iteration with no variational objective: it converges once
+    a sweep moves the iterate by at most tol_sweep (1 + ||z||_H) in the
+    metric norm.  The reported objective is the Rayleigh quotient of
+    u_prev + z.
     """
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     ws = DirectionWorkspace(op, m, u_prev)
 
     def update(factors, j):
@@ -210,38 +215,16 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         system = dd.A_j - lambda_prev * dd.Mj_eff
         rhs = lambda_prev * dd.m_j - dd.b_j
         try:
-            return sym_indefinite_solve(system, rhs)
+            return sym_indefinite_solve(system, rhs), None
         except SingularSystem as exc:
             raise ExplicitStepFailure(
                 f"explicit direction system singular at shift {lambda_prev}: {exc}"
             ) from exc
 
-    last_error = None
-    for attempt in range(cfg.restart_attempts):
-        z = start if (start is not None and attempt == 0) else seed_rank_one(op.sizes, rng)
-        factors = [f.copy() for f in z.factors]
-        try:
-            converged = False
-            sweeps = cfg.max_sweeps
-            for sweep in range(1, cfg.max_sweeps + 1):
-                prev = TensorSum.from_rank_one(RankOne(factors))
-                for j in range(op.d):
-                    factors[j] = update(factors, j)
-                    bal = RankOne(factors).rebalanced()
-                    factors = list(bal.factors)
-                cur = TensorSum.from_rank_one(RankOne(factors))
-                diff = h_norm(cur.plus(prev.scaled(-1.0)), m)
-                if diff <= cfg.tol_sweep * (1.0 + h_norm(cur, m)):
-                    converged, sweeps = True, sweep
-                    break
-            z_out = RankOne(factors)
-            from .tensor_core import rayleigh
+    def settled(prev_factors, prev_obj, factors, obj, tol):
+        cur = TensorSum.from_rank_one(RankOne(factors))
+        change = cur.plus_rank_one(RankOne(prev_factors), -1.0)
+        return h_norm(change, m) <= tol * (1.0 + h_norm(cur, m))
 
-            obj = rayleigh(op, m, u_prev.plus_rank_one(z_out))
-            return AdmOutcome(z_out, sweeps, converged, obj)
-        except DegenerateDirection as exc:
-            last_error = exc
-            continue
-    raise AdmFailure(
-        f"explicit ADM failed after {cfg.restart_attempts} reseeds: {last_error}"
-    )
+    out = _sweep_loop(op, cfg, rng, update, start=start, settled=settled)
+    return replace(out, objective=rayleigh(op, m, u_prev.plus_rank_one(out.z)))

@@ -24,6 +24,8 @@ PIVOT_RTOL = 1e-12
 
 # LAPACK drivers called directly: at these sizes the validation layers of
 # the numpy/scipy wrappers cost as much as the factorizations themselves
+_getrf = scipy.linalg.lapack.dgetrf
+_getrs = scipy.linalg.lapack.dgetrs
 _potrf = scipy.linalg.lapack.dpotrf
 _syevd = scipy.linalg.lapack.dsyevd
 _trtrs = scipy.linalg.lapack.dtrtrs
@@ -56,17 +58,19 @@ def sym_eig_full(S) -> EigenDecomposition:
 def cholesky_spd(S) -> np.ndarray:
     """Lower Cholesky factor; raises IllConditionedGram when S is not SPD.
 
+    A pivot fails when its square is at most PIVOT_RTOL times the largest
+    diagonal entry; the error carries the index of the first that fails.
     Only one triangle of S is read.
     """
     S = _fortran_view(S)
-    diag_scale = float(np.abs(S.diagonal()).max()) if S.size else 0.0
-    if diag_scale == 0.0:
-        raise IllConditionedGram("matrix is identically zero")
+    diag_scale = float(np.abs(S.diagonal()).max())
     L, info = _potrf(S, lower=1, clean=1)
-    if info != 0:
-        raise IllConditionedGram("Cholesky factorization failed")
-    if L.diagonal().min() ** 2 <= PIVOT_RTOL * diag_scale:
-        raise IllConditionedGram("Cholesky pivot below tolerance")
+    if info != 0 or L.diagonal().min() ** 2 <= PIVOT_RTOL * diag_scale:
+        # potrf stops at pivot info - 1; an earlier one may be too small
+        done = L.diagonal()[:info - 1] if info > 0 else L.diagonal()
+        small = np.flatnonzero(done ** 2 <= PIVOT_RTOL * diag_scale)
+        pivot = int(small[0]) if small.size else info - 1
+        raise IllConditionedGram(f"Cholesky pivot {pivot} too small", pivot)
     return L
 
 
@@ -114,20 +118,17 @@ def spd_solve(S, rhs) -> np.ndarray:
 def sym_indefinite_solve(S, rhs) -> np.ndarray:
     """Solve S x = rhs for symmetric, possibly indefinite S.
 
-    Raises SingularSystem when a pivot falls below the relative tolerance.
+    Raises SingularSystem when a pivot of the LU factorization falls below
+    the relative tolerance or is not a number.
     """
     S = np.asarray(S, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    S = 0.5 * (S + S.T)
-    try:
-        lu, piv = scipy.linalg.lu_factor(S)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(f"factorization failed: {exc}") from exc
-    upiv = np.abs(np.diag(lu))
-    scale = float(np.max(upiv)) if upiv.size else 0.0
-    if scale == 0.0 or np.min(upiv) <= PIVOT_RTOL * scale:
+    lu, piv, _ = _getrf(0.5 * (S + S.T))
+    upiv = np.abs(lu.diagonal())
+    # getrf's info > 0 (an exactly zero pivot) fails this test as well
+    if not upiv.min() > PIVOT_RTOL * upiv.max():
         raise SingularSystem("pivot below tolerance; system is singular")
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    x, _ = _getrs(lu, piv, np.asarray(rhs, dtype=float))
+    return x
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,7 +26,12 @@ class KernelFailure(GreedyEigError):
 
 
 class IllConditionedGram(GreedyEigError):
-    """A matrix required to be SPD failed its Cholesky factorization."""
+    """A matrix required to be SPD failed its Cholesky factorization;
+    ``pivot`` is the index of the first pivot that failed."""
+
+    def __init__(self, message, pivot):
+        super().__init__(message)
+        self.pivot = pivot
 
 
 class SingularSystem(GreedyEigError):

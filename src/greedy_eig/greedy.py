@@ -24,14 +24,7 @@ from .adm import (
     adm_residual_step,
 )
 from .dense_kernels import gen_sym_eig_smallest, one_blas_thread
-from .errors import (
-    AdmFailure,
-    DegenerateIterate,
-    ExplicitStepFailure,
-    GreedyEigError,
-    IllConditionedGram,
-    NuTooSmall,
-)
+from .errors import DegenerateIterate, GreedyEigError, IllConditionedGram
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
@@ -95,8 +88,8 @@ class GreedyState:
     lam: float
     basis: list          # RankOne elements: u_0, z_1, ..., z_n
     trace: list          # TraceRow per executed iteration
-    gram_a: np.ndarray = None   # cached basis Gram of the operator form
-    gram_b: np.ndarray = None   # cached basis Gram of the metric
+    gram_a: np.ndarray   # basis Gram of the operator form
+    gram_b: np.ndarray   # basis Gram of the metric
 
 
 @dataclass(frozen=True)
@@ -109,35 +102,50 @@ class GreedyResult:
     iterates: tuple = ()  # per-trace-row iterates when requested
 
 
-def estimate_rank_one_minimum(op: KroneckerSumOperator, m: MetricSet,
-                              adm_cfg: AdmConfig | None = None) -> float:
-    """Cheap estimate of the smallest rank-one Rayleigh value."""
-    out = adm_initial_guess(op, m, adm_cfg or AdmConfig())
-    return out.objective
+def _extend_grams(op, m, A, B, basis, new):
+    """Grow the basis Grams by one row/column for ``new``.
 
-
-def warn_if_nu_risky(op: KroneckerSumOperator, m: MetricSet, nu: float) -> None:
-    """Warn when the shifted form a + nu <.,.> may fail to be coercive."""
-    lam0 = estimate_rank_one_minimum(op, m)
-    if lam0 + nu <= 0:
-        warnings.warn(
-            f"shift nu={nu} may be too small: estimated smallest rank-one "
-            f"Rayleigh value is {lam0:.3e}",
-            stacklevel=2,
-        )
+    Per dimension, the images of ``new``'s factor under every operator
+    factor and the mass matrix meet all basis factors in one product.
+    """
+    k = len(basis)
+    rows = np.ones((op.num_terms + 1, k + 1))
+    for j, (stack, mass) in enumerate(zip(op.stacked, m.masses)):
+        f = new.factors[j]
+        images = np.vstack([(stack @ f).reshape(op.num_terms, -1), mass @ f])
+        # the members side by side, C-ordered like np.column_stack builds
+        # them (the product's rounding depends on it) at half its cost
+        members = np.array([b.factors[j] for b in basis] + [f]).T
+        rows *= images @ np.ascontiguousarray(members)
+    A2 = np.zeros((k + 1, k + 1))
+    B2 = np.zeros((k + 1, k + 1))
+    A2[:k, :k] = A
+    B2[:k, :k] = B
+    A2[k, :] = A2[:, k] = rows[:-1].sum(axis=0)
+    B2[k, :] = B2[:, k] = rows[-1]
+    return A2, B2
 
 
 def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
                rng=None) -> GreedyState:
-    """Build the starting iterate: the best rank-one element, H-normalized."""
+    """Build the starting iterate: the best rank-one element, H-normalized.
+
+    Under the residual rule, warns when the starting Rayleigh value plus the
+    shift nu is not positive: the shifted form may then fail to be coercive.
+    """
     rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     out = adm_initial_guess(op, m, cfg.adm, rng)
     u0 = TensorSum.from_rank_one(out.z)
     u0 = normalize(u0, m)
     lam0 = a_inner(op, u0, u0)
+    if cfg.variant is Variant.RESIDUAL and lam0 + m.nu <= 0:
+        warnings.warn(f"shift nu={m.nu} may be too small: the starting "
+                      f"rank-one Rayleigh value is {lam0:.3e}", stacklevel=2)
     res0 = eig_residual(op, m, u0, lam0)
     row = TraceRow(0, lam0, 0.0, 0.0, 0.0, res0, 1.0, 0.0, lam0)
-    return GreedyState(0, u0, lam0, [out.z], [row])
+    empty = np.zeros((0, 0))
+    return GreedyState(0, u0, lam0, [out.z], [row],
+                       *_extend_grams(op, m, empty, empty, [], out.z))
 
 
 def _compute_correction(op, m, state, cfg, rng) -> RankOne:
@@ -151,104 +159,54 @@ def _compute_correction(op, m, state, cfg, rng) -> RankOne:
 def _euler_residual(op, m, variant, u_prev, u_new, z_ts, lam_prev, lam_new, nu):
     if variant is Variant.RAYLEIGH:
         return abs(a_inner(op, u_new, z_ts) - lam_new * h_inner(u_new, z_ts, m))
+    u_plus = u_prev.plus(z_ts)
     if variant is Variant.RESIDUAL:
-        u_plus = u_prev.plus(z_ts)
         return abs(
             shifted_inner(op, m, u_plus, z_ts)
             - (lam_prev + nu) * h_inner(u_prev, z_ts, m)
         )
-    u_plus = u_prev.plus(z_ts)
     return abs(a_inner(op, u_plus, z_ts) - lam_prev * h_inner(u_plus, z_ts, m))
 
 
-def step(state: GreedyState, op: KroneckerSumOperator, m: MetricSet,
-         cfg: GreedyConfig, rng=None) -> GreedyState:
-    """One pure greedy iteration: correction, update, normalize, record."""
-    rng = np.random.default_rng(cfg.rng_seed + state.n + 1) if rng is None else rng
-    t0 = time.perf_counter()
-    z = _compute_correction(op, m, state, cfg, rng)
-    z_ts = TensorSum.from_rank_one(z)
-    candidate = state.u.plus(z_ts)
-    nrm = h_norm(candidate, m)
-    if nrm < ITERATE_COLLAPSE_TOL:
-        raise DegenerateIterate(
-            f"updated iterate has H-norm {nrm:.3e}; cannot normalize"
-        )
-    alpha = 1.0 / nrm
-    u_new = candidate.scaled(alpha)
-    lam_new = a_inner(op, u_new, u_new)
-    euler = _euler_residual(op, m, cfg.variant, state.u, u_new, z_ts,
-                            state.lam, lam_new, m.nu)
-    res = eig_residual(op, m, u_new, lam_new)
-    row = TraceRow(
-        state.n + 1,
-        lam_new,
-        state.lam - lam_new,
-        a_norm(op, m, z_ts),
-        euler,
-        res,
-        alpha,
-        time.perf_counter() - t0,
-        lam_new,
-    )
-    return GreedyState(state.n + 1, u_new, lam_new, state.basis + [z],
-                       state.trace + [row])
+def _pure_update(u_prev, u_pure, basis, gram_a, gram_b, m) -> TensorSum:
+    """The normalized sum of the previous iterate and the correction."""
+    return u_pure
 
 
-def _extend_grams(op, m, A, B, basis, new):
-    """Grow the cached basis Grams by one row/column for ``new``.
+def _smallest_coefficients(A, B) -> np.ndarray:
+    # basis members scaled to unit metric norm for conditioning
+    d = np.sqrt(np.maximum(np.diag(B), 1e-300))
+    _, coef = gen_sym_eig_smallest(A / np.outer(d, d), B / np.outer(d, d))
+    return coef / d
 
-    Per dimension, the images of ``new``'s factor under every operator
-    factor and the mass matrix meet all basis factors in one product.
+
+def _galerkin_update(u_prev, u_pure, basis, gram_a, gram_b, m) -> TensorSum:
+    """The smallest generalized eigenvector of the basis Grams.
+
+    On a rank-deficient Gram the basis member at the failing Cholesky pivot
+    is dropped and the solve retried once.
     """
-    k = len(basis)
-    rows = np.ones((op.num_terms + 1, k + 1))
-    for j, (stack, mass) in enumerate(zip(op.stacked, m.masses)):
-        f = new.factors[j]
-        images = np.vstack([(stack @ f).reshape(op.num_terms, -1), mass @ f])
-        rows *= images @ np.column_stack([b.factors[j] for b in basis] + [f])
-    A2 = np.zeros((k + 1, k + 1))
-    B2 = np.zeros((k + 1, k + 1))
-    A2[:k, :k] = A
-    B2[:k, :k] = B
-    A2[k, :] = A2[:, k] = rows[:-1].sum(axis=0)
-    B2[k, :] = B2[:, k] = rows[-1]
-    return A2, B2
+    active = list(range(len(basis)))
+    try:
+        coef = _smallest_coefficients(gram_a, gram_b)
+    except IllConditionedGram as exc:
+        del active[exc.pivot]
+        idx = np.ix_(active, active)
+        coef = _smallest_coefficients(gram_a[idx], gram_b[idx])
+    u_new = normalize(TensorSum.combine(coef, [basis[i] for i in active]), m)
+    return u_new if h_inner(u_prev, u_new, m) > 0 else u_new.scaled(-1.0)
 
 
-def _smallest_pivot_index(B) -> int:
-    """Index at which an (unpivoted) Cholesky sweep first degenerates."""
-    B = np.array(B, dtype=float)
-    k = B.shape[0]
-    L = np.zeros_like(B)
-    scale = float(np.max(np.abs(np.diag(B)))) or 1.0
-    worst, worst_val = k - 1, np.inf
-    for i in range(k):
-        s = B[i, i] - L[i, :i] @ L[i, :i]
-        if s <= 1e-12 * scale:
-            return i
-        if s < worst_val:
-            worst, worst_val = i, s
-        L[i, i] = np.sqrt(s)
-        for r in range(i + 1, k):
-            L[r, i] = (B[r, i] - L[r, :i] @ L[i, :i]) / L[i, i]
-    return worst
+def _step(state, op, m, cfg, rng, update_coefficients) -> GreedyState:
+    """One greedy iteration: correction, coefficient update, record.
 
-
-def orthogonal_update(state: GreedyState, op: KroneckerSumOperator,
-                      m: MetricSet, cfg: GreedyConfig, rng=None) -> GreedyState:
-    """One orthogonal iteration: correction, then coefficient re-optimization.
-
-    The new iterate is the smallest generalized eigenvector of the Gram pair
-    over (u_0, z_1, ..., z_n).  On a rank-deficient Gram the basis member at
-    the failing Cholesky pivot is dropped and the solve retried once.
+    The normalized pure update u + z is formed under either coefficient
+    update: the trace records its value and its stationarity residual.
     """
     rng = np.random.default_rng(cfg.rng_seed + state.n + 1) if rng is None else rng
     t0 = time.perf_counter()
     z = _compute_correction(op, m, state, cfg, rng)
     z_ts = TensorSum.from_rank_one(z)
-
-    # pure-update value for the dominance record
     candidate = state.u.plus(z_ts)
     nrm = h_norm(candidate, m)
     if nrm < ITERATE_COLLAPSE_TOL:
@@ -258,40 +216,12 @@ def orthogonal_update(state: GreedyState, op: KroneckerSumOperator,
     alpha = 1.0 / nrm
     u_pure = candidate.scaled(alpha)
     lam_pure = a_inner(op, u_pure, u_pure)
-
-    gram_a, gram_b = state.gram_a, state.gram_b
-    if gram_a is None:
-        gram_a = gram_b = np.zeros((0, 0))
-        for i, b in enumerate(state.basis):
-            gram_a, gram_b = _extend_grams(op, m, gram_a, gram_b,
-                                           state.basis[:i], b)
-    gram_a, gram_b = _extend_grams(op, m, gram_a, gram_b, state.basis, z)
+    gram_a, gram_b = _extend_grams(op, m, state.gram_a, state.gram_b,
+                                   state.basis, z)
     basis = state.basis + [z]
-    active = list(range(len(basis)))
-    A, B = gram_a, gram_b
-    for attempt in range(2):
-        # normalize basis members to unit metric norm for conditioning
-        d = np.sqrt(np.maximum(np.diag(B), 1e-300))
-        try:
-            tau, coef = gen_sym_eig_smallest(A / np.outer(d, d),
-                                             B / np.outer(d, d))
-            coef = coef / d
-            break
-        except IllConditionedGram:
-            if attempt == 1:
-                raise
-            drop = _smallest_pivot_index(B / np.outer(d, d))
-            del active[drop]
-            if not active:
-                raise
-            idx = np.ix_(active, active)
-            A, B = gram_a[idx], gram_b[idx]
-    u_new = TensorSum.combine(coef, [basis[i] for i in active])
-    u_new = normalize(u_new, m)
-    if h_inner(state.u, u_new, m) <= 0:
-        u_new = u_new.scaled(-1.0)
-    lam_new = a_inner(op, u_new, u_new)
-    # the correction's stationarity identity involves the pure update
+    u_new = update_coefficients(state.u, u_pure, basis, gram_a, gram_b, m)
+    # a_inner costs O(n^2) in the iterate's n terms: skip it for u_pure
+    lam_new = lam_pure if u_new is u_pure else a_inner(op, u_new, u_new)
     euler = _euler_residual(op, m, cfg.variant, state.u, u_pure, z_ts,
                             state.lam, lam_pure, m.nu)
     res = eig_residual(op, m, u_new, lam_new)
@@ -308,6 +238,19 @@ def orthogonal_update(state: GreedyState, op: KroneckerSumOperator,
     )
     return GreedyState(state.n + 1, u_new, lam_new, basis, state.trace + [row],
                        gram_a, gram_b)
+
+
+def step(state: GreedyState, op: KroneckerSumOperator, m: MetricSet,
+         cfg: GreedyConfig, rng=None) -> GreedyState:
+    """One pure iteration: the new iterate is u + z, normalized."""
+    return _step(state, op, m, cfg, rng, _pure_update)
+
+
+def orthogonal_update(state: GreedyState, op: KroneckerSumOperator,
+                      m: MetricSet, cfg: GreedyConfig, rng=None) -> GreedyState:
+    """One orthogonal iteration: all coefficients over (u_0, z_1, ..., z_n)
+    are re-optimized through the smallest eigenpair of the basis Grams."""
+    return _step(state, op, m, cfg, rng, _galerkin_update)
 
 
 @one_blas_thread()
@@ -336,8 +279,7 @@ def run(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
     while state.n < cfg.max_iter:
         try:
             state = advance(state, op, m_eff, cfg, rng)
-        except (AdmFailure, DegenerateIterate, ExplicitStepFailure,
-                IllConditionedGram, NuTooSmall, GreedyEigError) as exc:
+        except GreedyEigError as exc:
             reason = f"step_failure: {type(exc).__name__}: {exc}"
             break
         iterates.append(state.u)

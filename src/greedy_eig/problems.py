@@ -9,6 +9,7 @@ numerically before returning.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -163,12 +164,19 @@ def gen_degenerate_lowest(sizes, gap_free_multiplicity: int, seed: int):
 
 def _certify_trap(op: KroneckerSumOperator, m: MetricSet, mu_02: float,
                   mu_11: float) -> None:
-    """Check mu_11 is the rank-one minimum and sits above the dense minimum."""
+    """Check mu_11 is the rank-one minimum and sits above the dense minimum.
+
+    Random samples and ADM runs search below mu_11; the coordinate elements
+    e_k x e_l include e_1 x e_1, which attains it and which both may miss.
+    """
     sizes = op.sizes
     rng = np.random.default_rng(2024)
     best = np.inf
     for _ in range(2000):
         z = RankOne([rng.standard_normal(n) for n in sizes])
+        best = min(best, rayleigh(op, m, TensorSum.from_rank_one(z)))
+    for k, l in itertools.product(range(sizes[0]), range(sizes[1])):
+        z = RankOne([np.eye(sizes[0])[k], np.eye(sizes[1])[l]])
         best = min(best, rayleigh(op, m, TensorSum.from_rank_one(z)))
     for attempt in range(8):
         out = adm_initial_guess(op, m, AdmConfig(rng_seed=attempt))

@@ -17,6 +17,7 @@ from .errors import KernelFailure, TooLargeForOracle
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
+    RankOne,
     TensorSum,
     a_inner,
     h_inner,
@@ -105,7 +106,7 @@ def error_metrics(u: TensorSum, lam: float, ref: DenseReference,
     """Distance of (u, lam) to the reference lowest eigenpair.
 
     err_vec_h is the metric norm of the component of u outside the lowest
-    eigenspace; d_a_to_F is the shifted-norm distance to the closest
+    eigenspace; err_vec_a is the shifted-norm distance to the closest
     normalized element of that eigenspace.
     """
     m_full = ref.mass
@@ -131,7 +132,6 @@ def error_metrics(u: TensorSum, lam: float, ref: DenseReference,
         "err_lambda": abs(lam - ref.mu1),
         "err_vec_h": err_vec_h,
         "err_vec_a": d_a,
-        "d_a_to_F": d_a,
     }
 
 
@@ -152,8 +152,6 @@ def grad_check_rayleigh(op: KroneckerSumOperator, m: MetricSet, v: TensorSum,
     jv = a_inner(op, v, v) / nrm2
     rng = np.random.default_rng(seed)
     worst = 0.0
-    from .tensor_core import RankOne
-
     for _ in range(num_dirs):
         w = TensorSum.from_rank_one(
             RankOne([rng.standard_normal(n) for n in op.sizes])

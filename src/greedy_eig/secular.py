@@ -77,7 +77,6 @@ class SecularReduction:
     chol_L: np.ndarray      # Cholesky factor of the denominator quadratic
     shift_g: np.ndarray     # L^-1 b
     eigvecs: np.ndarray     # eigenbasis of the transformed numerator quadratic
-    scale: float            # beta, the original denominator constant
 
     def to_original(self, T) -> np.ndarray:
         """Map reduced coordinates T back to the direction vector S."""
@@ -118,7 +117,7 @@ def reduce(A_eff, B_eff, a_lin, b_lin, alpha, beta: float = 1.0) -> SecularReduc
     c = dec.vectors.T @ (atil - Ag)
     gamma = float(g @ Ag) - 2.0 * float(atil @ g) + alpha
     problem = SecularProblem(dec.values, c, gamma, delta)
-    return SecularReduction(problem, L, g, dec.vectors, beta)
+    return SecularReduction(problem, L, g, dec.vectors)
 
 
 def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,

@@ -248,12 +248,6 @@ class TensorSum:
     def plus_rank_one(self, z: RankOne, coeff: float = 1.0) -> "TensorSum":
         return self.plus(TensorSum.from_rank_one(z, coeff))
 
-    def terms_as_rank_ones(self):
-        return [
-            RankOne([self.factors[j][:, k] for j in range(len(self.sizes))])
-            for k in range(self.num_terms)
-        ]
-
     def to_dense(self) -> np.ndarray:
         """Assemble the full coefficient tensor, flattened C-order."""
         if self.is_zero():
@@ -483,13 +477,3 @@ class DirectionWorkspace:
             m_j = img[:, K * n:] @ p[K]
         return DirectionData(A_j, Mj_eff, b_j, m_j, self.alpha, self.beta)
 
-
-def reduce_direction(
-    op: KroneckerSumOperator,
-    m: MetricSet,
-    frozen: Sequence,
-    j: int,
-    context: TensorSum,
-) -> DirectionData:
-    """One-shot direction reduction (see :class:`DirectionWorkspace`)."""
-    return DirectionWorkspace(op, m, context).reduce(frozen, j)

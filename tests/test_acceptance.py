@@ -258,4 +258,4 @@ def test_11_degenerate_lowest_eigenvalue():
             res = run(op, m, cfg)
             errs = error_metrics(res.u, res.lam, ref, m, op)
             assert errs["err_lambda"] <= 1e-8
-            assert errs["d_a_to_F"] <= 1e-4
+            assert errs["err_vec_a"] <= 1e-4

@@ -178,6 +178,7 @@ class TestExplicitStep:
         rhs = lam * h_inner(u_plus, z, m)
         assert lhs == pytest.approx(rhs, abs=1e-7 * max(1, abs(lhs)))
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_shift_raises(self):
         """Shifting exactly onto a contracted eigenvalue breaks the solve."""
         d1 = np.diag([1.0, 2.0])

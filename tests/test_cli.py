@@ -138,7 +138,8 @@ class TestSolve:
                        "rng_seed": 3},
         })
         out = str(tmp_path / "trace.csv")
-        assert main(["solve", "--config", cfg, "--out", out]) == EXIT_STEP_FAILURE
+        with pytest.warns(UserWarning, match="nu=0.0"):
+            assert main(["solve", "--config", cfg, "--out", out]) == EXIT_STEP_FAILURE
         summary = json.loads((tmp_path / "trace.csv.json").read_text())
         assert summary["reason"].startswith("step_failure")
 
@@ -198,7 +199,8 @@ class TestCompare:
             ],
         })
         out = str(tmp_path / "cmp.csv")
-        assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
+        with pytest.warns(UserWarning, match="nu=0.0"):
+            assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
         reasons = {r[0]: r[-1] for r in read_csv(out)[1:]}
         assert reasons["residual"].startswith("step_failure")
 

@@ -50,6 +50,21 @@ class TestCholesky:
         with pytest.raises(IllConditionedGram):
             cholesky_spd(np.zeros((3, 3)))
 
+    def test_reports_first_failing_pivot(self):
+        duplicated = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        cases = [
+            (np.zeros((3, 3)), 0),
+            (np.diag([-1.0, 1.0, 1.0]), 0),
+            (np.diag([1.0, 1.0, -1.0]), 2),       # potrf stops here
+            (np.diag([1.0, 1e-16, 1.0]), 1),      # potrf completes
+            (np.diag([1.0, 1e-14, 1.0, -1.0]), 1),  # before potrf stops at 3
+            (duplicated, 1),                      # Schur complement 0
+        ]
+        for S, pivot in cases:
+            with pytest.raises(IllConditionedGram) as info:
+                cholesky_spd(S)
+            assert info.value.pivot == pivot
+
 
 class TestGeneralizedEig:
     def test_matches_scipy(self):
@@ -84,6 +99,7 @@ class TestSolvers:
         x = RNG.standard_normal(6)
         assert np.allclose(sym_indefinite_solve(s, s @ x), x)
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_raises(self):
         s = np.outer(np.ones(4), np.ones(4))
         with pytest.raises(SingularSystem):

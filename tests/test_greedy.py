@@ -1,18 +1,21 @@
 """Outer greedy drivers: monotonicity, termination, update identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from greedy_eig import greedy
 from greedy_eig.dense_kernels import _openblas_pools
-from greedy_eig.errors import StructuralError
+from greedy_eig.dense_kernels import cholesky_spd
+from greedy_eig.errors import IllConditionedGram, StructuralError
 from greedy_eig.greedy import (
     GreedyConfig,
     Variant,
     initialize,
+    orthogonal_update,
     run,
     step,
-    warn_if_nu_risky,
 )
 from greedy_eig.problems import (
     gen_degenerate_lowest,
@@ -143,6 +146,29 @@ class TestOrthogonalDominance:
             assert row.lambda_n <= row.lambda_pure + 1e-10 * (1 + abs(row.lambda_n))
 
 
+class TestRankDeficientGram:
+    def test_duplicated_member_is_dropped(self):
+        """With u_0 twice in the basis, the orthogonal step drops the copy
+        at the failing Cholesky pivot and matches the step without it."""
+        op, m = small_problem(seed=6)
+        cfg = GreedyConfig(variant=Variant.RAYLEIGH, orthogonal=True, rng_seed=3)
+        state = initialize(op, m, cfg)
+        z0 = state.basis[0]
+        gram_a, gram_b = greedy._extend_grams(op, m, state.gram_a, state.gram_b,
+                                              state.basis, z0)
+        with pytest.raises(IllConditionedGram) as info:
+            cholesky_spd(gram_b)
+        assert info.value.pivot == 1
+        dup = dataclasses.replace(state, basis=[z0, z0], gram_a=gram_a,
+                                  gram_b=gram_b)
+        got = orthogonal_update(dup, op, m, cfg)
+        want = orthogonal_update(state, op, m, cfg)
+        assert len(got.basis) == 3
+        assert got.u.num_terms == want.u.num_terms == 2
+        assert got.lam == pytest.approx(want.lam, rel=1e-12)
+        assert np.allclose(got.u.to_dense(), want.u.to_dense(), atol=1e-10)
+
+
 class TestTrapStagnation:
     def test_pure_rayleigh_stalls_at_entangled_level(self):
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, 3)
@@ -180,16 +206,14 @@ class TestConfigAndShift:
         d = np.diag([-5.0, 1.0])
         op = KroneckerSumOperator([[d, np.eye(2)], [np.eye(2), d]])
         m = MetricSet.identity((2, 2))
-        with pytest.warns(UserWarning):
-            warn_if_nu_risky(op, m, 1.0)
+        cfg = GreedyConfig(variant=Variant.RESIDUAL, nu=1.0, max_iter=1)
+        with pytest.warns(UserWarning, match="nu=1.0"):
+            run(op, m, cfg)
 
+    @pytest.mark.filterwarnings("error")
     def test_nu_no_warning_when_safe(self):
         op, m = small_problem(seed=7)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            warn_if_nu_risky(op, m, 0.0)
+        run(op, m, GreedyConfig(variant=Variant.RESIDUAL, nu=0.0, max_iter=1))
 
     def test_shift_does_not_change_limit(self):
         op, m = small_problem(seed=7)

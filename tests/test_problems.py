@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from greedy_eig.adm import AdmConfig, adm_initial_guess
 from greedy_eig.errors import InvalidSpec, ParseError, VersionError
 from greedy_eig.problems import (
     FORMAT_MAGIC,
@@ -16,7 +17,7 @@ from greedy_eig.problems import (
     save_operator,
 )
 from greedy_eig.reference_oracle import dense_assemble, dense_reference
-from greedy_eig.tensor_core import MetricSet
+from greedy_eig.tensor_core import MetricSet, RankOne, TensorSum, rayleigh
 
 
 class TestRandomKronecker:
@@ -129,6 +130,20 @@ class TestExcitedTrap:
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, 3)
         ref = dense_reference(op, m)
         assert ref.mu1 == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("modes", [3, 4, 5, 6])
+    def test_certifies_every_size(self, modes):
+        """mu_02 is the dense minimum and mu_11, on e_1 x e_1, the best
+        rank-one value.  From 5 modes on, random samples and ADM runs all
+        stall at 9.0, so only the coordinate elements certify the trap."""
+        op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, modes)
+        assert dense_reference(op, m).mu1 == pytest.approx(1.0, abs=1e-9)
+        e1 = np.eye(modes)[1]
+        e11 = TensorSum.from_rank_one(RankOne([e1, e1]))
+        assert rayleigh(op, m, e11) == pytest.approx(2.0, abs=1e-12)
+        for seed in range(3):
+            out = adm_initial_guess(op, m, AdmConfig(rng_seed=seed))
+            assert out.objective >= 2.0 - 1e-8
 
     def test_guard_ordering(self):
         with pytest.raises(InvalidSpec):

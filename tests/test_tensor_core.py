@@ -20,7 +20,6 @@ from greedy_eig.tensor_core import (
     h_norm,
     normalize,
     rayleigh,
-    reduce_direction,
 )
 
 RNG = np.random.default_rng(42)
@@ -204,7 +203,7 @@ class TestDirectionReduction:
         m_dense = dense_metric(m)
         c_vec = ctx.to_dense()
         for j in range(3):
-            dd = reduce_direction(op, m, frozen, j, ctx)
+            dd = DirectionWorkspace(op, m, ctx).reduce(frozen, j)
             for trial in range(3):
                 s = rng.standard_normal(sizes[j])
                 zf = list(frozen)
@@ -227,7 +226,7 @@ class TestDirectionReduction:
         frozen = [rng.standard_normal(n) for n in sizes]
         for j in range(2):
             a = ws.reduce(frozen, j)
-            b = reduce_direction(op, m, frozen, j, ctx)
+            b = DirectionWorkspace(op, m, ctx).reduce(frozen, j)
             assert np.allclose(a.A_j, b.A_j)
             assert np.allclose(a.b_j, b.b_j)
             assert np.allclose(a.m_j, b.m_j)
@@ -245,6 +244,6 @@ class TestDirectionReduction:
             ws.reduce(frozen, j)
             frozen[(j + 1) % 3] = rng.standard_normal(sizes[(j + 1) % 3])
             a = ws.reduce(frozen, j)
-            b = reduce_direction(op, m, frozen, j, ctx)
+            b = DirectionWorkspace(op, m, ctx).reduce(frozen, j)
             for field in ("A_j", "Mj_eff", "b_j", "m_j"):
                 assert np.allclose(getattr(a, field), getattr(b, field))
