@@ -86,11 +86,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _trace_rows(result, ref, m, op):
-    """Yield CSV field lists for one run (err columns blank without oracle)."""
+def _trace_rows(result, ref, m):
+    """Yield CSV field lists for one run (err columns blank without oracle);
+    ``m`` is the run's metric, so err_vec_a uses the shift z_norm_a uses."""
     for idx, row in enumerate(result.trace):
         if ref is not None and idx < len(result.iterates):
-            errs = error_metrics(result.iterates[idx], row.lambda_n, ref, m, op)
+            errs = error_metrics(result.iterates[idx], row.lambda_n, ref, m)
             err_fields = [_fmt(errs["err_lambda"]), _fmt(errs["err_vec_h"]),
                           _fmt(errs["err_vec_a"])]
         else:
@@ -127,12 +128,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _solve_one(op, m, solver_cfg, oracle_enabled):
-    ref = dense_reference(op, m) if oracle_enabled else None
-    result = run(op, m, solver_cfg, keep_iterates=oracle_enabled)
-    return result, ref
-
-
 def cmd_solve(args) -> int:
     raw = _load_json(args.config)
     _reject_unknown(raw, _RUN_KEYS, "run config")
@@ -146,8 +141,10 @@ def cmd_solve(args) -> int:
     oracle_enabled = bool(raw.get("oracle", False))
 
     op, m = spec.build()
-    result, ref = _solve_one(op, m, solver_cfg, oracle_enabled)
-    _write_csv(out, TRACE_COLUMNS, _trace_rows(result, ref, m, op))
+    ref = dense_reference(op, m) if oracle_enabled else None
+    result = run(op, m, solver_cfg, keep_iterates=oracle_enabled)
+    _write_csv(out, TRACE_COLUMNS,
+               _trace_rows(result, ref, m.with_nu(solver_cfg.nu)))
     summary = {
         "reason": result.reason,
         "lambda": result.lam,
@@ -190,21 +187,21 @@ def cmd_compare(args) -> int:
         label = _variant_label(cfg)
         try:
             result = run(op, m, cfg, keep_iterates=oracle_enabled)
-            runs.append((label, result, None))
+            runs.append((label, result, None, cfg.nu))
         except GreedyEigError as exc:
-            runs.append((label, None, f"{type(exc).__name__}: {exc}"))
+            runs.append((label, None, f"{type(exc).__name__}: {exc}", cfg.nu))
     runs.sort(key=lambda item: item[0])
 
     rows = []
-    for label, result, failure in runs:
+    for label, result, failure, nu in runs:
         if result is None:
             rows.append([label, "", "", "", "", "", "", "", "", "", "",
                          f"failed: {failure}"])
             continue
-        for fields in _trace_rows(result, ref, m, op):
+        for fields in _trace_rows(result, ref, m.with_nu(nu)):
             rows.append([label, *fields, result.reason])
     _write_csv(out, ("variant", *TRACE_COLUMNS, "reason"), rows)
-    for label, result, failure in runs:
+    for label, result, failure, _ in runs:
         status = failure or (f"{result.reason}, lambda = {result.lam:.12g}")
         print(f"{label}: {status}")
     return EXIT_OK

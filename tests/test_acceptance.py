@@ -98,7 +98,7 @@ def test_02_oracle_convergence(corpus):
                 result = rec["runs"][(variant, False)]
                 assert abs(result.lam - rec["ref"].mu1) <= 1e-8
                 errs = error_metrics(result.u, result.lam, rec["ref"],
-                                     rec["m"], rec["op"])
+                                     rec["m"])
                 assert errs["err_vec_h"] <= 1e-4
 
 
@@ -110,7 +110,7 @@ def test_03_rate_shape(corpus):
             el, ev, ns = [], [], []
             for idx, row in enumerate(result.trace):
                 e = error_metrics(result.iterates[idx], row.lambda_n,
-                                  rec["ref"], rec["m"], rec["op"])
+                                  rec["ref"], rec["m"])
                 if e["err_lambda"] > 1e-12 and e["err_vec_h"] > 1e-12:
                     el.append(np.log10(e["err_lambda"]))
                     ev.append(np.log10(e["err_vec_h"]))
@@ -256,6 +256,6 @@ def test_11_degenerate_lowest_eigenvalue():
             assert ref.eigenspace.shape[1] == 2
             cfg = make_config(Variant.RAYLEIGH, False)
             res = run(op, m, cfg)
-            errs = error_metrics(res.u, res.lam, ref, m, op)
+            errs = error_metrics(res.u, res.lam, ref, m)
             assert errs["err_lambda"] <= 1e-8
             assert errs["err_vec_a"] <= 1e-4

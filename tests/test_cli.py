@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from greedy_eig import KroneckerSumOperator, gen_random_kronecker, save_operator
@@ -13,7 +14,10 @@ from greedy_eig.cli import (
     EXIT_STEP_FAILURE,
     TRACE_COLUMNS,
     main,
+    parse_solver_config,
 )
+from greedy_eig.greedy import run
+from greedy_eig.problems import ProblemSpec
 
 PROBLEM = {"kind": "RandomKronecker", "d": 2, "sizes": [7, 7], "K": 2,
            "seed": 7}
@@ -42,6 +46,28 @@ def write_config(tmp_path, payload, name="cfg.json"):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+SHIFT_PROBLEM = {"kind": "RandomKronecker", "d": 2, "sizes": [8, 7], "K": 2,
+                 "seed": 3}
+ERR_VEC_A = TRACE_COLUMNS.index("err_vec_a")
+
+
+def dense_err_vec_a(solver_raw):
+    """err_vec_a of every iterate of a SHIFT_PROBLEM run, computed densely
+    in the norm of A + nu I with the run's own nu."""
+    op, m = ProblemSpec.from_dict(SHIFT_PROBLEM).build()
+    cfg = parse_solver_config(solver_raw)
+    result = run(op, m, cfg, keep_iterates=True)
+    a = sum(np.kron(*term) for term in op.terms)
+    w = np.linalg.eigh(a)[1][:, 0]
+    shifted = a + cfg.nu * np.eye(a.shape[0])
+    dists = []
+    for u in result.iterates:
+        u = u.to_dense()
+        dists.append(min(np.sqrt((u - s * w) @ shifted @ (u - s * w))
+                         for s in (1.0, -1.0)))
+    return dists
 
 
 class TestGen:
@@ -85,6 +111,18 @@ class TestSolve:
         assert last_err <= first_err
         summary = json.loads((tmp_path / "trace.csv.json").read_text())
         assert summary["err_lambda"] <= 1e-8
+
+    def test_err_vec_a_uses_the_solver_shift(self, tmp_path):
+        """The file's metric has nu = 0; the solver runs at nu = 10, and
+        err_vec_a must be measured in the run's shifted norm."""
+        solver = {"variant": "residual", "nu": 10.0, "max_iter": 4,
+                  "rng_seed": 3}
+        cfg = write_config(tmp_path, {"problem": SHIFT_PROBLEM,
+                                      "solver": solver, "oracle": True})
+        out = str(tmp_path / "trace.csv")
+        main(["solve", "--config", cfg, "--out", out])
+        got = [float(r[ERR_VEC_A]) for r in read_csv(out)[1:]]
+        assert got == pytest.approx(dense_err_vec_a(solver), rel=1e-9)
 
     def test_oracle_off_leaves_error_columns_blank(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -203,6 +241,20 @@ class TestCompare:
             assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
         reasons = {r[0]: r[-1] for r in read_csv(out)[1:]}
         assert reasons["residual"].startswith("step_failure")
+
+    def test_err_vec_a_uses_each_variant_shift(self, tmp_path):
+        variants = [{"variant": "residual", "nu": nu, "max_iter": 4,
+                     "rng_seed": 3} for nu in (0.0, 10.0)]
+        variants[1]["orthogonal"] = True
+        cfg = write_config(tmp_path, {"problem": SHIFT_PROBLEM,
+                                      "variants": variants, "oracle": True})
+        out = str(tmp_path / "cmp.csv")
+        assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
+        rows = read_csv(out)[1:]
+        for label, solver in (("residual", variants[0]),
+                              ("orthogonal-residual", variants[1])):
+            got = [float(r[1 + ERR_VEC_A]) for r in rows if r[0] == label]
+            assert got == pytest.approx(dense_err_vec_a(solver), rel=1e-9)
 
     def test_empty_variant_list(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": PROBLEM, "variants": []})

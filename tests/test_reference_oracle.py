@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from greedy_eig.errors import TooLargeForOracle
 from greedy_eig.problems import gen_degenerate_lowest, gen_random_kronecker, gen_separable
@@ -72,8 +73,6 @@ class TestDenseReference:
 
     def test_self_consistency(self):
         """Spectral reassembly reproduces the dense operator."""
-        import scipy.linalg
-
         op, m = gen_random_kronecker(2, (6, 6), 2, seed=4)
         a, mm = dense_assemble(op, m)
         vals, vecs = scipy.linalg.eigh(a, mm)
@@ -87,6 +86,74 @@ class TestDenseReference:
         assert np.allclose(g, np.eye(2), atol=1e-10)
 
 
+def random_spd(n, rng):
+    x = rng.standard_normal((n, n))
+    return x @ x.T + n * np.eye(n)
+
+
+def random_mass_problem(nu=0.0):
+    op, _ = gen_random_kronecker(2, (9, 7), 3, seed=5)
+    rng = np.random.default_rng(11)
+    return op, MetricSet([random_spd(9, rng), random_spd(7, rng)], nu)
+
+
+@pytest.fixture
+def subset_sizes(monkeypatch):
+    """Record the number of eigenpairs each oracle solve asks for."""
+    sizes = []
+    eigh = scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        if "subset_by_index" in kwargs:
+            sizes.append(kwargs["subset_by_index"][1] + 1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return sizes
+
+
+class TestSubsetOracle:
+    """The lowest-eigenpair oracle against a full generalized eigensolve."""
+
+    @staticmethod
+    def assert_matches_full(op, m):
+        a, mm = dense_assemble(op, m)
+        vals, vecs = scipy.linalg.eigh(a, mm)
+        ref = dense_reference(op, m)
+        mult = ref.eigenspace.shape[1]
+        assert ref.mu1 == pytest.approx(vals[0], rel=1e-12)
+        assert np.all(vals[:mult] - vals[0] <= 1e-8 * (1 + abs(vals[0])))
+        full = vecs[:, :mult]
+        e = ref.eigenspace
+        assert np.abs(e @ e.T @ mm - full @ full.T @ mm).max() <= 1e-10
+        if mult < len(vals):
+            assert vals[mult] - vals[0] > 1e-8 * (1 + abs(vals[0]))
+            assert ref.gap == pytest.approx(vals[mult] - vals[0], rel=1e-10)
+        else:
+            assert ref.gap == np.inf
+        return ref
+
+    def test_random_mass(self, subset_sizes):
+        ref = self.assert_matches_full(*random_mass_problem())
+        assert ref.eigenspace.shape[1] == 1
+        assert subset_sizes == [2]
+
+    @pytest.mark.parametrize("mult, sizes", [(3, [2, 4]), (4, [2, 4, 8])])
+    def test_subset_grows_with_multiplicity(self, subset_sizes, mult, sizes):
+        op, m = gen_degenerate_lowest((6, 6), mult, seed=3)
+        ref = self.assert_matches_full(op, m)
+        assert ref.eigenspace.shape[1] == mult
+        assert subset_sizes == sizes
+
+    def test_all_equal_spectrum(self, subset_sizes):
+        op = KroneckerSumOperator([[np.eye(2), np.eye(2)]])
+        ref = self.assert_matches_full(op, MetricSet.identity((2, 2)))
+        assert ref.mu1 == pytest.approx(1.0)
+        assert ref.eigenspace.shape == (4, 4)
+        assert ref.gap == np.inf
+        assert subset_sizes == [2, 4]
+
+
 class TestErrorMetrics:
     def test_exact_eigenvector_gives_zeros(self):
         op, m = gen_random_kronecker(2, (5, 5), 2, seed=6)
@@ -96,7 +163,7 @@ class TestErrorMetrics:
         uu, ss, vv = np.linalg.svd(vec)
         terms = [RankOne([uu[:, i] * ss[i], vv[i, :]]) for i in range(5)]
         u = TensorSum.combine(np.ones(5), terms)
-        errs = error_metrics(u, ref.mu1, ref, m, op)
+        errs = error_metrics(u, ref.mu1, ref, m)
         assert errs["err_lambda"] <= 1e-10
         assert errs["err_vec_h"] <= 1e-10
         assert errs["err_vec_a"] <= 1e-7
@@ -115,8 +182,31 @@ class TestErrorMetrics:
         uu, ss, vv = np.linalg.svd(orth.reshape(5, 5))
         terms = [RankOne([uu[:, i] * ss[i], vv[i, :]]) for i in range(5)]
         u_orth = TensorSum.combine(np.ones(5), terms)
-        errs = error_metrics(u_orth, 0.0, ref, m, op)
+        errs = error_metrics(u_orth, 0.0, ref, m)
         assert errs["err_vec_h"] == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_shifted_norm_with_mass_matches_dense(self):
+        op, m = random_mass_problem(nu=2.5)
+        ref = dense_reference(op, m)
+        a, mm = dense_assemble(op, m)
+        vals, vecs = scipy.linalg.eigh(a, mm)
+        rng = np.random.default_rng(12)
+        u = normalize(TensorSum.combine(np.array([1.0, 0.3]), [
+            RankOne([rng.standard_normal(9), rng.standard_normal(7)])
+            for _ in range(2)]), m)
+        uv = u.to_dense()
+        w = vecs[:, 0] * np.sign(vecs[:, 0] @ mm @ uv)
+        outside = uv - w * (w @ mm @ uv)
+        shifted = a + m.nu * mm
+        want_a = min(np.sqrt((uv - s * w) @ shifted @ (uv - s * w))
+                     for s in (1.0, -1.0))
+        errs = error_metrics(u, 1.7, ref, m)
+        assert errs["err_lambda"] == pytest.approx(abs(1.7 - vals[0]),
+                                                   rel=1e-12)
+        assert errs["err_vec_h"] == pytest.approx(
+            np.sqrt(outside @ mm @ outside), rel=1e-12)
+        assert errs["err_vec_a"] == pytest.approx(want_a, rel=1e-12)
 
 
 class TestGradCheck:
