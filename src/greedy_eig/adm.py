@@ -10,13 +10,16 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 
 The first three minimize an objective, which every direction update reports
 as a byproduct of the contracted data, so sweep convergence costs nothing
-extra; the explicit sweep stops once its iterate settles.  Factors are
-rebalanced to equal norms whenever an update leaves their norms far apart,
-and on return; the objectives are invariant under that rescaling.
+extra; the explicit sweep has no objective and stops once its iterate
+settles.  Factors are rebalanced to equal norms whenever an update leaves
+their norms far apart, and on return; the objectives are invariant under
+that rescaling.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,13 +42,19 @@ from .tensor_core import (
     TensorSum,
     h_norm,
     normalize,
-    rayleigh,
     rebalance,
 )
 
 
 # largest ratio of two factor norms the sweep lets stand before rebalancing
 REBALANCE_RATIO = 1e3
+
+
+def require_count(name, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's included)
+    of at least 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +65,10 @@ class AdmConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.tol_sweep <= 0:
-            raise ValueError("tol_sweep must be positive")
+        require_count("max_sweeps", self.max_sweeps)
+        require_count("restart_attempts", self.restart_attempts)
+        if not 0 < self.tol_sweep < math.inf:
+            raise ValueError("tol_sweep must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,7 @@ class AdmOutcome:
     z: RankOne
     sweeps_used: int
     converged: bool
-    objective: float
+    objective: float | None   # None for the explicit rule, which has none
 
 
 def seed_rank_one(sizes, rng) -> RankOne:
@@ -205,8 +214,7 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     (A_j - lambda_prev Mj_eff) s = lambda_prev m_j - b_j.  The sweep is a
     fixed-point iteration with no variational objective: it converges once
     a sweep moves the iterate by at most tol_sweep (1 + ||z||_H) in the
-    metric norm.  The reported objective is the Rayleigh quotient of
-    u_prev + z.
+    metric norm.  The reported objective is None.
     """
     ws = DirectionWorkspace(op, m, u_prev)
 
@@ -226,5 +234,4 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         change = cur.plus_rank_one(RankOne(prev_factors), -1.0)
         return h_norm(change, m) <= tol * (1.0 + h_norm(cur, m))
 
-    out = _sweep_loop(op, cfg, rng, update, start=start, settled=settled)
-    return replace(out, objective=rayleigh(op, m, u_prev.plus_rank_one(out.z)))
+    return _sweep_loop(op, cfg, rng, update, start=start, settled=settled)

@@ -10,6 +10,7 @@ and an orthogonal flavor, where all coefficients over the collected basis
 from __future__ import annotations
 
 import enum
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from .adm import (
     adm_initial_guess,
     adm_rayleigh_step,
     adm_residual_step,
+    require_count,
 )
 from .dense_kernels import gen_sym_eig_smallest, one_blas_thread
 from .errors import DegenerateIterate, GreedyEigError, IllConditionedGram
@@ -30,13 +32,7 @@ from .tensor_core import (
     MetricSet,
     RankOne,
     TensorSum,
-    a_inner,
-    a_norm,
     eig_residual,
-    h_inner,
-    h_norm,
-    normalize,
-    shifted_inner,
 )
 
 ITERATE_COLLAPSE_TOL = 1e-12
@@ -60,12 +56,12 @@ class GreedyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol_lambda <= 0 or self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.nu < 0:
-            raise ValueError("nu must be non-negative")
+        require_count("max_iter", self.max_iter)
+        if not (0 < self.tol_lambda < math.inf
+                and 0 < self.tol_residual < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0 <= self.nu < math.inf:
+            raise ValueError("nu must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,8 @@ class TraceRow:
 @dataclass
 class GreedyState:
     n: int
-    u: TensorSum
+    u: TensorSum         # its terms are the basis u_0, z_1, ..., z_n
     lam: float
-    basis: list          # RankOne elements: u_0, z_1, ..., z_n
     trace: list          # TraceRow per executed iteration
     gram_a: np.ndarray   # basis Gram of the operator form
     gram_b: np.ndarray   # basis Gram of the metric
@@ -102,28 +97,30 @@ class GreedyResult:
     iterates: tuple = ()  # per-trace-row iterates when requested
 
 
-def _extend_grams(op, m, A, B, basis, new):
-    """Grow the basis Grams by one row/column for ``new``.
+def _extend_grams(op, m, A, B, members):
+    """Grow the basis Grams by one row/column for the last of ``members``.
 
-    Per dimension, the images of ``new``'s factor under every operator
-    factor and the mass matrix meet all basis factors in one product.
+    Per dimension, the images of the new factor under every operator
+    factor and the mass matrix meet all member factors in one product.
     """
-    k = len(basis)
-    rows = np.ones((op.num_terms + 1, k + 1))
-    for j, (stack, mass) in enumerate(zip(op.stacked, m.masses)):
-        f = new.factors[j]
+    rows = np.ones((op.num_terms + 1, len(A) + 1))
+    for stack, mass, cols in zip(op.stacked, m.masses, members.factors):
+        f = cols[:, -1]
         images = np.vstack([(stack @ f).reshape(op.num_terms, -1), mass @ f])
-        # the members side by side, C-ordered like np.column_stack builds
-        # them (the product's rounding depends on it) at half its cost
-        members = np.array([b.factors[j] for b in basis] + [f]).T
-        rows *= images @ np.ascontiguousarray(members)
-    A2 = np.zeros((k + 1, k + 1))
-    B2 = np.zeros((k + 1, k + 1))
-    A2[:k, :k] = A
-    B2[:k, :k] = B
-    A2[k, :] = A2[:, k] = rows[:-1].sum(axis=0)
-    B2[k, :] = B2[:, k] = rows[-1]
-    return A2, B2
+        rows *= images @ cols
+    a_row, b_row = rows[:-1].sum(axis=0), rows[-1]
+    return (np.block([[A, a_row[:-1, None]], [a_row]]),
+            np.block([[B, b_row[:-1, None]], [b_row]]))
+
+
+def _unit(coef, gram_b):
+    """``coef`` scaled to unit metric norm, and the scale factor."""
+    nrm = float(np.sqrt(max(coef @ gram_b @ coef, 0.0)))
+    if nrm < ITERATE_COLLAPSE_TOL:
+        raise DegenerateIterate(f"updated iterate has H-norm {nrm:.3e}; "
+                                "cannot normalize")
+    alpha = 1.0 / nrm
+    return alpha * coef, alpha
 
 
 def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
@@ -135,17 +132,18 @@ def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
     """
     rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     out = adm_initial_guess(op, m, cfg.adm, rng)
-    u0 = TensorSum.from_rank_one(out.z)
-    u0 = normalize(u0, m)
-    lam0 = a_inner(op, u0, u0)
+    z0 = TensorSum.from_rank_one(out.z)
+    empty = np.zeros((0, 0))
+    gram_a, gram_b = _extend_grams(op, m, empty, empty, z0)
+    coef, _ = _unit(z0.coeffs, gram_b)
+    u0 = TensorSum(z0.sizes, coef, z0.factors)
+    lam0 = float(coef @ gram_a @ coef)
     if cfg.variant is Variant.RESIDUAL and lam0 + m.nu <= 0:
         warnings.warn(f"shift nu={m.nu} may be too small: the starting "
                       f"rank-one Rayleigh value is {lam0:.3e}", stacklevel=2)
     res0 = eig_residual(op, m, u0, lam0)
     row = TraceRow(0, lam0, 0.0, 0.0, 0.0, res0, 1.0, 0.0, lam0)
-    empty = np.zeros((0, 0))
-    return GreedyState(0, u0, lam0, [out.z], [row],
-                       *_extend_grams(op, m, empty, empty, [], out.z))
+    return GreedyState(0, u0, lam0, [row], gram_a, gram_b)
 
 
 def _compute_correction(op, m, state, cfg, rng) -> RankOne:
@@ -156,21 +154,9 @@ def _compute_correction(op, m, state, cfg, rng) -> RankOne:
     return adm_explicit_step(op, m, state.u, state.lam, cfg.adm, rng).z
 
 
-def _euler_residual(op, m, variant, u_prev, u_new, z_ts, lam_prev, lam_new, nu):
-    if variant is Variant.RAYLEIGH:
-        return abs(a_inner(op, u_new, z_ts) - lam_new * h_inner(u_new, z_ts, m))
-    u_plus = u_prev.plus(z_ts)
-    if variant is Variant.RESIDUAL:
-        return abs(
-            shifted_inner(op, m, u_plus, z_ts)
-            - (lam_prev + nu) * h_inner(u_prev, z_ts, m)
-        )
-    return abs(a_inner(op, u_plus, z_ts) - lam_prev * h_inner(u_plus, z_ts, m))
-
-
-def _pure_update(u_prev, u_pure, basis, gram_a, gram_b, m) -> TensorSum:
+def _pure_update(prev, pure, gram_a, gram_b):
     """The normalized sum of the previous iterate and the correction."""
-    return u_pure
+    return pure
 
 
 def _smallest_coefficients(A, B) -> np.ndarray:
@@ -180,64 +166,61 @@ def _smallest_coefficients(A, B) -> np.ndarray:
     return coef / d
 
 
-def _galerkin_update(u_prev, u_pure, basis, gram_a, gram_b, m) -> TensorSum:
-    """The smallest generalized eigenvector of the basis Grams.
+def _galerkin_update(prev, pure, gram_a, gram_b):
+    """The smallest generalized eigenvector of the basis Grams, signed to
+    agree with the previous iterate.
 
     On a rank-deficient Gram the basis member at the failing Cholesky pivot
-    is dropped and the solve retried once.
+    keeps coefficient 0 and the solve is retried once without it.
     """
-    active = list(range(len(basis)))
+    coef = np.zeros(len(prev))
+    active = list(range(len(prev)))
     try:
-        coef = _smallest_coefficients(gram_a, gram_b)
+        coef[:] = _smallest_coefficients(gram_a, gram_b)
     except IllConditionedGram as exc:
         del active[exc.pivot]
         idx = np.ix_(active, active)
-        coef = _smallest_coefficients(gram_a[idx], gram_b[idx])
-    u_new = normalize(TensorSum.combine(coef, [basis[i] for i in active]), m)
-    return u_new if h_inner(u_prev, u_new, m) > 0 else u_new.scaled(-1.0)
+        coef[active] = _smallest_coefficients(gram_a[idx], gram_b[idx])
+    coef, _ = _unit(coef, gram_b)
+    return coef if prev @ gram_b @ coef > 0 else -coef
 
 
 def _step(state, op, m, cfg, rng, update_coefficients) -> GreedyState:
     """One greedy iteration: correction, coefficient update, record.
 
-    The normalized pure update u + z is formed under either coefficient
-    update: the trace records its value and its stationarity residual.
+    The iterate's terms are the basis, so both updates map coefficients to
+    coefficients and every recorded scalar except the eigenpair residual is
+    a quadratic form of the basis Grams.  The normalized pure update u + z
+    is formed under either update: the trace records its value and its
+    stationarity residual.
     """
     rng = np.random.default_rng(cfg.rng_seed + state.n + 1) if rng is None else rng
     t0 = time.perf_counter()
     z = _compute_correction(op, m, state, cfg, rng)
-    z_ts = TensorSum.from_rank_one(z)
-    candidate = state.u.plus(z_ts)
-    nrm = h_norm(candidate, m)
-    if nrm < ITERATE_COLLAPSE_TOL:
-        raise DegenerateIterate(
-            f"updated iterate has H-norm {nrm:.3e}; cannot normalize"
-        )
-    alpha = 1.0 / nrm
-    u_pure = candidate.scaled(alpha)
-    lam_pure = a_inner(op, u_pure, u_pure)
-    gram_a, gram_b = _extend_grams(op, m, state.gram_a, state.gram_b,
-                                   state.basis, z)
-    basis = state.basis + [z]
-    u_new = update_coefficients(state.u, u_pure, basis, gram_a, gram_b, m)
-    # a_inner costs O(n^2) in the iterate's n terms: skip it for u_pure
-    lam_new = lam_pure if u_new is u_pure else a_inner(op, u_new, u_new)
-    euler = _euler_residual(op, m, cfg.variant, state.u, u_pure, z_ts,
-                            state.lam, lam_pure, m.nu)
+    members = state.u.plus(TensorSum.from_rank_one(z))
+    A, B = _extend_grams(op, m, state.gram_a, state.gram_b, members)
+    prev = np.append(state.u.coeffs, 0.0)   # u over the new basis
+    plus = members.coeffs                    # u + z
+    pure, alpha = _unit(plus, B)
+    lam_pure = float(pure @ A @ pure)
+    coef = update_coefficients(prev, pure, A, B)
+    lam_new = float(coef @ A @ coef)
+    # a(z, .) and <z, .> over the basis
+    a_z, b_z = A[-1], B[-1]
+    if cfg.variant is Variant.RAYLEIGH:
+        euler = a_z @ pure - lam_pure * (b_z @ pure)
+    elif cfg.variant is Variant.RESIDUAL:
+        euler = (a_z @ plus + m.nu * (b_z @ plus)
+                 - (state.lam + m.nu) * (b_z @ prev))
+    else:
+        euler = a_z @ plus - state.lam * (b_z @ plus)
+    z_norm_a = float(np.sqrt(max(a_z[-1] + m.nu * b_z[-1], 0.0)))
+    u_new = TensorSum(members.sizes, coef, members.factors)
     res = eig_residual(op, m, u_new, lam_new)
-    row = TraceRow(
-        state.n + 1,
-        lam_new,
-        state.lam - lam_new,
-        a_norm(op, m, z_ts),
-        euler,
-        res,
-        alpha,
-        time.perf_counter() - t0,
-        lam_pure,
-    )
-    return GreedyState(state.n + 1, u_new, lam_new, basis, state.trace + [row],
-                       gram_a, gram_b)
+    row = TraceRow(state.n + 1, lam_new, state.lam - lam_new, z_norm_a,
+                   float(abs(euler)), res, alpha, time.perf_counter() - t0,
+                   lam_pure)
+    return GreedyState(state.n + 1, u_new, lam_new, state.trace + [row], A, B)
 
 
 def step(state: GreedyState, op: KroneckerSumOperator, m: MetricSet,

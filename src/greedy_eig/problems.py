@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adm import AdmConfig, adm_initial_guess
-from .errors import InvalidSpec, ParseError, VersionError
+from .errors import InvalidSpec, ParseError, StructuralError, VersionError
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
@@ -326,7 +326,11 @@ class _Cursor:
 
 
 def load_operator(path):
-    """Read an operator file written by :func:`save_operator`."""
+    """Read an operator file written by :func:`save_operator`.
+
+    Contents the operator or metric would reject (a non-finite entry, a
+    mass that is not SPD, a negative or non-finite shift) raise ParseError.
+    """
     with open(str(path), "rb") as fh:
         data = fh.read()
     cur = _Cursor(data)
@@ -364,7 +368,10 @@ def load_operator(path):
         raise ParseError(
             f"{len(data) - cur.pos} trailing bytes after payload", cur.pos
         )
-    return KroneckerSumOperator(terms), MetricSet(masses, nu)
+    try:
+        return KroneckerSumOperator(terms), MetricSet(masses, nu)
+    except StructuralError as exc:
+        raise ParseError(f"invalid operator data: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,9 @@ class MetricSet:
     nu: float = 0.0
 
     def __init__(self, masses: Sequence[np.ndarray], nu: float = 0.0):
-        if nu < 0:
-            raise StructuralError("shift nu must be non-negative")
+        if not 0 <= nu < math.inf:
+            raise StructuralError(f"shift nu must be non-negative and "
+                                  f"finite, got {nu!r}")
         clean = []
         for m in masses:
             sm = symmetrize_factor(m)

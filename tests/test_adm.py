@@ -219,3 +219,10 @@ class TestConfig:
             AdmConfig(max_sweeps=0)
         with pytest.raises(ValueError):
             AdmConfig(tol_sweep=0.0)
+        for bad in ({"tol_sweep": float("nan")}, {"tol_sweep": float("inf")},
+                    {"max_sweeps": 2.5}, {"restart_attempts": 0},
+                    {"restart_attempts": 1.5}):
+            with pytest.raises(ValueError):
+                AdmConfig(**bad)
+        cfg = AdmConfig(max_sweeps=np.int32(5), restart_attempts=np.int64(2))
+        assert (cfg.max_sweeps, cfg.restart_attempts) == (5, 2)

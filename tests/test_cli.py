@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from greedy_eig.cli import (
     main,
     parse_solver_config,
 )
+from greedy_eig.errors import ParseError
 from greedy_eig.greedy import run
-from greedy_eig.problems import ProblemSpec
+from greedy_eig.problems import ProblemSpec, load_operator
 
 PROBLEM = {"kind": "RandomKronecker", "d": 2, "sizes": [7, 7], "K": 2,
            "seed": 7}
@@ -206,6 +208,39 @@ class TestSolve:
     def test_missing_output(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": {}})
         assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("solver", [
+        {"nu": float("nan")}, {"max_iter": 2.5},
+        {"adm": {"tol_sweep": float("nan")}},
+        {"adm": {"restart_attempts": 0}},
+    ])
+    def test_invalid_solver_value(self, tmp_path, solver):
+        cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": solver})
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("corrupt", ["nan_factor", "negative_shift",
+                                         "nan_shift"])
+    def test_corrupt_operator_file(self, tmp_path, corrupt):
+        op, m = gen_random_kronecker(2, (4, 3), 2, seed=0)
+        path = tmp_path / "op.geig"
+        save_operator(op, m, str(path))
+        data = bytearray(path.read_bytes())
+        # header: magic, version, d, d sizes, K; the shift comes last
+        at, value = {"nan_factor": (24, float("nan")),
+                     "negative_shift": (len(data) - 8, -1.0),
+                     "nan_shift": (len(data) - 8, float("nan"))}[corrupt]
+        data[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError):
+            load_operator(path)
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "FromFile", "path": str(path)},
+            "solver": {"max_iter": 2},
+        })
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
 
 
 class TestCompare:

@@ -115,6 +115,55 @@ class TestTermination:
         assert res.iterations == 2
 
 
+@pytest.mark.parametrize("variant,ortho", ALL_VARIANTS)
+def test_trace_matches_dense(variant, ortho):
+    """Every trace scalar agrees with a dense recomputation from the kept
+    iterates and the corrections, which are the columns of the final
+    iterate's factors (u_0, z_1, ..., z_n)."""
+    op, _ = gen_random_kronecker(2, (6, 5), 2, seed=4)
+    rng = np.random.default_rng(8)
+    masses = []
+    for n in op.sizes:
+        g = rng.standard_normal((n, n))
+        masses.append(g @ g.T / n + np.eye(n))
+    nu = 1.5
+    m = MetricSet(masses, nu)
+    cfg = GreedyConfig(variant=variant, orthogonal=ortho, nu=nu, max_iter=8,
+                       tol_residual=1e-13, tol_lambda=1e-15, rng_seed=3)
+    res = run(op, m, cfg, keep_iterates=True)
+    assert len(res.trace) > 2
+
+    a = sum(np.kron(*term) for term in op.terms)
+    mass = np.kron(*masses)
+    cols = res.u.factors
+    for row in res.trace:
+        u = res.iterates[row.n].to_dense()
+        lam = u @ a @ u
+        want = {"lambda_n": lam,
+                "eig_residual_h": np.linalg.norm(a @ u - lam * mass @ u)}
+        if row.n:
+            prev = res.iterates[row.n - 1].to_dense()
+            lam_prev = prev @ a @ prev
+            z = np.kron(cols[0][:, row.n], cols[1][:, row.n])
+            plus = prev + z
+            alpha = 1.0 / np.sqrt(plus @ mass @ plus)
+            pure = alpha * plus
+            lam_pure = pure @ a @ pure
+            if variant is Variant.RAYLEIGH:
+                euler = z @ a @ pure - lam_pure * (z @ mass @ pure)
+            elif variant is Variant.RESIDUAL:
+                euler = (z @ (a + nu * mass) @ plus
+                         - (lam_prev + nu) * (z @ mass @ prev))
+            else:
+                euler = z @ a @ plus - lam_prev * (z @ mass @ plus)
+            want.update(lambda_pure=lam_pure, alpha_n=alpha,
+                        z_norm_a=np.sqrt(z @ (a + nu * mass) @ z),
+                        euler_residual=abs(euler))
+        for name, value in want.items():
+            got = getattr(row, name)
+            assert abs(got - value) <= 1e-10 * max(1.0, abs(value)), (row.n, name)
+
+
 class TestResidualDecreaseIdentity:
     def test_decrease_matches_correction_energy(self):
         """For the residual rule with zero shift, each decrease equals
@@ -128,7 +177,10 @@ class TestResidualDecreaseIdentity:
             lam_prev = state.lam
             state = step(state, op, m, cfg)
             row = state.trace[-1]
-            z_t = TensorSum.from_rank_one(state.basis[-1]).scaled(row.alpha_n)
+            # the last term of the iterate is alpha_n * z
+            u = state.u
+            z_t = TensorSum(u.sizes, u.coeffs[-1:],
+                            tuple(f[:, -1:] for f in u.factors))
             bound = a_norm(op, m, z_t) ** 2 + lam_prev * h_norm(z_t, m) ** 2
             decrease = lam_prev - row.lambda_n
             assert decrease >= bound * (1 - 1e-6) - 1e-12
@@ -148,23 +200,24 @@ class TestOrthogonalDominance:
 
 class TestRankDeficientGram:
     def test_duplicated_member_is_dropped(self):
-        """With u_0 twice in the basis, the orthogonal step drops the copy
-        at the failing Cholesky pivot and matches the step without it."""
+        """With u_0 twice in the basis, the orthogonal step gives the copy
+        at the failing Cholesky pivot coefficient 0 and matches the step
+        without it."""
         op, m = small_problem(seed=6)
         cfg = GreedyConfig(variant=Variant.RAYLEIGH, orthogonal=True, rng_seed=3)
         state = initialize(op, m, cfg)
-        z0 = state.basis[0]
+        twice = state.u.plus(state.u.scaled(0.0))
         gram_a, gram_b = greedy._extend_grams(op, m, state.gram_a, state.gram_b,
-                                              state.basis, z0)
+                                              twice)
         with pytest.raises(IllConditionedGram) as info:
             cholesky_spd(gram_b)
         assert info.value.pivot == 1
-        dup = dataclasses.replace(state, basis=[z0, z0], gram_a=gram_a,
-                                  gram_b=gram_b)
+        dup = dataclasses.replace(state, u=twice, gram_a=gram_a, gram_b=gram_b)
         got = orthogonal_update(dup, op, m, cfg)
         want = orthogonal_update(state, op, m, cfg)
-        assert len(got.basis) == 3
-        assert got.u.num_terms == want.u.num_terms == 2
+        assert got.u.num_terms == 3
+        assert got.u.coeffs[1] == 0.0
+        assert want.u.num_terms == 2
         assert got.lam == pytest.approx(want.lam, rel=1e-12)
         assert np.allclose(got.u.to_dense(), want.u.to_dense(), atol=1e-10)
 
@@ -201,6 +254,13 @@ class TestConfigAndShift:
             GreedyConfig(tol_lambda=0.0)
         with pytest.raises(ValueError):
             GreedyConfig(nu=-1.0)
+        for bad in ({"nu": float("nan")}, {"nu": float("inf")},
+                    {"tol_lambda": float("nan")},
+                    {"tol_residual": float("inf")}, {"max_iter": 2.5},
+                    {"max_iter": 3.0}, {"max_iter": "3"}):
+            with pytest.raises(ValueError):
+                GreedyConfig(**bad)
+        assert GreedyConfig(max_iter=np.int64(3)).max_iter == 3
 
     def test_nu_warning(self):
         d = np.diag([-5.0, 1.0])
