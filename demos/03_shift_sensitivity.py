@@ -27,11 +27,10 @@ print("  nu    iterations to |lambda - mu_1| <= 1e-6")
 for nu in (0.0, 10.0, 50.0, 200.0):
     cfg = GreedyConfig(variant=Variant.RESIDUAL, nu=nu, max_iter=600,
                        tol_residual=1e-14, tol_lambda=1e-16, rng_seed=3)
-    m_eff = m.with_nu(nu)
-    state = initialize(op, m_eff, cfg)
+    state = initialize(op, m, cfg)
     hit = None
     while state.n < cfg.max_iter:
-        state = step(state, op, m_eff, cfg)
+        state = step(state, op, m, cfg)
         if abs(state.lam - ref.mu1) <= 1e-6:
             hit = state.n
             break

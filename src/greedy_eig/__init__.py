@@ -60,7 +60,6 @@ from .tensor_core import (
     RankOne,
     TensorSum,
     a_inner,
-    a_norm,
     apply_metric,
     apply_operator,
     eig_residual,
@@ -69,7 +68,6 @@ from .tensor_core import (
     h_norm,
     normalize,
     rayleigh,
-    shifted_inner,
 )
 
 __version__ = "0.1.0"

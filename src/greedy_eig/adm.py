@@ -13,7 +13,8 @@ as a byproduct of the contracted data, so sweep convergence costs nothing
 extra; the explicit sweep has no objective and stops once its iterate
 settles.  Factors are rebalanced to equal norms whenever an update leaves
 their norms far apart, and on return; the objectives are invariant under
-that rescaling.
+that rescaling.  Starts and reseeds draw from the generator the caller
+passes, so the greedy driver's seed fixes every draw.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ from .tensor_core import (
 REBALANCE_RATIO = 1e3
 
 
-def require_count(name, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (numpy's included)
-    of at least 1."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def require_count(name, value, least=1) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's included,
+    bool not) of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class AdmConfig:
     max_sweeps: int = 50
     tol_sweep: float = 1e-10
     restart_attempts: int = 3
-    rng_seed: int = 0
 
     def __post_init__(self):
         require_count("max_sweeps", self.max_sweeps)
@@ -96,10 +97,9 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
     The sweep stops once ``settled(prev_factors, prev_obj, factors, obj,
     cfg.tol_sweep)`` holds for the factors and objective before and after
     a sweep.  The first sweep has nothing before it to compare with, so
-    convergence takes at least two sweeps.  Without ``rng``, reseeds draw
-    from ``cfg.rng_seed``.
+    convergence takes at least two sweeps.  Seeds and reseeds draw from
+    ``rng``.
     """
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     last_error = None
     for attempt in range(cfg.restart_attempts):
         z = start if (start is not None and attempt == 0) else seed_rank_one(op.sizes, rng)
@@ -134,7 +134,7 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
 
 
 def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
-                      rng=None) -> AdmOutcome:
+                      rng) -> AdmOutcome:
     """Minimize the Rayleigh quotient over rank-one elements.
 
     Each direction update is the smallest eigenpair of the contracted pencil
@@ -155,7 +155,7 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
 
 
 def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      cfg: AdmConfig, rng=None, start: RankOne | None = None) -> AdmOutcome:
+                      cfg: AdmConfig, rng, start: RankOne | None = None) -> AdmOutcome:
     """Minimize the Rayleigh quotient of u_prev + z over rank-one z.
 
     The direction problem is solved exactly through the secular reduction,
@@ -177,15 +177,15 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
 
 
 def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      lambda_prev: float, cfg: AdmConfig, rng=None,
+                      lambda_prev: float, nu: float, cfg: AdmConfig, rng,
                       start: RankOne | None = None) -> AdmOutcome:
-    """Minimize 0.5*||u_prev + z||_a^2 - (lambda_prev + nu) <u_prev, z>.
+    """Minimize 0.5*||u_prev + z||_a^2 - (lambda_prev + nu) <u_prev, z>,
+    where ||v||_a^2 = a(v, v) + nu <v, v> with the residual rule's shift nu.
 
     Each direction is a single SPD solve of the shifted contracted system
     (A_j + nu Mj_eff) s = lambda_prev m_j - b_j; the quadratic objective
     follows from the same contracted data.
     """
-    nu = m.nu
     ws = DirectionWorkspace(op, m, u_prev)
 
     def update(factors, j):
@@ -206,7 +206,7 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
 
 
 def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      lambda_prev: float, cfg: AdmConfig, rng=None,
+                      lambda_prev: float, cfg: AdmConfig, rng,
                       start: RankOne | None = None) -> AdmOutcome:
     """Solve the explicit correction equation direction-wise.
 

@@ -30,7 +30,7 @@ TRACE_COLUMNS = (
     "wall_time_ms",
 )
 
-_ADM_KEYS = {"max_sweeps", "tol_sweep", "restart_attempts", "rng_seed"}
+_ADM_KEYS = {"max_sweeps", "tol_sweep", "restart_attempts"}
 _SOLVER_KEYS = {"variant", "orthogonal", "nu", "max_iter", "tol_lambda",
                 "tol_residual", "rng_seed", "adm"}
 _RUN_KEYS = {"problem", "solver", "output", "oracle"}
@@ -61,7 +61,6 @@ def parse_solver_config(raw: dict, seed_override=None) -> GreedyConfig:
             ) from None
     if seed_override is not None:
         kwargs["rng_seed"] = seed_override
-        adm_raw = dict(adm_raw, rng_seed=seed_override)
     try:
         return GreedyConfig(adm=AdmConfig(**adm_raw), **kwargs)
     except (TypeError, ValueError) as exc:
@@ -86,12 +85,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _trace_rows(result, ref, m):
+def _oracle_flag(raw: dict) -> bool:
+    oracle = raw.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise InvalidSpec(f"'oracle' must be true or false, got {oracle!r}")
+    return oracle
+
+
+def _trace_rows(result, ref, nu):
     """Yield CSV field lists for one run (err columns blank without oracle);
-    ``m`` is the run's metric, so err_vec_a uses the shift z_norm_a uses."""
+    ``nu`` is the run's shift, so err_vec_a uses the shift z_norm_a uses."""
     for idx, row in enumerate(result.trace):
         if ref is not None and idx < len(result.iterates):
-            errs = error_metrics(result.iterates[idx], row.lambda_n, ref, m)
+            errs = error_metrics(result.iterates[idx], row.lambda_n, ref, nu)
             err_fields = [_fmt(errs["err_lambda"]), _fmt(errs["err_vec_h"]),
                           _fmt(errs["err_vec_a"])]
         else:
@@ -138,13 +144,12 @@ def cmd_solve(args) -> int:
     out = args.out or raw.get("output")
     if out is None:
         raise InvalidSpec("no output path (use --out or the 'output' key)")
-    oracle_enabled = bool(raw.get("oracle", False))
+    oracle_enabled = _oracle_flag(raw)
 
     op, m = spec.build()
     ref = dense_reference(op, m) if oracle_enabled else None
     result = run(op, m, solver_cfg, keep_iterates=oracle_enabled)
-    _write_csv(out, TRACE_COLUMNS,
-               _trace_rows(result, ref, m.with_nu(solver_cfg.nu)))
+    _write_csv(out, TRACE_COLUMNS, _trace_rows(result, ref, solver_cfg.nu))
     summary = {
         "reason": result.reason,
         "lambda": result.lam,
@@ -177,13 +182,13 @@ def cmd_compare(args) -> int:
     out = args.out or raw.get("output")
     if out is None:
         raise InvalidSpec("no output path (use --out or the 'output' key)")
-    oracle_enabled = bool(raw.get("oracle", False))
+    oracle_enabled = _oracle_flag(raw)
+    cfgs = [parse_solver_config(v_raw, args.seed) for v_raw in raw["variants"]]
 
     op, m = spec.build()
     ref = dense_reference(op, m) if oracle_enabled else None
     runs = []
-    for v_raw in raw["variants"]:
-        cfg = parse_solver_config(v_raw, args.seed)
+    for cfg in cfgs:
         label = _variant_label(cfg)
         try:
             result = run(op, m, cfg, keep_iterates=oracle_enabled)
@@ -198,7 +203,7 @@ def cmd_compare(args) -> int:
             rows.append([label, "", "", "", "", "", "", "", "", "", "",
                          f"failed: {failure}"])
             continue
-        for fields in _trace_rows(result, ref, m.with_nu(nu)):
+        for fields in _trace_rows(result, ref, nu):
             rows.append([label, *fields, result.reason])
     _write_csv(out, ("variant", *TRACE_COLUMNS, "reason"), rows)
     for label, result, failure, _ in runs:
@@ -223,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=needs_out, default=None,
                        help="output path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the solver RNG seed")
+        if name != "gen":   # gen runs no solver, so it has no seed to take
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the solver RNG seed")
         p.set_defaults(func=func)
     return parser
 

@@ -46,6 +46,9 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class GreedyConfig:
+    """Every solver setting: the rule, the residual rule's shift ``nu``
+    (the metric carries none) and the seed of every random draw."""
+
     variant: Variant = Variant.RAYLEIGH
     orthogonal: bool = False
     nu: float = 0.0
@@ -56,7 +59,11 @@ class GreedyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.orthogonal, bool):
+            raise ValueError(f"orthogonal must be true or false, "
+                             f"got {self.orthogonal!r}")
         require_count("max_iter", self.max_iter)
+        require_count("rng_seed", self.rng_seed, least=0)
         if not (0 < self.tol_lambda < math.inf
                 and 0 < self.tol_residual < math.inf):
             raise ValueError("tolerances must be positive and finite")
@@ -128,7 +135,8 @@ def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
     """Build the starting iterate: the best rank-one element, H-normalized.
 
     Under the residual rule, warns when the starting Rayleigh value plus the
-    shift nu is not positive: the shifted form may then fail to be coercive.
+    shift ``cfg.nu`` is not positive: the shifted form may then fail to be
+    coercive.
     """
     rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     out = adm_initial_guess(op, m, cfg.adm, rng)
@@ -138,8 +146,8 @@ def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
     coef, _ = _unit(z0.coeffs, gram_b)
     u0 = TensorSum(z0.sizes, coef, z0.factors)
     lam0 = float(coef @ gram_a @ coef)
-    if cfg.variant is Variant.RESIDUAL and lam0 + m.nu <= 0:
-        warnings.warn(f"shift nu={m.nu} may be too small: the starting "
+    if cfg.variant is Variant.RESIDUAL and lam0 + cfg.nu <= 0:
+        warnings.warn(f"shift nu={cfg.nu} may be too small: the starting "
                       f"rank-one Rayleigh value is {lam0:.3e}", stacklevel=2)
     res0 = eig_residual(op, m, u0, lam0)
     row = TraceRow(0, lam0, 0.0, 0.0, 0.0, res0, 1.0, 0.0, lam0)
@@ -150,7 +158,8 @@ def _compute_correction(op, m, state, cfg, rng) -> RankOne:
     if cfg.variant is Variant.RAYLEIGH:
         return adm_rayleigh_step(op, m, state.u, cfg.adm, rng).z
     if cfg.variant is Variant.RESIDUAL:
-        return adm_residual_step(op, m, state.u, state.lam, cfg.adm, rng).z
+        return adm_residual_step(op, m, state.u, state.lam, cfg.nu, cfg.adm,
+                                 rng).z
     return adm_explicit_step(op, m, state.u, state.lam, cfg.adm, rng).z
 
 
@@ -210,11 +219,11 @@ def _step(state, op, m, cfg, rng, update_coefficients) -> GreedyState:
     if cfg.variant is Variant.RAYLEIGH:
         euler = a_z @ pure - lam_pure * (b_z @ pure)
     elif cfg.variant is Variant.RESIDUAL:
-        euler = (a_z @ plus + m.nu * (b_z @ plus)
-                 - (state.lam + m.nu) * (b_z @ prev))
+        euler = (a_z @ plus + cfg.nu * (b_z @ plus)
+                 - (state.lam + cfg.nu) * (b_z @ prev))
     else:
         euler = a_z @ plus - state.lam * (b_z @ plus)
-    z_norm_a = float(np.sqrt(max(a_z[-1] + m.nu * b_z[-1], 0.0)))
+    z_norm_a = float(np.sqrt(max(a_z[-1] + cfg.nu * b_z[-1], 0.0)))
     u_new = TensorSum(members.sizes, coef, members.factors)
     res = eig_residual(op, m, u_new, lam_new)
     row = TraceRow(state.n + 1, lam_new, state.lam - lam_new, z_norm_a,
@@ -247,9 +256,8 @@ def run(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
     the result also carries one normalized iterate per trace row.  The
     bundled OpenBLAS runs on one thread for the duration of the call.
     """
-    m_eff = m if m.nu == cfg.nu else m.with_nu(cfg.nu)
     rng = np.random.default_rng(cfg.rng_seed)
-    state = initialize(op, m_eff, cfg, rng)
+    state = initialize(op, m, cfg, rng)
     iterates = [state.u]
     if state.trace[0].eig_residual_h <= cfg.tol_residual:
         return GreedyResult(state.lam, state.u, tuple(state.trace),
@@ -261,7 +269,7 @@ def run(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
     reason = "max_iter"
     while state.n < cfg.max_iter:
         try:
-            state = advance(state, op, m_eff, cfg, rng)
+            state = advance(state, op, m, cfg, rng)
         except GreedyEigError as exc:
             reason = f"step_failure: {type(exc).__name__}: {exc}"
             break

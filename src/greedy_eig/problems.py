@@ -27,7 +27,7 @@ from .tensor_core import (
 )
 
 FORMAT_MAGIC = b"GEIG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,8 @@ def _certify_trap(op: KroneckerSumOperator, m: MetricSet, mu_02: float,
         z = RankOne([np.eye(sizes[0])[k], np.eye(sizes[1])[l]])
         best = min(best, rayleigh(op, m, TensorSum.from_rank_one(z)))
     for attempt in range(8):
-        out = adm_initial_guess(op, m, AdmConfig(rng_seed=attempt))
+        out = adm_initial_guess(op, m, AdmConfig(),
+                                np.random.default_rng(attempt))
         best = min(best, out.objective)
     if best < mu_11 - 1e-8:
         raise InvalidSpec(
@@ -280,9 +281,8 @@ def save_operator(op: KroneckerSumOperator, m: MetricSet, path) -> None:
     """Write the operator and metric to a versioned binary file.
 
     Layout: magic "GEIG", u32 version, u32 d, u32 sizes[d], u32 K, the
-    K*d factor blocks, the d metric blocks (all row-major little-endian
-    float64), then the shift nu.  A JSON sidecar at ``path + ".json"``
-    mirrors the metadata.
+    K*d factor blocks and the d metric blocks (all row-major little-endian
+    float64).  A JSON sidecar at ``path + ".json"`` mirrors the metadata.
     """
     path = str(path)
     if op.sizes != m.sizes:
@@ -296,7 +296,6 @@ def save_operator(op: KroneckerSumOperator, m: MetricSet, path) -> None:
             parts.append(np.ascontiguousarray(f, dtype="<f8").tobytes())
     for mm in m.masses:
         parts.append(np.ascontiguousarray(mm, dtype="<f8").tobytes())
-    parts.append(struct.pack("<d", m.nu))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
     sidecar = {
@@ -305,7 +304,6 @@ def save_operator(op: KroneckerSumOperator, m: MetricSet, path) -> None:
         "d": op.d,
         "sizes": list(op.sizes),
         "num_terms": op.num_terms,
-        "nu": m.nu,
     }
     with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -329,7 +327,8 @@ def load_operator(path):
     """Read an operator file written by :func:`save_operator`.
 
     Contents the operator or metric would reject (a non-finite entry, a
-    mass that is not SPD, a negative or non-finite shift) raise ParseError.
+    mass that is not SPD) raise ParseError.  Files of another format
+    version, version 1 included, raise VersionError.
     """
     with open(str(path), "rb") as fh:
         data = fh.read()
@@ -340,7 +339,8 @@ def load_operator(path):
     (version,) = struct.unpack("<I", cur.take(4, "version"))
     if version != FORMAT_VERSION:
         raise VersionError(
-            f"unsupported format version {version} (expected {FORMAT_VERSION})"
+            f"unsupported format version {version} (expected "
+            f"{FORMAT_VERSION}); regenerate the file with `greedy-eig gen`"
         )
     (d,) = struct.unpack("<I", cur.take(4, "dimension count"))
     if d < 2 or d > 64:
@@ -363,13 +363,12 @@ def load_operator(path):
     ]
     masses = [read_matrix(n, f"metric block (dim {j})")
               for j, n in enumerate(sizes)]
-    (nu,) = struct.unpack("<d", cur.take(8, "shift"))
     if cur.pos != len(data):
         raise ParseError(
             f"{len(data) - cur.pos} trailing bytes after payload", cur.pos
         )
     try:
-        return KroneckerSumOperator(terms), MetricSet(masses, nu)
+        return KroneckerSumOperator(terms), MetricSet(masses)
     except StructuralError as exc:
         raise ParseError(f"invalid operator data: {exc}") from exc
 

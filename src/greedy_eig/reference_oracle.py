@@ -117,13 +117,13 @@ def dense_reference(op: KroneckerSumOperator, m: MetricSet,
 
 
 def error_metrics(u: TensorSum, lam: float, ref: DenseReference,
-                  m: MetricSet) -> dict:
+                  nu: float) -> dict:
     """Distance of (u, lam) to the reference lowest eigenpair.
 
     err_vec_h is the metric norm of the component of u outside the lowest
-    eigenspace; err_vec_a is the distance, in the norm of A + m.nu M, to the
-    closest normalized element of that eigenspace.  Pass the metric the
-    iterate was computed with, so that the shift is the run's.
+    eigenspace; err_vec_a is the distance, in the norm of A + nu M, to the
+    closest normalized element of that eigenspace.  Pass the shift the
+    iterate was computed with (``GreedyConfig.nu``).
     """
     a_full, m_full = ref.operator, ref.mass
     u_vec = u.to_dense()
@@ -141,7 +141,7 @@ def error_metrics(u: TensorSum, lam: float, ref: DenseReference,
         best = np.inf
         for cand in (w, -w):
             diff = u_vec - cand
-            val = diff @ a_full @ diff + m.nu * (diff @ m_full @ diff)
+            val = diff @ a_full @ diff + nu * (diff @ m_full @ diff)
             best = min(best, float(np.sqrt(max(val, 0.0))))
         d_a = best
     return {

@@ -91,19 +91,15 @@ class KroneckerSumOperator:
 
 @dataclass(frozen=True)
 class MetricSet:
-    """Per-dimension SPD mass matrices plus the coercivity shift nu.
+    """Per-dimension SPD mass matrices.
 
-    Defines <u, v> = u^T (M_1 x ... x M_d) v and the shifted product
-    <u, v>_a = a(u, v) + nu * <u, v>.
+    Defines <u, v> = u^T (M_1 x ... x M_d) v.  The residual rule's shift nu
+    is a solver setting (``GreedyConfig.nu``), not part of the metric.
     """
 
     masses: tuple
-    nu: float = 0.0
 
-    def __init__(self, masses: Sequence[np.ndarray], nu: float = 0.0):
-        if not 0 <= nu < math.inf:
-            raise StructuralError(f"shift nu must be non-negative and "
-                                  f"finite, got {nu!r}")
+    def __init__(self, masses: Sequence[np.ndarray]):
         clean = []
         for m in masses:
             sm = symmetrize_factor(m)
@@ -113,18 +109,14 @@ class MetricSet:
                 raise StructuralError("mass matrix is not positive definite") from None
             clean.append(sm)
         object.__setattr__(self, "masses", tuple(clean))
-        object.__setattr__(self, "nu", float(nu))
 
     @functools.cached_property
     def sizes(self) -> tuple:
         return tuple(m.shape[0] for m in self.masses)
 
-    def with_nu(self, nu: float) -> "MetricSet":
-        return MetricSet(self.masses, nu)
-
     @classmethod
-    def identity(cls, sizes: Sequence[int], nu: float = 0.0) -> "MetricSet":
-        return cls([np.eye(n) for n in sizes], nu)
+    def identity(cls, sizes: Sequence[int]) -> "MetricSet":
+        return cls([np.eye(n) for n in sizes])
 
 
 @dataclass(frozen=True)
@@ -296,17 +288,8 @@ def a_inner(op: KroneckerSumOperator, u: TensorSum, v: TensorSum) -> float:
     return float(u.coeffs @ had.sum(axis=0) @ v.coeffs)
 
 
-def shifted_inner(op: KroneckerSumOperator, m: MetricSet, u, v) -> float:
-    """<u, v>_a = a(u, v) + nu <u, v>."""
-    return a_inner(op, u, v) + m.nu * h_inner(u, v, m)
-
-
 def h_norm(u: TensorSum, m: MetricSet) -> float:
     return float(np.sqrt(max(h_inner(u, u, m), 0.0)))
-
-
-def a_norm(op: KroneckerSumOperator, m: MetricSet, u: TensorSum) -> float:
-    return float(np.sqrt(max(shifted_inner(op, m, u, u), 0.0)))
 
 
 def euclidean_norm(u: TensorSum) -> float:

@@ -20,10 +20,10 @@ from greedy_eig.tensor_core import (
     a_inner,
     h_inner,
     rayleigh,
-    shifted_inner,
 )
 
 RNG = np.random.default_rng(21)
+NU = 0.0   # the residual rule's shift in these tests
 
 
 def random_sym(n, rng=RNG):
@@ -48,7 +48,7 @@ class TestInitialGuess:
     def test_attains_brute_force_rank_one_minimum(self):
         """Exhaustive alternating solve from many starts agrees with ADM."""
         op, m = small_problem(seed=3)
-        out = adm_initial_guess(op, m, AdmConfig(rng_seed=0))
+        out = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0))
         val = out.objective
         # multi-start brute force over normalized rank-one grid
         rng = np.random.default_rng(99)
@@ -61,13 +61,13 @@ class TestInitialGuess:
 
     def test_unit_norm(self):
         op, m = small_problem(seed=4)
-        out = adm_initial_guess(op, m, AdmConfig())
+        out = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0))
         u = TensorSum.from_rank_one(out.z)
         assert h_inner(u, u, m) == pytest.approx(1.0)
 
     def test_objective_matches_iterate(self):
         op, m = small_problem(seed=5)
-        out = adm_initial_guess(op, m, AdmConfig())
+        out = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0))
         u = TensorSum.from_rank_one(out.z)
         assert rayleigh(op, m, u) == pytest.approx(out.objective, rel=1e-8)
 
@@ -76,9 +76,9 @@ class TestRayleighStep:
     def test_decreases_quotient_and_beats_random_directions(self):
         op, m = small_problem(seed=6)
         u = TensorSum.from_rank_one(
-            adm_initial_guess(op, m, AdmConfig()).z
+            adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
         )
-        out = adm_rayleigh_step(op, m, u, AdmConfig(rng_seed=1))
+        out = adm_rayleigh_step(op, m, u, AdmConfig(), np.random.default_rng(1))
         val = rayleigh(op, m, u.plus_rank_one(out.z))
         assert val <= rayleigh(op, m, u) + 1e-12
         assert val == pytest.approx(out.objective, rel=1e-8)
@@ -90,8 +90,9 @@ class TestRayleighStep:
     def test_fixed_point_satisfies_euler_identity(self):
         """At the step's stationary point, a(u_new, z) = J(u_new) <u_new, z>."""
         op, m = small_problem(seed=7)
-        u = TensorSum.from_rank_one(adm_initial_guess(op, m, AdmConfig()).z)
-        out = adm_rayleigh_step(op, m, u, AdmConfig(rng_seed=1))
+        u = TensorSum.from_rank_one(
+            adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z)
+        out = adm_rayleigh_step(op, m, u, AdmConfig(), np.random.default_rng(1))
         z = TensorSum.from_rank_one(out.z)
         u_new = u.plus(z)
         lam = rayleigh(op, m, u_new)
@@ -103,14 +104,17 @@ class TestRayleighStep:
 class TestResidualStep:
     def test_beats_random_rank_one_candidates(self):
         op, m = small_problem(seed=8)
-        u = TensorSum.from_rank_one(adm_initial_guess(op, m, AdmConfig()).z)
+        u = TensorSum.from_rank_one(
+            adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z)
         lam = rayleigh(op, m, u)
-        out = adm_residual_step(op, m, u, lam, AdmConfig(rng_seed=1))
+        out = adm_residual_step(op, m, u, lam, NU, AdmConfig(),
+                                np.random.default_rng(1))
 
         def objective(z):
             up = u.plus_rank_one(z)
             zz = TensorSum.from_rank_one(z)
-            return 0.5 * shifted_inner(op, m, up, up) - lam * h_inner(u, zz, m)
+            shifted = a_inner(op, up, up) + NU * h_inner(up, up, m)
+            return 0.5 * shifted - lam * h_inner(u, zz, m)
 
         val = objective(out.z)
         assert val == pytest.approx(out.objective, rel=1e-8)
@@ -127,7 +131,8 @@ class TestResidualStep:
         the two objectives must rank candidates identically.
         """
         op, m = small_problem(seed=9, sizes=(3, 3), K=2)
-        u = TensorSum.from_rank_one(adm_initial_guess(op, m, AdmConfig()).z)
+        u = TensorSum.from_rank_one(
+            adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z)
         lam = rayleigh(op, m, u)
         # dense Riesz representant
         a_full = np.zeros((9, 9))
@@ -136,7 +141,8 @@ class TestResidualStep:
         u_vec = u.to_dense()
         r_vec = np.linalg.solve(a_full, lam * u_vec - a_full @ u_vec)
 
-        out = adm_residual_step(op, m, u, lam, AdmConfig(rng_seed=1))
+        out = adm_residual_step(op, m, u, lam, NU, AdmConfig(),
+                                np.random.default_rng(1))
         z_vec = TensorSum.from_rank_one(out.z).to_dense()
 
         def dist2(zv):
@@ -164,12 +170,13 @@ class TestExplicitStep:
         rng = np.random.default_rng(33)
         from greedy_eig.tensor_core import normalize
 
-        base = adm_initial_guess(op, m, AdmConfig()).z
+        base = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
         u = TensorSum.from_rank_one(base).plus_rank_one(
             RankOne([0.05 * rng.standard_normal(n) for n in op.sizes]))
         u = normalize(u, m)
         lam = rayleigh(op, m, u)
-        out = adm_explicit_step(op, m, u, lam, AdmConfig(rng_seed=1))
+        out = adm_explicit_step(op, m, u, lam, AdmConfig(),
+                                np.random.default_rng(1))
         assert out.converged
         z = TensorSum.from_rank_one(out.z)
         u_plus = u.plus(z)
@@ -188,8 +195,8 @@ class TestExplicitStep:
                                              np.array([1.0, 0.0])]))
         # A_j for frozen e1 is diag(1,2) + I; shift with an exact eigenvalue
         with pytest.raises(ExplicitStepFailure):
-            adm_explicit_step(op, m, u, 2.0, AdmConfig(restart_attempts=1,
-                                                       rng_seed=0),
+            adm_explicit_step(op, m, u, 2.0, AdmConfig(restart_attempts=1),
+                              np.random.default_rng(0),
                               start=RankOne([np.array([1.0, 0.0]),
                                              np.array([1.0, 0.0])]))
 
@@ -198,7 +205,7 @@ class TestSweepLoop:
     def test_initial_guess_sweeps_to_a_seed_independent_value(self):
         """The sweep runs until the objective settles, not for one sweep."""
         op, m = gen_random_kronecker(2, (20, 20), 2, seed=0)
-        outs = [adm_initial_guess(op, m, AdmConfig(rng_seed=s))
+        outs = [adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(s))
                 for s in (0, 1, 2)]
         for out in outs:
             assert out.converged
@@ -208,7 +215,8 @@ class TestSweepLoop:
     def test_one_sweep_is_not_converged(self):
         """A single sweep has no previous objective to compare with."""
         op, m = gen_random_kronecker(2, (20, 20), 2, seed=0)
-        out = adm_initial_guess(op, m, AdmConfig(max_sweeps=1))
+        out = adm_initial_guess(op, m, AdmConfig(max_sweeps=1),
+                                np.random.default_rng(0))
         assert out.sweeps_used == 1
         assert not out.converged
 
@@ -224,5 +232,7 @@ class TestConfig:
                     {"restart_attempts": 1.5}):
             with pytest.raises(ValueError):
                 AdmConfig(**bad)
+        with pytest.raises(TypeError):   # the seed is GreedyConfig's
+            AdmConfig(rng_seed=1)
         cfg = AdmConfig(max_sweeps=np.int32(5), restart_attempts=np.int64(2))
         assert (cfg.max_sweeps, cfg.restart_attempts) == (5, 2)

@@ -17,7 +17,7 @@ from greedy_eig.cli import (
     main,
     parse_solver_config,
 )
-from greedy_eig.errors import ParseError
+from greedy_eig.errors import ParseError, VersionError
 from greedy_eig.greedy import run
 from greedy_eig.problems import ProblemSpec, load_operator
 
@@ -87,6 +87,15 @@ class TestGen:
         assert main(["solve", "--config", solve_cfg, "--out", out]) == EXIT_OK
         summary = json.loads((tmp_path / "trace.csv.json").read_text())
         assert summary["reason"].startswith("converged")
+
+    def test_seed_flag_is_not_an_option(self, tmp_path):
+        """gen draws nothing at random from a solver seed."""
+        cfg = write_config(tmp_path, PROBLEM)
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--config", cfg, "--out", str(tmp_path / "x.geig"),
+                  "--seed", "3"])
+        assert info.value.code == EXIT_CONFIG
+        assert not (tmp_path / "x.geig").exists()
 
     def test_bad_spec_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"kind": "Nonsense"})
@@ -213,6 +222,7 @@ class TestSolve:
         {"nu": float("nan")}, {"max_iter": 2.5},
         {"adm": {"tol_sweep": float("nan")}},
         {"adm": {"restart_attempts": 0}},
+        {"rng_seed": -1}, {"rng_seed": 1.5}, {"orthogonal": "false"},
     ])
     def test_invalid_solver_value(self, tmp_path, solver):
         cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": solver})
@@ -220,20 +230,45 @@ class TestSolve:
                      "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
         assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("corrupt", ["nan_factor", "negative_shift",
-                                         "nan_shift"])
+    def test_negative_seed_flag(self, tmp_path):
+        cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": {}})
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "t.csv"), "--seed", "-3"]) == EXIT_CONFIG
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_adm_seed_is_unknown_key(self, tmp_path):
+        """The solver seed is set once, at the top of the solver config."""
+        cfg = write_config(tmp_path, {"problem": PROBLEM,
+                                      "solver": {"adm": {"rng_seed": 1}}})
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+
+    def test_non_boolean_oracle(self, tmp_path):
+        cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": {},
+                                      "oracle": "false"})
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("corrupt", ["nan_factor", "version_1",
+                                         "trailing_bytes"])
     def test_corrupt_operator_file(self, tmp_path, corrupt):
         op, m = gen_random_kronecker(2, (4, 3), 2, seed=0)
         path = tmp_path / "op.geig"
         save_operator(op, m, str(path))
         data = bytearray(path.read_bytes())
-        # header: magic, version, d, d sizes, K; the shift comes last
-        at, value = {"nan_factor": (24, float("nan")),
-                     "negative_shift": (len(data) - 8, -1.0),
-                     "nan_shift": (len(data) - 8, float("nan"))}[corrupt]
-        data[at:at + 8] = struct.pack("<d", value)
+        # header: magic, version, d, d sizes, K; then the float64 blocks
+        if corrupt == "nan_factor":
+            data[24:32] = struct.pack("<d", float("nan"))
+        elif corrupt == "version_1":
+            # version 1 stored a shift nu after the masses
+            data[4:8] = struct.pack("<I", 1)
+            data += struct.pack("<d", 0.0)
+        else:
+            data += bytes(8)
         path.write_bytes(bytes(data))
-        with pytest.raises(ParseError):
+        error = VersionError if corrupt == "version_1" else ParseError
+        with pytest.raises(error):
             load_operator(path)
         cfg = write_config(tmp_path, {
             "problem": {"kind": "FromFile", "path": str(path)},
@@ -290,6 +325,14 @@ class TestCompare:
                               ("orthogonal-residual", variants[1])):
             got = [float(r[1 + ERR_VEC_A]) for r in rows if r[0] == label]
             assert got == pytest.approx(dense_err_vec_a(solver), rel=1e-9)
+
+    def test_non_boolean_oracle(self, tmp_path):
+        cfg = write_config(tmp_path, {"problem": PROBLEM,
+                                      "variants": [{"max_iter": 5}],
+                                      "oracle": 1})
+        assert main(["compare", "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        assert not (tmp_path / "c.csv").exists()
 
     def test_empty_variant_list(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": PROBLEM, "variants": []})

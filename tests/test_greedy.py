@@ -28,7 +28,8 @@ from greedy_eig.tensor_core import (
     KroneckerSumOperator,
     MetricSet,
     TensorSum,
-    a_norm,
+    a_inner,
+    h_inner,
     h_norm,
 )
 
@@ -127,7 +128,7 @@ def test_trace_matches_dense(variant, ortho):
         g = rng.standard_normal((n, n))
         masses.append(g @ g.T / n + np.eye(n))
     nu = 1.5
-    m = MetricSet(masses, nu)
+    m = MetricSet(masses)
     cfg = GreedyConfig(variant=variant, orthogonal=ortho, nu=nu, max_iter=8,
                        tol_residual=1e-13, tol_lambda=1e-15, rng_seed=3)
     res = run(op, m, cfg, keep_iterates=True)
@@ -181,7 +182,8 @@ class TestResidualDecreaseIdentity:
             u = state.u
             z_t = TensorSum(u.sizes, u.coeffs[-1:],
                             tuple(f[:, -1:] for f in u.factors))
-            bound = a_norm(op, m, z_t) ** 2 + lam_prev * h_norm(z_t, m) ** 2
+            bound = (a_inner(op, z_t, z_t)
+                     + (cfg.nu + lam_prev) * h_inner(z_t, z_t, m))
             decrease = lam_prev - row.lambda_n
             assert decrease >= bound * (1 - 1e-6) - 1e-12
             assert decrease == pytest.approx(bound, rel=1e-5, abs=1e-11)
@@ -241,7 +243,7 @@ class TestDegenerateLowest:
         cfg = GreedyConfig(variant=Variant.RAYLEIGH, max_iter=60,
                            tol_residual=1e-10, tol_lambda=1e-13, rng_seed=3)
         res = run(op, m, cfg)
-        errs = error_metrics(res.u, res.lam, ref, m)
+        errs = error_metrics(res.u, res.lam, ref, cfg.nu)
         assert errs["err_lambda"] <= 1e-8
         assert errs["err_vec_h"] <= 1e-4
 
@@ -257,10 +259,14 @@ class TestConfigAndShift:
         for bad in ({"nu": float("nan")}, {"nu": float("inf")},
                     {"tol_lambda": float("nan")},
                     {"tol_residual": float("inf")}, {"max_iter": 2.5},
-                    {"max_iter": 3.0}, {"max_iter": "3"}):
+                    {"max_iter": 3.0}, {"max_iter": "3"}, {"rng_seed": -1},
+                    {"rng_seed": 1.5}, {"rng_seed": "3"}, {"rng_seed": True},
+                    {"max_iter": True},
+                    {"orthogonal": "false"}, {"orthogonal": 1}):
             with pytest.raises(ValueError):
                 GreedyConfig(**bad)
         assert GreedyConfig(max_iter=np.int64(3)).max_iter == 3
+        assert GreedyConfig(rng_seed=np.uint32(0)).rng_seed == 0
 
     def test_nu_warning(self):
         d = np.diag([-5.0, 1.0])
@@ -274,6 +280,24 @@ class TestConfigAndShift:
     def test_nu_no_warning_when_safe(self):
         op, m = small_problem(seed=7)
         run(op, m, GreedyConfig(variant=Variant.RESIDUAL, nu=0.0, max_iter=1))
+
+    def test_hand_driven_loop_matches_run(self):
+        """initialize + step with one shared generator reproduce run's
+        trace row for row: both take the shift from the config."""
+        op, m = small_problem(seed=7)
+        cfg = GreedyConfig(variant=Variant.RESIDUAL, nu=50.0, max_iter=5,
+                           tol_residual=1e-14, tol_lambda=1e-16)
+        res = run(op, m, cfg)
+        rng = np.random.default_rng(cfg.rng_seed)
+        state = initialize(op, m, cfg, rng)
+        while state.n < cfg.max_iter:
+            state = step(state, op, m, cfg, rng)
+        assert res.reason == "max_iter"
+
+        def untimed(trace):
+            return [dataclasses.replace(row, wall_time=0.0) for row in trace]
+
+        assert untimed(state.trace) == untimed(res.trace)
 
     def test_shift_does_not_change_limit(self):
         op, m = small_problem(seed=7)

@@ -91,10 +91,10 @@ def random_spd(n, rng):
     return x @ x.T + n * np.eye(n)
 
 
-def random_mass_problem(nu=0.0):
+def random_mass_problem():
     op, _ = gen_random_kronecker(2, (9, 7), 3, seed=5)
     rng = np.random.default_rng(11)
-    return op, MetricSet([random_spd(9, rng), random_spd(7, rng)], nu)
+    return op, MetricSet([random_spd(9, rng), random_spd(7, rng)])
 
 
 @pytest.fixture
@@ -163,7 +163,7 @@ class TestErrorMetrics:
         uu, ss, vv = np.linalg.svd(vec)
         terms = [RankOne([uu[:, i] * ss[i], vv[i, :]]) for i in range(5)]
         u = TensorSum.combine(np.ones(5), terms)
-        errs = error_metrics(u, ref.mu1, ref, m)
+        errs = error_metrics(u, ref.mu1, ref, 0.0)
         assert errs["err_lambda"] <= 1e-10
         assert errs["err_vec_h"] <= 1e-10
         assert errs["err_vec_a"] <= 1e-7
@@ -182,12 +182,13 @@ class TestErrorMetrics:
         uu, ss, vv = np.linalg.svd(orth.reshape(5, 5))
         terms = [RankOne([uu[:, i] * ss[i], vv[i, :]]) for i in range(5)]
         u_orth = TensorSum.combine(np.ones(5), terms)
-        errs = error_metrics(u_orth, 0.0, ref, m)
+        errs = error_metrics(u_orth, 0.0, ref, 0.0)
         assert errs["err_vec_h"] == pytest.approx(1.0, abs=1e-9)
 
 
     def test_shifted_norm_with_mass_matches_dense(self):
-        op, m = random_mass_problem(nu=2.5)
+        op, m = random_mass_problem()
+        nu = 2.5
         ref = dense_reference(op, m)
         a, mm = dense_assemble(op, m)
         vals, vecs = scipy.linalg.eigh(a, mm)
@@ -198,10 +199,10 @@ class TestErrorMetrics:
         uv = u.to_dense()
         w = vecs[:, 0] * np.sign(vecs[:, 0] @ mm @ uv)
         outside = uv - w * (w @ mm @ uv)
-        shifted = a + m.nu * mm
+        shifted = a + nu * mm
         want_a = min(np.sqrt((uv - s * w) @ shifted @ (uv - s * w))
                      for s in (1.0, -1.0))
-        errs = error_metrics(u, 1.7, ref, m)
+        errs = error_metrics(u, 1.7, ref, nu)
         assert errs["err_lambda"] == pytest.approx(abs(1.7 - vals[0]),
                                                    rel=1e-12)
         assert errs["err_vec_h"] == pytest.approx(
