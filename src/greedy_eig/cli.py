@@ -95,11 +95,15 @@ def _oracle_flag(raw: dict) -> bool:
 def _trace_rows(result, ref, nu):
     """Yield CSV field lists for one run (err columns blank without oracle);
     ``nu`` is the run's shift, so err_vec_a uses the shift z_norm_a uses."""
+    n_err = 0 if ref is None else min(len(result.trace), len(result.iterates))
+    if n_err:
+        errs = error_metrics(result.iterates[:n_err],
+                             [row.lambda_n for row in result.trace[:n_err]],
+                             ref, nu)
     for idx, row in enumerate(result.trace):
-        if ref is not None and idx < len(result.iterates):
-            errs = error_metrics(result.iterates[idx], row.lambda_n, ref, nu)
-            err_fields = [_fmt(errs["err_lambda"]), _fmt(errs["err_vec_h"]),
-                          _fmt(errs["err_vec_a"])]
+        if idx < n_err:
+            err_fields = [_fmt(errs[key][idx])
+                          for key in ("err_lambda", "err_vec_h", "err_vec_a")]
         else:
             err_fields = ["", "", ""]
         yield [

@@ -243,9 +243,9 @@ class TestDegenerateLowest:
         cfg = GreedyConfig(variant=Variant.RAYLEIGH, max_iter=60,
                            tol_residual=1e-10, tol_lambda=1e-13, rng_seed=3)
         res = run(op, m, cfg)
-        errs = error_metrics(res.u, res.lam, ref, cfg.nu)
-        assert errs["err_lambda"] <= 1e-8
-        assert errs["err_vec_h"] <= 1e-4
+        errs = error_metrics([res.u], [res.lam], ref, cfg.nu)
+        assert errs["err_lambda"][0] <= 1e-8
+        assert errs["err_vec_h"][0] <= 1e-4
 
 
 class TestConfigAndShift:
