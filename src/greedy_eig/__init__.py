@@ -57,10 +57,8 @@ from .secular import SecularProblem, SecularReduction, recover_minimizer, solve_
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
-    RankOne,
     TensorSum,
     a_inner,
-    apply_metric,
     apply_operator,
     eig_residual,
     euclidean_norm,

@@ -34,12 +34,12 @@ from .errors import (
     IllConditionedGram,
     NuTooSmall,
     SingularSystem,
+    StructuralError,
 )
 from .tensor_core import (
     DirectionWorkspace,
     KroneckerSumOperator,
     MetricSet,
-    RankOne,
     TensorSum,
     h_norm,
     normalize,
@@ -74,14 +74,27 @@ class AdmConfig:
 
 @dataclass(frozen=True)
 class AdmOutcome:
-    z: RankOne
+    z: TensorSum   # one term with coefficient 1
     sweeps_used: int
     converged: bool
     objective: float | None   # None for the explicit rule, which has none
 
 
-def seed_rank_one(sizes, rng) -> RankOne:
-    return RankOne([rng.standard_normal(n) for n in sizes]).rebalanced()
+def _balanced(factors) -> TensorSum:
+    """The one-term sum of ``factors``, rebalanced to equal norms."""
+    return TensorSum.rank_one(rebalance(factors) or factors)
+
+
+def _folded(z: TensorSum) -> list:
+    """Copies of the factors of the one-term ``z``, its coefficient folded
+    into the first."""
+    factors = [f[:, 0].copy() for f in z.factors]
+    factors[0] *= z.coeffs[0]
+    return factors
+
+
+def seed_rank_one(sizes, rng) -> TensorSum:
+    return _balanced([rng.standard_normal(n) for n in sizes])
 
 
 def _objective_settled(prev_factors, prev_obj, factors, obj, tol) -> bool:
@@ -98,12 +111,16 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
     cfg.tol_sweep)`` holds for the factors and objective before and after
     a sweep.  The first sweep has nothing before it to compare with, so
     convergence takes at least two sweeps.  Seeds and reseeds draw from
-    ``rng``.
+    ``rng``.  A ``start`` must have exactly one term; its coefficient goes
+    into the first factor.
     """
+    if start is not None and start.num_terms != 1:
+        raise StructuralError(
+            f"ADM start must be one rank-one term, got {start.num_terms}")
     last_error = None
     for attempt in range(cfg.restart_attempts):
         z = start if (start is not None and attempt == 0) else seed_rank_one(op.sizes, rng)
-        factors = [f.copy() for f in z.factors]
+        factors = _folded(z)
         sq_norms = [f @ f for f in factors]
         obj = np.inf
         converged = False
@@ -123,8 +140,7 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
                                          cfg.tol_sweep):
                     converged = True
                     break
-            return AdmOutcome(RankOne(rebalance(factors) or factors), sweep,
-                              converged, obj)
+            return AdmOutcome(_balanced(factors), sweep, converged, obj)
         except DegenerateDirection as exc:
             last_error = exc
             continue
@@ -140,7 +156,7 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
     Each direction update is the smallest eigenpair of the contracted pencil
     (A_j, Mj_eff); the returned element is H-normalized.
     """
-    ws = DirectionWorkspace(op, m, TensorSum.zero(op.sizes))
+    ws = DirectionWorkspace(op, m, TensorSum(op.sizes))
 
     def update(factors, j):
         dd = ws.reduce(factors, j)
@@ -148,14 +164,12 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
         return s, tau
 
     out = _sweep_loop(op, cfg, rng, update)
-    z_unit = normalize(TensorSum.from_rank_one(out.z), m)
-    # the normalizing coefficient goes into the first factor
-    unit = RankOne([z_unit.factors[0] * z_unit.coeffs[0], *z_unit.factors[1:]])
-    return replace(out, z=unit.rebalanced())
+    return replace(out, z=_balanced(_folded(normalize(out.z, m))))
 
 
 def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      cfg: AdmConfig, rng, start: RankOne | None = None) -> AdmOutcome:
+                      cfg: AdmConfig, rng,
+                      start: TensorSum | None = None) -> AdmOutcome:
     """Minimize the Rayleigh quotient of u_prev + z over rank-one z.
 
     The direction problem is solved exactly through the secular reduction,
@@ -178,7 +192,7 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
 
 def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
                       lambda_prev: float, nu: float, cfg: AdmConfig, rng,
-                      start: RankOne | None = None) -> AdmOutcome:
+                      start: TensorSum | None = None) -> AdmOutcome:
     """Minimize 0.5*||u_prev + z||_a^2 - (lambda_prev + nu) <u_prev, z>,
     where ||v||_a^2 = a(v, v) + nu <v, v> with the residual rule's shift nu.
 
@@ -207,7 +221,7 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
 
 def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
                       lambda_prev: float, cfg: AdmConfig, rng,
-                      start: RankOne | None = None) -> AdmOutcome:
+                      start: TensorSum | None = None) -> AdmOutcome:
     """Solve the explicit correction equation direction-wise.
 
     Each direction solves the symmetric, possibly indefinite system
@@ -230,8 +244,8 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
             ) from exc
 
     def settled(prev_factors, prev_obj, factors, obj, tol):
-        cur = TensorSum.from_rank_one(RankOne(factors))
-        change = cur.plus_rank_one(RankOne(prev_factors), -1.0)
+        cur = TensorSum.rank_one(factors)
+        change = cur.plus(TensorSum.rank_one(prev_factors).scaled(-1.0))
         return h_norm(change, m) <= tol * (1.0 + h_norm(cur, m))
 
     return _sweep_loop(op, cfg, rng, update, start=start, settled=settled)

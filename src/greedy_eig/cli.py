@@ -95,7 +95,7 @@ def _oracle_flag(raw: dict) -> bool:
 def _trace_rows(result, ref, nu):
     """Yield CSV field lists for one run (err columns blank without oracle);
     ``nu`` is the run's shift, so err_vec_a uses the shift z_norm_a uses."""
-    n_err = 0 if ref is None else min(len(result.trace), len(result.iterates))
+    n_err = 0 if ref is None else len(result.trace)
     if n_err:
         errs = error_metrics(result.iterates[:n_err],
                              [row.lambda_n for row in result.trace[:n_err]],
@@ -152,7 +152,7 @@ def cmd_solve(args) -> int:
 
     op, m = spec.build()
     ref = dense_reference(op, m) if oracle_enabled else None
-    result = run(op, m, solver_cfg, keep_iterates=oracle_enabled)
+    result = run(op, m, solver_cfg)
     _write_csv(out, TRACE_COLUMNS, _trace_rows(result, ref, solver_cfg.nu))
     summary = {
         "reason": result.reason,
@@ -188,14 +188,19 @@ def cmd_compare(args) -> int:
         raise InvalidSpec("no output path (use --out or the 'output' key)")
     oracle_enabled = _oracle_flag(raw)
     cfgs = [parse_solver_config(v_raw, args.seed) for v_raw in raw["variants"]]
+    # rows are told apart only by their label
+    labels = [_variant_label(cfg) for cfg in cfgs]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise InvalidSpec(f"variants share the label(s) {repeated}; each rule "
+                          "and flavour may appear once")
 
     op, m = spec.build()
     ref = dense_reference(op, m) if oracle_enabled else None
     runs = []
-    for cfg in cfgs:
-        label = _variant_label(cfg)
+    for label, cfg in zip(labels, cfgs):
         try:
-            result = run(op, m, cfg, keep_iterates=oracle_enabled)
+            result = run(op, m, cfg)
             runs.append((label, result, None, cfg.nu))
         except GreedyEigError as exc:
             runs.append((label, None, f"{type(exc).__name__}: {exc}", cfg.nu))

@@ -30,7 +30,6 @@ from .errors import DegenerateIterate, GreedyEigError, IllConditionedGram
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
-    RankOne,
     TensorSum,
     eig_residual,
 )
@@ -101,7 +100,7 @@ class GreedyResult:
     trace: tuple
     reason: str
     iterations: int
-    iterates: tuple = ()  # per-trace-row iterates when requested
+    iterates: tuple       # the normalized iterate of each trace row
 
 
 def _extend_grams(op, m, A, B, members):
@@ -140,7 +139,7 @@ def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
     """
     rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     out = adm_initial_guess(op, m, cfg.adm, rng)
-    z0 = TensorSum.from_rank_one(out.z)
+    z0 = out.z
     empty = np.zeros((0, 0))
     gram_a, gram_b = _extend_grams(op, m, empty, empty, z0)
     coef, _ = _unit(z0.coeffs, gram_b)
@@ -154,7 +153,7 @@ def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
     return GreedyState(0, u0, lam0, [row], gram_a, gram_b)
 
 
-def _compute_correction(op, m, state, cfg, rng) -> RankOne:
+def _compute_correction(op, m, state, cfg, rng) -> TensorSum:
     if cfg.variant is Variant.RAYLEIGH:
         return adm_rayleigh_step(op, m, state.u, cfg.adm, rng).z
     if cfg.variant is Variant.RESIDUAL:
@@ -206,7 +205,7 @@ def _step(state, op, m, cfg, rng, update_coefficients) -> GreedyState:
     rng = np.random.default_rng(cfg.rng_seed + state.n + 1) if rng is None else rng
     t0 = time.perf_counter()
     z = _compute_correction(op, m, state, cfg, rng)
-    members = state.u.plus(TensorSum.from_rank_one(z))
+    members = state.u.plus(z)
     A, B = _extend_grams(op, m, state.gram_a, state.gram_b, members)
     prev = np.append(state.u.coeffs, 0.0)   # u over the new basis
     plus = members.coeffs                    # u + z
@@ -246,23 +245,21 @@ def orthogonal_update(state: GreedyState, op: KroneckerSumOperator,
 
 
 @one_blas_thread()
-def run(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
-        keep_iterates: bool = False) -> GreedyResult:
+def run(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig) -> GreedyResult:
     """Drive a full greedy computation and report the termination reason.
 
     Stops when the eigenpair residual drops below tol_residual, when the
     eigenvalue decrease stays below tol_lambda for three consecutive
-    iterations, at max_iter, or on a step failure.  With ``keep_iterates``
-    the result also carries one normalized iterate per trace row.  The
-    bundled OpenBLAS runs on one thread for the duration of the call.
+    iterations, at max_iter, or on a step failure.  The result carries one
+    normalized iterate per trace row.  The bundled OpenBLAS runs on one
+    thread for the duration of the call.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     state = initialize(op, m, cfg, rng)
     iterates = [state.u]
     if state.trace[0].eig_residual_h <= cfg.tol_residual:
         return GreedyResult(state.lam, state.u, tuple(state.trace),
-                            "InitialGuessIsEigenvector", 0,
-                            tuple(iterates) if keep_iterates else ())
+                            "InitialGuessIsEigenvector", 0, tuple(iterates))
 
     advance = orthogonal_update if cfg.orthogonal else step
     stall = 0
@@ -286,4 +283,4 @@ def run(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
         else:
             stall = 0
     return GreedyResult(state.lam, state.u, tuple(state.trace), reason, state.n,
-                        tuple(iterates) if keep_iterates else ())
+                        tuple(iterates))

@@ -21,7 +21,6 @@ from .errors import InvalidSpec, ParseError, StructuralError, VersionError
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
-    RankOne,
     TensorSum,
     rayleigh,
 )
@@ -173,11 +172,11 @@ def _certify_trap(op: KroneckerSumOperator, m: MetricSet, mu_02: float,
     rng = np.random.default_rng(2024)
     best = np.inf
     for _ in range(2000):
-        z = RankOne([rng.standard_normal(n) for n in sizes])
-        best = min(best, rayleigh(op, m, TensorSum.from_rank_one(z)))
+        z = TensorSum.rank_one([rng.standard_normal(n) for n in sizes])
+        best = min(best, rayleigh(op, m, z))
     for k, l in itertools.product(range(sizes[0]), range(sizes[1])):
-        z = RankOne([np.eye(sizes[0])[k], np.eye(sizes[1])[l]])
-        best = min(best, rayleigh(op, m, TensorSum.from_rank_one(z)))
+        z = TensorSum.rank_one([np.eye(sizes[0])[k], np.eye(sizes[1])[l]])
+        best = min(best, rayleigh(op, m, z))
     for attempt in range(8):
         out = adm_initial_guess(op, m, AdmConfig(),
                                 np.random.default_rng(attempt))

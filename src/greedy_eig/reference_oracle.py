@@ -28,7 +28,6 @@ from .errors import KernelFailure, TooLargeForOracle
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
-    RankOne,
     TensorSum,
     a_inner,
     h_inner,
@@ -90,7 +89,7 @@ def _kron_sum(terms) -> np.ndarray:
 def dense_assemble(op: KroneckerSumOperator, m: MetricSet):
     """Expand the operator and metric to full matrices."""
     _check_size(op.sizes)
-    return _kron_sum(op.terms), _kron_sum([m.masses])
+    return _kron_sum(op.terms), _kron_sum(m.terms)
 
 
 def _whiten(f: np.ndarray, chol: np.ndarray) -> np.ndarray:
@@ -112,8 +111,7 @@ def _unwhiten(y: np.ndarray, chols) -> np.ndarray:
     return x.reshape(-1, k)
 
 
-def dense_reference(op: KroneckerSumOperator, m: MetricSet,
-                    degeneracy_tol: float = DEGENERACY_TOL) -> DenseReference:
+def dense_reference(op: KroneckerSumOperator, m: MetricSet) -> DenseReference:
     """Lowest eigenpairs of the assembled pencil, multiplicity-aware.
 
     The pencil is solved in standard form, C = L^-1 A L^-T with L the
@@ -136,7 +134,7 @@ def dense_reference(op: KroneckerSumOperator, m: MetricSet,
             raise KernelFailure(
                 f"dense symmetric eigensolve failed: {exc}") from exc
         mu1 = float(vals[0])
-        cut = mu1 + degeneracy_tol * (1.0 + abs(mu1))
+        cut = mu1 + DEGENERACY_TOL * (1.0 + abs(mu1))
         if vals[-1] > cut or k == n:
             break
         k = min(2 * k, n)
@@ -208,9 +206,7 @@ def grad_check_rayleigh(op: KroneckerSumOperator, m: MetricSet, v: TensorSum,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(num_dirs):
-        w = TensorSum.from_rank_one(
-            RankOne([rng.standard_normal(n) for n in op.sizes])
-        )
+        w = TensorSum.rank_one([rng.standard_normal(n) for n in op.sizes])
         wn = float(np.sqrt(h_inner(w, w, m)))
         w = w.scaled(1.0 / wn)
         analytic = 2.0 * (a_inner(op, v, w) - jv * h_inner(v, w, m)) / nrm2

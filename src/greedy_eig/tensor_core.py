@@ -5,18 +5,23 @@ is a sum of K Kronecker products of per-dimension symmetric factors,
 
     A = sum_k  D^(k,1) x D^(k,2) x ... x D^(k,d).
 
-Iterates are kept in factored form: a ``RankOne`` is an outer product of d
-vectors and a ``TensorSum`` is a linear combination of rank-one terms.  All
-inner products are evaluated dimension by dimension through small Gram
-matrices; something of size prod(N_j) is formed only by ``to_dense`` and by
-``euclidean_norm`` for tensors of at most DENSE_NORM_LIMIT entries.
+The metric is the one-term case, M = M_1 x ... x M_d: ``MetricSet`` is a
+``KroneckerSumOperator`` with a single term, so <u, v> is ``a_inner(m, u, v)``
+and M u is ``apply_operator(m, u)``.
+
+Iterates are kept in factored form: a ``TensorSum`` is a linear combination
+of rank-one terms, and a rank-one element is the one-term sum
+``TensorSum.rank_one(factors)``.  All inner products are evaluated dimension
+by dimension through small Gram matrices; something of size prod(N_j) is
+formed only by ``to_dense`` and by ``euclidean_norm`` for tensors of at most
+DENSE_NORM_LIMIT entries.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -89,66 +94,33 @@ class KroneckerSumOperator:
                      for j in range(self.d))
 
 
-@dataclass(frozen=True)
-class MetricSet:
-    """Per-dimension SPD mass matrices.
+class MetricSet(KroneckerSumOperator):
+    """Per-dimension SPD mass matrices, the one-term form M_1 x ... x M_d.
 
     Defines <u, v> = u^T (M_1 x ... x M_d) v.  The residual rule's shift nu
     is a solver setting (``GreedyConfig.nu``), not part of the metric.
     """
 
-    masses: tuple
-
     def __init__(self, masses: Sequence[np.ndarray]):
-        clean = []
-        for m in masses:
-            sm = symmetrize_factor(m)
+        super().__init__([masses])
+        for mass in self.masses:
             try:
-                np.linalg.cholesky(sm)
+                np.linalg.cholesky(mass)
             except np.linalg.LinAlgError:
                 raise StructuralError("mass matrix is not positive definite") from None
-            clean.append(sm)
-        object.__setattr__(self, "masses", tuple(clean))
 
-    @functools.cached_property
-    def sizes(self) -> tuple:
-        return tuple(m.shape[0] for m in self.masses)
+    @property
+    def masses(self) -> tuple:
+        return self.terms[0]
 
     @classmethod
     def identity(cls, sizes: Sequence[int]) -> "MetricSet":
         return cls([np.eye(n) for n in sizes])
 
 
-@dataclass(frozen=True)
-class RankOne:
-    """Outer product r^(1) x ... x r^(d); any zero factor gives the zero element."""
-
-    factors: tuple
-
-    def __init__(self, factors: Sequence[np.ndarray]):
-        facs = tuple(np.asarray(f, dtype=float).ravel() for f in factors)
-        if len(facs) < 2:
-            raise StructuralError("rank-one element needs at least two factors")
-        if not all(np.all(np.isfinite(f)) for f in facs):
-            raise StructuralError("rank-one factor contains non-finite entries")
-        object.__setattr__(self, "factors", facs)
-
-    @property
-    def sizes(self) -> tuple:
-        return tuple(len(f) for f in self.factors)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return any(np.linalg.norm(f) <= tol for f in self.factors)
-
-    def rebalanced(self) -> "RankOne":
-        """Spread the overall magnitude evenly across factors."""
-        factors = rebalance(self.factors)
-        return self if factors is None else RankOne(factors)
-
-
 def rebalance(factors):
     """Factors of the same outer product with equal norms, or None when a
-    factor is zero.  Works on plain arrays, without RankOne's validation."""
+    factor is zero.  Works on plain arrays, without validation."""
     norms = [math.sqrt(f @ f) for f in factors]
     if 0.0 in norms:
         return None
@@ -186,32 +158,15 @@ class TensorSum:
         self.sizes = sizes
 
     @classmethod
-    def zero(cls, sizes: Sequence[int]) -> "TensorSum":
-        return cls(sizes)
-
-    @classmethod
-    def from_rank_one(cls, z: RankOne, coeff: float = 1.0) -> "TensorSum":
-        return cls(
-            z.sizes,
-            np.array([coeff]),
-            tuple(f.reshape(-1, 1) for f in z.factors),
-        )
-
-    @classmethod
-    def combine(cls, coeffs, terms: Sequence[RankOne]) -> "TensorSum":
-        coeffs = np.asarray(coeffs, dtype=float).ravel()
-        if len(coeffs) != len(terms):
-            raise StructuralError("coefficient count does not match term count")
-        if not terms:
-            raise StructuralError("combine needs at least one term")
-        sizes = terms[0].sizes
-        for z in terms:
-            if z.sizes != sizes:
-                raise StructuralError("rank-one shapes disagree")
-        factors = tuple(
-            np.column_stack([z.factors[j] for z in terms]) for j in range(len(sizes))
-        )
-        return cls(sizes, coeffs, factors)
+    def rank_one(cls, factors: Sequence[np.ndarray]) -> "TensorSum":
+        """The outer product f^(1) x ... x f^(d) as a one-term sum with
+        coefficient 1; any zero factor gives the zero element."""
+        facs = [np.asarray(f, dtype=float).reshape(-1, 1) for f in factors]
+        if len(facs) < 2:
+            raise StructuralError("rank-one element needs at least two factors")
+        if not all(np.all(np.isfinite(f)) for f in facs):
+            raise StructuralError("rank-one factor contains non-finite entries")
+        return cls([len(f) for f in facs], np.ones(1), facs)
 
     @property
     def num_terms(self) -> int:
@@ -238,9 +193,6 @@ class TensorSum:
             ),
         )
 
-    def plus_rank_one(self, z: RankOne, coeff: float = 1.0) -> "TensorSum":
-        return self.plus(TensorSum.from_rank_one(z, coeff))
-
     def to_dense(self) -> np.ndarray:
         """Assemble the full coefficient tensor, flattened C-order."""
         if self.is_zero():
@@ -259,23 +211,6 @@ def _check_shapes(u: TensorSum, v: TensorSum, sizes) -> None:
         )
 
 
-def _pair_value(u: TensorSum, v: TensorSum, mats) -> float:
-    """c_u^T (hadamard_j U_j^T mats_j V_j) c_v for one factor set."""
-    had = None
-    for uj, vj, mj in zip(u.factors, v.factors, mats):
-        g = uj.T @ (mj @ vj)
-        had = g if had is None else had * g
-    return float(u.coeffs @ had @ v.coeffs)
-
-
-def h_inner(u: TensorSum, v: TensorSum, m: MetricSet) -> float:
-    """<u, v> under the product mass metric."""
-    _check_shapes(u, v, m.sizes)
-    if u.is_zero() or v.is_zero():
-        return 0.0
-    return _pair_value(u, v, m.masses)
-
-
 def a_inner(op: KroneckerSumOperator, u: TensorSum, v: TensorSum) -> float:
     """a(u, v) for the Kronecker-sum operator."""
     _check_shapes(u, v, op.sizes)
@@ -286,6 +221,11 @@ def a_inner(op: KroneckerSumOperator, u: TensorSum, v: TensorSum) -> float:
         g = uj.T @ (stack @ vj).reshape(op.num_terms, len(uj), -1)
         had = g if had is None else had * g
     return float(u.coeffs @ had.sum(axis=0) @ v.coeffs)
+
+
+def h_inner(u: TensorSum, v: TensorSum, m: MetricSet) -> float:
+    """<u, v> under the product mass metric, the one-term form m."""
+    return a_inner(m, u, v)
 
 
 def h_norm(u: TensorSum, m: MetricSet) -> float:
@@ -340,20 +280,9 @@ def apply_operator(op: KroneckerSumOperator, u: TensorSum) -> TensorSum:
     )
 
 
-def apply_metric(m: MetricSet, u: TensorSum) -> TensorSum:
-    """(M_1 x ... x M_d) u in factored form."""
-    if u.is_zero():
-        return u
-    return TensorSum(
-        u.sizes,
-        u.coeffs,
-        tuple(mj @ fj for mj, fj in zip(m.masses, u.factors)),
-    )
-
-
 def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum, lam: float) -> float:
     """Euclidean norm of A u - lam M u, evaluated without dense assembly."""
-    r = apply_operator(op, u).plus(apply_metric(m, u).scaled(-lam))
+    r = apply_operator(op, u).plus(apply_operator(m, u).scaled(-lam))
     return euclidean_norm(r)
 
 

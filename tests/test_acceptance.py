@@ -24,7 +24,7 @@ from greedy_eig.reference_oracle import (
     grad_check_rayleigh,
 )
 from greedy_eig.secular import SecularProblem, solve_secular
-from greedy_eig.tensor_core import MetricSet, RankOne, TensorSum, normalize
+from greedy_eig.tensor_core import MetricSet, TensorSum, normalize
 
 # Frozen two-dimensional random instances (sizes, seed).  Seeds are chosen so
 # that the lowest eigenvalue has a healthy relative spectral gap; the slow
@@ -72,9 +72,8 @@ def corpus():
         runs = {}
         for variant, ortho in RUN_VARIANTS:
             cfg = make_config(variant, ortho)
-            keep = variant is Variant.RAYLEIGH and not ortho
             t0 = time.perf_counter()
-            runs[(variant, ortho)] = run(op, m, cfg, keep_iterates=keep)
+            runs[(variant, ortho)] = run(op, m, cfg)
             solve_time += time.perf_counter() - t0
         records.append({"sizes": sizes, "seed": seed, "op": op,
                         "ref": ref, "runs": runs})
@@ -221,8 +220,8 @@ def test_09_gradient_check():
         op, m = gen_random_kronecker(2, (8, 8), 2, seed=5)
         rng = np.random.default_rng(42)
         for i in range(20):
-            v = normalize(TensorSum.from_rank_one(
-                RankOne([rng.standard_normal(8), rng.standard_normal(8)])), m)
+            v = normalize(TensorSum.rank_one(
+                [rng.standard_normal(8), rng.standard_normal(8)]), m)
             v = v.scaled(rng.uniform(0.6, 1.4))
             assert grad_check_rayleigh(op, m, v, seed=i) <= 1e-6
 

@@ -10,15 +10,15 @@ from greedy_eig.adm import (
     adm_rayleigh_step,
     adm_residual_step,
 )
-from greedy_eig.errors import ExplicitStepFailure
+from greedy_eig.errors import ExplicitStepFailure, StructuralError
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.tensor_core import (
     KroneckerSumOperator,
     MetricSet,
-    RankOne,
     TensorSum,
     a_inner,
     h_inner,
+    normalize,
     rayleigh,
 )
 
@@ -53,8 +53,8 @@ class TestInitialGuess:
         # multi-start brute force over normalized rank-one grid
         rng = np.random.default_rng(99)
         best = min(
-            rayleigh(op, m, TensorSum.from_rank_one(
-                RankOne([rng.standard_normal(n) for n in op.sizes])))
+            rayleigh(op, m, TensorSum.rank_one(
+                [rng.standard_normal(n) for n in op.sizes]))
             for _ in range(5000)
         )
         assert val <= best + 1e-9
@@ -62,38 +62,35 @@ class TestInitialGuess:
     def test_unit_norm(self):
         op, m = small_problem(seed=4)
         out = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0))
-        u = TensorSum.from_rank_one(out.z)
+        u = out.z
         assert h_inner(u, u, m) == pytest.approx(1.0)
 
     def test_objective_matches_iterate(self):
         op, m = small_problem(seed=5)
         out = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0))
-        u = TensorSum.from_rank_one(out.z)
+        u = out.z
         assert rayleigh(op, m, u) == pytest.approx(out.objective, rel=1e-8)
 
 
 class TestRayleighStep:
     def test_decreases_quotient_and_beats_random_directions(self):
         op, m = small_problem(seed=6)
-        u = TensorSum.from_rank_one(
-            adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
-        )
+        u = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
         out = adm_rayleigh_step(op, m, u, AdmConfig(), np.random.default_rng(1))
-        val = rayleigh(op, m, u.plus_rank_one(out.z))
+        val = rayleigh(op, m, u.plus(out.z))
         assert val <= rayleigh(op, m, u) + 1e-12
         assert val == pytest.approx(out.objective, rel=1e-8)
         rng = np.random.default_rng(17)
         for _ in range(2000):
-            z = RankOne([0.3 * rng.standard_normal(n) for n in op.sizes])
-            assert rayleigh(op, m, u.plus_rank_one(z)) >= val - 1e-9
+            z = TensorSum.rank_one([0.3 * rng.standard_normal(n) for n in op.sizes])
+            assert rayleigh(op, m, u.plus(z)) >= val - 1e-9
 
     def test_fixed_point_satisfies_euler_identity(self):
         """At the step's stationary point, a(u_new, z) = J(u_new) <u_new, z>."""
         op, m = small_problem(seed=7)
-        u = TensorSum.from_rank_one(
-            adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z)
+        u = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
         out = adm_rayleigh_step(op, m, u, AdmConfig(), np.random.default_rng(1))
-        z = TensorSum.from_rank_one(out.z)
+        z = out.z
         u_new = u.plus(z)
         lam = rayleigh(op, m, u_new)
         lhs = a_inner(op, u_new, z)
@@ -104,23 +101,21 @@ class TestRayleighStep:
 class TestResidualStep:
     def test_beats_random_rank_one_candidates(self):
         op, m = small_problem(seed=8)
-        u = TensorSum.from_rank_one(
-            adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z)
+        u = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
         out = adm_residual_step(op, m, u, lam, NU, AdmConfig(),
                                 np.random.default_rng(1))
 
         def objective(z):
-            up = u.plus_rank_one(z)
-            zz = TensorSum.from_rank_one(z)
+            up = u.plus(z)
             shifted = a_inner(op, up, up) + NU * h_inner(up, up, m)
-            return 0.5 * shifted - lam * h_inner(u, zz, m)
+            return 0.5 * shifted - lam * h_inner(u, z, m)
 
         val = objective(out.z)
         assert val == pytest.approx(out.objective, rel=1e-8)
         rng = np.random.default_rng(18)
         for _ in range(2000):
-            z = RankOne([0.3 * rng.standard_normal(n) for n in op.sizes])
+            z = TensorSum.rank_one([0.3 * rng.standard_normal(n) for n in op.sizes])
             assert objective(z) >= val - 1e-9
 
     def test_riesz_reformulation(self):
@@ -131,8 +126,7 @@ class TestResidualStep:
         the two objectives must rank candidates identically.
         """
         op, m = small_problem(seed=9, sizes=(3, 3), K=2)
-        u = TensorSum.from_rank_one(
-            adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z)
+        u = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
         # dense Riesz representant
         a_full = np.zeros((9, 9))
@@ -143,7 +137,7 @@ class TestResidualStep:
 
         out = adm_residual_step(op, m, u, lam, NU, AdmConfig(),
                                 np.random.default_rng(1))
-        z_vec = TensorSum.from_rank_one(out.z).to_dense()
+        z_vec = out.z.to_dense()
 
         def dist2(zv):
             d = r_vec - zv
@@ -152,8 +146,8 @@ class TestResidualStep:
         base = dist2(z_vec)
         rng = np.random.default_rng(19)
         for _ in range(500):
-            z = RankOne([0.3 * rng.standard_normal(n) for n in op.sizes])
-            assert dist2(TensorSum.from_rank_one(z).to_dense()) >= base - 1e-9
+            z = TensorSum.rank_one([0.3 * rng.standard_normal(n) for n in op.sizes])
+            assert dist2(z.to_dense()) >= base - 1e-9
 
 
 class TestExplicitStep:
@@ -168,17 +162,15 @@ class TestExplicitStep:
         """
         op, m = small_problem(seed=10)
         rng = np.random.default_rng(33)
-        from greedy_eig.tensor_core import normalize
-
         base = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
-        u = TensorSum.from_rank_one(base).plus_rank_one(
-            RankOne([0.05 * rng.standard_normal(n) for n in op.sizes]))
+        u = base.plus(
+            TensorSum.rank_one([0.05 * rng.standard_normal(n) for n in op.sizes]))
         u = normalize(u, m)
         lam = rayleigh(op, m, u)
         out = adm_explicit_step(op, m, u, lam, AdmConfig(),
                                 np.random.default_rng(1))
         assert out.converged
-        z = TensorSum.from_rank_one(out.z)
+        z = out.z
         u_plus = u.plus(z)
         # stationarity tested against the correction itself
         lhs = a_inner(op, u_plus, z)
@@ -191,14 +183,60 @@ class TestExplicitStep:
         d1 = np.diag([1.0, 2.0])
         op = KroneckerSumOperator([[d1, np.eye(2)], [np.eye(2), d1]])
         m = MetricSet.identity((2, 2))
-        u = TensorSum.from_rank_one(RankOne([np.array([1.0, 0.0]),
-                                             np.array([1.0, 0.0])]))
+        u = TensorSum.rank_one([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
         # A_j for frozen e1 is diag(1,2) + I; shift with an exact eigenvalue
         with pytest.raises(ExplicitStepFailure):
             adm_explicit_step(op, m, u, 2.0, AdmConfig(restart_attempts=1),
                               np.random.default_rng(0),
-                              start=RankOne([np.array([1.0, 0.0]),
-                                             np.array([1.0, 0.0])]))
+                              start=TensorSum.rank_one([np.array([1.0, 0.0]),
+                                                        np.array([1.0, 0.0])]))
+
+
+class TestStart:
+    """A start is one rank-one term; its coefficient goes into its first
+    factor, for every solver that takes a start."""
+
+    @pytest.fixture
+    def solve(self, request):
+        op, m = small_problem(seed=10)
+        rng = np.random.default_rng(33)
+        base = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
+        u = normalize(base.plus(TensorSum.rank_one(
+            [0.05 * rng.standard_normal(n) for n in op.sizes])), m)
+        lam = rayleigh(op, m, u)
+        cfg = AdmConfig()
+        solvers = {
+            "rayleigh": lambda start: adm_rayleigh_step(
+                op, m, u, cfg, np.random.default_rng(1), start=start),
+            "residual": lambda start: adm_residual_step(
+                op, m, u, lam, 1.0, cfg, np.random.default_rng(1), start=start),
+            "explicit": lambda start: adm_explicit_step(
+                op, m, u, lam, cfg, np.random.default_rng(1), start=start),
+        }
+        return op, solvers[request.param]
+
+    @pytest.mark.parametrize("solve", ["rayleigh", "residual", "explicit"],
+                             indirect=True)
+    def test_two_term_start_rejected(self, solve):
+        op, run_from = solve
+        rng = np.random.default_rng(5)
+        z = TensorSum.rank_one([rng.standard_normal(n) for n in op.sizes])
+        with pytest.raises(StructuralError):
+            run_from(z.plus(z.scaled(0.5)))
+
+    @pytest.mark.parametrize("solve", ["rayleigh", "residual", "explicit"],
+                             indirect=True)
+    def test_start_coefficient_goes_into_first_factor(self, solve):
+        op, run_from = solve
+        rng = np.random.default_rng(6)
+        factors = [rng.standard_normal(n) for n in op.sizes]
+        scaled = run_from(TensorSum.rank_one(factors).scaled(-2.5))
+        folded = run_from(TensorSum.rank_one([-2.5 * factors[0], *factors[1:]]))
+        assert scaled.z.num_terms == 1 and scaled.z.coeffs.tolist() == [1.0]
+        assert (scaled.sweeps_used, scaled.objective) == (folded.sweeps_used,
+                                                          folded.objective)
+        for a, b in zip(scaled.z.factors, folded.z.factors):
+            assert np.array_equal(a, b)
 
 
 class TestSweepLoop:

@@ -60,7 +60,7 @@ def dense_err_vec_a(solver_raw):
     in the norm of A + nu I with the run's own nu."""
     op, m = ProblemSpec.from_dict(SHIFT_PROBLEM).build()
     cfg = parse_solver_config(solver_raw)
-    result = run(op, m, cfg, keep_iterates=True)
+    result = run(op, m, cfg)
     a = sum(np.kron(*term) for term in op.terms)
     w = np.linalg.eigh(a)[1][:, 0]
     shifted = a + cfg.nu * np.eye(a.shape[0])
@@ -332,6 +332,21 @@ class TestCompare:
                                       "oracle": 1})
         assert main(["compare", "--config", cfg,
                      "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_duplicate_labels_rejected(self, tmp_path, capsys, monkeypatch):
+        """Rows carry only the rule and flavour, so two variants that
+        differ in nu alone would write rows no one can tell apart."""
+        monkeypatch.setattr(ProblemSpec, "build",
+                            lambda spec: pytest.fail("problem was built"))
+        cfg = write_config(tmp_path, {
+            "problem": PROBLEM,
+            "variants": [{"variant": "residual", "nu": nu, "max_iter": 3}
+                         for nu in (1.0, 10.0)],
+        })
+        assert main(["compare", "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        assert "residual" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
     def test_empty_variant_list(self, tmp_path):

@@ -73,7 +73,7 @@ class TestIterates:
     def test_iterates_normalized(self):
         op, m = small_problem(seed=2)
         cfg = GreedyConfig(max_iter=10, rng_seed=3)
-        res = run(op, m, cfg, keep_iterates=True)
+        res = run(op, m, cfg)
         assert len(res.iterates) == len(res.trace)
         for u in res.iterates:
             assert h_norm(u, m) == pytest.approx(1.0, abs=1e-10)
@@ -131,7 +131,7 @@ def test_trace_matches_dense(variant, ortho):
     m = MetricSet(masses)
     cfg = GreedyConfig(variant=variant, orthogonal=ortho, nu=nu, max_iter=8,
                        tol_residual=1e-13, tol_lambda=1e-15, rng_seed=3)
-    res = run(op, m, cfg, keep_iterates=True)
+    res = run(op, m, cfg)
     assert len(res.trace) > 2
 
     a = sum(np.kron(*term) for term in op.terms)

@@ -17,7 +17,7 @@ from greedy_eig.problems import (
     save_operator,
 )
 from greedy_eig.reference_oracle import dense_assemble, dense_reference
-from greedy_eig.tensor_core import MetricSet, RankOne, TensorSum, rayleigh
+from greedy_eig.tensor_core import MetricSet, TensorSum, rayleigh
 
 
 class TestRandomKronecker:
@@ -139,7 +139,7 @@ class TestExcitedTrap:
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, modes)
         assert dense_reference(op, m).mu1 == pytest.approx(1.0, abs=1e-9)
         e1 = np.eye(modes)[1]
-        e11 = TensorSum.from_rank_one(RankOne([e1, e1]))
+        e11 = TensorSum.rank_one([e1, e1])
         assert rayleigh(op, m, e11) == pytest.approx(2.0, abs=1e-12)
         for seed in range(3):
             out = adm_initial_guess(op, m, AdmConfig(),

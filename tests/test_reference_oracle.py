@@ -19,7 +19,6 @@ from greedy_eig.reference_oracle import (
 from greedy_eig.tensor_core import (
     KroneckerSumOperator,
     MetricSet,
-    RankOne,
     TensorSum,
     a_inner,
     h_inner,
@@ -212,8 +211,7 @@ class TestErrorMetrics:
         # reconstruct the eigenvector as a TensorSum via rank-one terms
         vec = ref.eigenspace[:, 0].reshape(5, 5)
         uu, ss, vv = np.linalg.svd(vec)
-        terms = [RankOne([uu[:, i] * ss[i], vv[i, :]]) for i in range(5)]
-        u = TensorSum.combine(np.ones(5), terms)
+        u = TensorSum((5, 5), np.ones(5), (uu * ss, vv.T))
         errs = error_metrics([u], [ref.mu1], ref, 0.0)
         assert errs["err_lambda"][0] <= 1e-10
         assert errs["err_vec_h"][0] <= 1e-10
@@ -224,15 +222,14 @@ class TestErrorMetrics:
         ref = dense_reference(op, m)
         # build a unit vector orthogonal to the eigenspace
         rng = np.random.default_rng(1)
-        u = normalize(TensorSum.from_rank_one(
-            RankOne([rng.standard_normal(5), rng.standard_normal(5)])), m)
+        u = normalize(TensorSum.rank_one(
+            [rng.standard_normal(5), rng.standard_normal(5)]), m)
         uv = u.to_dense()
         p = ref.eigenspace @ (ref.eigenspace.T @ ref.mass @ uv)
         orth = uv - p
         orth /= np.sqrt(orth @ ref.mass @ orth)
         uu, ss, vv = np.linalg.svd(orth.reshape(5, 5))
-        terms = [RankOne([uu[:, i] * ss[i], vv[i, :]]) for i in range(5)]
-        u_orth = TensorSum.combine(np.ones(5), terms)
+        u_orth = TensorSum((5, 5), np.ones(5), (uu * ss, vv.T))
         errs = error_metrics([u_orth], [0.0], ref, 0.0)
         assert errs["err_vec_h"][0] == pytest.approx(1.0, abs=1e-9)
 
@@ -244,9 +241,9 @@ class TestErrorMetrics:
         a, mm = dense_assemble(op, m)
         vals, vecs = scipy.linalg.eigh(a, mm)
         rng = np.random.default_rng(12)
-        u = normalize(TensorSum.combine(np.array([1.0, 0.3]), [
-            RankOne([rng.standard_normal(9), rng.standard_normal(7)])
-            for _ in range(2)]), m)
+        first = TensorSum.rank_one([rng.standard_normal(9), rng.standard_normal(7)])
+        second = TensorSum.rank_one([rng.standard_normal(9), rng.standard_normal(7)])
+        u = normalize(first.plus(second.scaled(0.3)), m)
         uv = u.to_dense()
         w = vecs[:, 0] * np.sign(vecs[:, 0] @ mm @ uv)
         outside = uv - w * (w @ mm @ uv)
@@ -277,10 +274,10 @@ def block_mass_problem():
     m = MetricSet([m1, m2])
     l1, x1 = scipy.linalg.eigh(d1[:2, :2], m1[:2, :2])
     l2, x2 = scipy.linalg.eigh(d2, m2)
-    eig = RankOne([np.r_[x1[:, 0], np.zeros(3)], x2[:, 0]])
+    eig = TensorSum.rank_one([np.r_[x1[:, 0], np.zeros(3)], x2[:, 0]])
     a, mm = dense_assemble(op, m)
     vals = scipy.linalg.eigvalsh(a, mm)
-    basis = np.kron(*eig.factors)[:, None]
+    basis = eig.to_dense()[:, None]
     ref = DenseReference(l1[0] + l2[0], basis, vals[1] - vals[0], a, mm)
     return op, m, ref, eig
 
@@ -300,16 +297,16 @@ class TestBatchedErrorMetrics:
         rng = np.random.default_rng(32)
 
         def rank_one(first):
-            return RankOne([first, rng.standard_normal(4)])
+            return TensorSum.rank_one([first, rng.standard_normal(4)])
 
         # one run: iterates ever closer to the eigenvector, then one
         # supported on the second block of dimension 1, M-orthogonal to
         # the eigenspace with no component in it at all
-        iterates = [normalize(TensorSum.combine(
-            np.array([1.0, eps]), [eig, rank_one(rng.standard_normal(5))]), m)
+        iterates = [normalize(
+            eig.plus(rank_one(rng.standard_normal(5)).scaled(eps)), m)
             for eps in (10.0, 1.0, 0.1, 1e-2)]
-        iterates.append(normalize(TensorSum.from_rank_one(
-            rank_one(np.r_[0.0, 0.0, rng.standard_normal(3)])), m))
+        iterates.append(normalize(
+            rank_one(np.r_[0.0, 0.0, rng.standard_normal(3)]), m))
         lams = [9.0, 5.0, 4.0, 3.5, 7.0]
         errs = error_metrics(iterates, lams, ref, nu)
 
@@ -337,8 +334,7 @@ class TestBatchedErrorMetrics:
 
     def test_lams_must_match_iterates(self):
         _, m, ref, _ = block_mass_problem()
-        u = normalize(TensorSum.from_rank_one(
-            RankOne([np.ones(5), np.ones(4)])), m)
+        u = normalize(TensorSum.rank_one([np.ones(5), np.ones(4)]), m)
         with pytest.raises(ValueError):
             error_metrics([u, u], [1.0], ref, 0.0)
 
@@ -392,8 +388,7 @@ class TestBlasThreads:
         ref = dense_reference(op, m)
         seen = []
         self.spy(monkeypatch, TensorSum, "to_dense", seen)
-        u = normalize(TensorSum.from_rank_one(
-            RankOne([np.ones(9), np.ones(7)])), m)
+        u = normalize(TensorSum.rank_one([np.ones(9), np.ones(7)]), m)
         error_metrics([u, u], [1.0, 2.0], ref, 0.0)
         pools = len(_openblas_pools())
         assert seen == [[1] * pools] * 2
@@ -424,21 +419,19 @@ class TestGradCheck:
         op, m = gen_random_kronecker(2, (6, 6), 2, seed=7)
         rng = np.random.default_rng(2)
         for trial in range(3):
-            v = normalize(TensorSum.from_rank_one(
-                RankOne([rng.standard_normal(6), rng.standard_normal(6)])), m)
+            v = normalize(TensorSum.rank_one(
+                [rng.standard_normal(6), rng.standard_normal(6)]), m)
             v = v.scaled(rng.uniform(0.6, 1.4))
             assert grad_check_rayleigh(op, m, v, seed=trial) <= 1e-6
 
     def test_eigenvector_is_critical_point(self):
         op = gen_separable([np.diag([1.0, 3.0]), np.diag([1.0, 3.0])])
         m = MetricSet.identity((2, 2))
-        v = TensorSum.from_rank_one(RankOne([np.array([1.0, 0.0]),
-                                             np.array([1.0, 0.0])]))
+        v = TensorSum.rank_one([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
         jv = a_inner(op, v, v) / h_inner(v, v, m)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            w = TensorSum.from_rank_one(
-                RankOne([rng.standard_normal(2), rng.standard_normal(2)]))
+            w = TensorSum.rank_one([rng.standard_normal(2), rng.standard_normal(2)])
             deriv = 2.0 * (a_inner(op, v, w) - jv * h_inner(v, w, m))
             assert abs(deriv) <= 1e-10
 
@@ -446,14 +439,14 @@ class TestGradCheck:
         """Scale invariance of the quotient forces J'(v)v = 0."""
         op, m = gen_random_kronecker(2, (5, 5), 2, seed=8)
         rng = np.random.default_rng(4)
-        v = normalize(TensorSum.from_rank_one(
-            RankOne([rng.standard_normal(5), rng.standard_normal(5)])), m)
+        v = normalize(TensorSum.rank_one(
+            [rng.standard_normal(5), rng.standard_normal(5)]), m)
         jv = a_inner(op, v, v) / h_inner(v, v, m)
         deriv = 2.0 * (a_inner(op, v, v) - jv * h_inner(v, v, m))
         assert abs(deriv) <= 1e-10
 
     def test_norm_window_enforced(self):
         op, m = gen_random_kronecker(2, (4, 4), 1, seed=9)
-        v = TensorSum.from_rank_one(RankOne([np.ones(4), np.ones(4)]))
+        v = TensorSum.rank_one([np.ones(4), np.ones(4)])
         with pytest.raises(ValueError):
             grad_check_rayleigh(op, m, v.scaled(10.0))

@@ -9,10 +9,8 @@ from greedy_eig.tensor_core import (
     DirectionWorkspace,
     KroneckerSumOperator,
     MetricSet,
-    RankOne,
     TensorSum,
     a_inner,
-    apply_metric,
     apply_operator,
     eig_residual,
     euclidean_norm,
@@ -20,6 +18,7 @@ from greedy_eig.tensor_core import (
     h_norm,
     normalize,
     rayleigh,
+    rebalance,
 )
 
 RNG = np.random.default_rng(42)
@@ -42,10 +41,11 @@ def random_operator(sizes, K, rng=RNG):
 
 
 def random_tensor_sum(sizes, terms, rng=RNG):
-    return TensorSum.combine(
-        rng.standard_normal(terms),
-        [RankOne([rng.standard_normal(n) for n in sizes]) for _ in range(terms)],
-    )
+    u = TensorSum(sizes)
+    for c in rng.standard_normal(terms):
+        z = TensorSum.rank_one([rng.standard_normal(n) for n in sizes])
+        u = u.plus(z.scaled(c))
+    return u
 
 
 def dense_op(op):
@@ -84,18 +84,31 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             MetricSet([np.diag([1.0, -1.0]), np.eye(2)])
 
-    def test_rank_one_zero_detection(self):
-        z = RankOne([np.zeros(3), np.ones(4)])
-        assert z.is_zero()
+    def test_rank_one_is_a_one_term_sum(self):
+        f, g = np.arange(1.0, 3.0), np.arange(1.0, 4.0)
+        z = TensorSum.rank_one([f, g])
+        assert z.num_terms == 1 and z.coeffs.tolist() == [1.0]
+        assert np.array_equal(z.to_dense(), np.kron(f, g))
+        assert np.array_equal(z.scaled(-2.0).to_dense(), -2.0 * np.kron(f, g))
+
+    @pytest.mark.parametrize("factors", [
+        [np.ones(3)],
+        [np.ones(3), np.array([1.0, np.nan])],
+        [np.array([np.inf, 1.0]), np.ones(3)],
+    ], ids=["single_factor", "nan_factor", "inf_factor"])
+    def test_rank_one_rejects_bad_factors(self, factors):
+        with pytest.raises(StructuralError):
+            TensorSum.rank_one(factors)
 
     def test_rebalanced_preserves_tensor(self):
-        z = RankOne([3.0 * np.ones(2), 0.25 * np.ones(3)])
-        zb = z.rebalanced()
-        a = TensorSum.from_rank_one(z).to_dense()
-        b = TensorSum.from_rank_one(zb).to_dense()
+        factors = [3.0 * np.ones(2), 0.25 * np.ones(3)]
+        balanced = rebalance(factors)
+        a = TensorSum.rank_one(factors).to_dense()
+        b = TensorSum.rank_one(balanced).to_dense()
         assert np.allclose(a, b)
-        norms = [np.linalg.norm(f) for f in zb.factors]
+        norms = [np.linalg.norm(f) for f in balanced]
         assert np.allclose(norms, norms[0])
+        assert rebalance([np.zeros(2), np.ones(3)]) is None
 
 
 class TestInnerProducts:
@@ -106,6 +119,17 @@ class TestInnerProducts:
         v = random_tensor_sum(sizes, 2)
         dense = u.to_dense() @ dense_metric(m) @ v.to_dense()
         assert np.isclose(h_inner(u, v, m), dense)
+
+    def test_metric_is_a_one_term_form(self):
+        """a_inner with the metric as the form is <u, v> = u^T M v."""
+        rng = np.random.default_rng(12)
+        for sizes in ((3, 4), (2, 3, 4)):
+            m = MetricSet([random_spd(n, rng) for n in sizes])
+            assert m.num_terms == 1
+            u = random_tensor_sum(sizes, 3, rng)
+            v = random_tensor_sum(sizes, 2, rng)
+            dense = u.to_dense() @ dense_metric(m) @ v.to_dense()
+            assert np.isclose(a_inner(m, u, v), dense)
 
     def test_a_inner_matches_dense(self):
         sizes = (3, 4, 2)
@@ -122,7 +146,7 @@ class TestInnerProducts:
     def test_zero_tensor_norms(self):
         sizes = (3, 3)
         m = MetricSet.identity(sizes)
-        z = TensorSum.zero(sizes)
+        z = TensorSum(sizes)
         assert h_norm(z, m) == 0.0
         assert euclidean_norm(z) == 0.0
         assert rayleigh(random_operator(sizes, 1), m, z) == np.inf
@@ -136,7 +160,7 @@ class TestInnerProducts:
     def test_normalize_zero_raises(self):
         m = MetricSet.identity((3, 3))
         with pytest.raises(DegenerateIterate):
-            normalize(TensorSum.zero((3, 3)), m)
+            normalize(TensorSum((3, 3)), m)
 
     def test_shape_mismatch_raises(self):
         m = MetricSet.identity((3, 3))
@@ -153,11 +177,12 @@ class TestOperatorApplication:
                            dense_op(op) @ u.to_dense())
 
     def test_apply_metric_matches_dense(self):
-        sizes = (3, 4)
-        m = MetricSet([random_spd(n) for n in sizes])
-        u = random_tensor_sum(sizes, 2)
-        assert np.allclose(apply_metric(m, u).to_dense(),
-                           dense_metric(m) @ u.to_dense())
+        """M u is the metric applied as a one-term operator."""
+        for sizes in ((3, 4), (2, 3, 4)):
+            m = MetricSet([random_spd(n) for n in sizes])
+            u = random_tensor_sum(sizes, 2)
+            assert np.allclose(apply_operator(m, u).to_dense(),
+                               dense_metric(m) @ u.to_dense())
 
     def test_to_dense_matches_kron(self):
         sizes = (3, 2, 4)
@@ -174,8 +199,7 @@ class TestOperatorApplication:
             op, m = gen_random_kronecker(2, (20, 20), 2, seed=seed)
             vals, vecs = np.linalg.eigh(dense_op(op))
             uu, ss, vv = np.linalg.svd(vecs[:, 0].reshape(20, 20))
-            u = TensorSum.combine(ss, [RankOne([uu[:, i], vv[i]])
-                                       for i in range(20)])
+            u = TensorSum((20, 20), ss, (uu, vv.T))
             assert eig_residual(op, m, u, vals[0]) < 1e-11
 
     def test_eig_residual_matches_dense(self):
@@ -208,7 +232,7 @@ class TestDirectionReduction:
                 s = rng.standard_normal(sizes[j])
                 zf = list(frozen)
                 zf[j] = s
-                z = TensorSum.from_rank_one(RankOne(zf)).to_dense()
+                z = TensorSum.rank_one(zf).to_dense()
                 assert np.isclose(s @ dd.A_j @ s, z @ a_dense @ z)
                 assert np.isclose(s @ dd.Mj_eff @ s, z @ m_dense @ z)
                 assert np.isclose(dd.b_j @ s, c_vec @ a_dense @ z)
