@@ -13,7 +13,7 @@ as a byproduct of the contracted data, so sweep convergence costs nothing
 extra; the explicit sweep has no objective and stops once its iterate
 settles.  Factors are rebalanced to equal norms whenever an update leaves
 their norms far apart, and on return; the objectives are invariant under
-that rescaling.  Starts and reseeds draw from the generator the caller
+that rescaling.  Seeds and reseeds draw from the generator the caller
 passes, so the greedy driver's seed fixes every draw.
 """
 
@@ -32,6 +32,7 @@ from .errors import (
     DegenerateDirection,
     ExplicitStepFailure,
     IllConditionedGram,
+    InvalidSpec,
     NuTooSmall,
     SingularSystem,
     StructuralError,
@@ -51,12 +52,13 @@ from .tensor_core import (
 REBALANCE_RATIO = 1e3
 
 
-def require_count(name, value, least=1) -> None:
-    """Raise ValueError unless ``value`` is an integer (numpy's included,
-    bool not) of at least ``least``."""
+def require_count(name, value, least=1):
+    """``value``, unless it is not an integer (numpy's included, bool not)
+    of at least ``least``: then raise InvalidSpec, a ValueError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,6 @@ def _balanced(factors) -> TensorSum:
     return TensorSum.rank_one(rebalance(factors) or factors)
 
 
-def _folded(z: TensorSum) -> list:
-    """Copies of the factors of the one-term ``z``, its coefficient folded
-    into the first."""
-    factors = [f[:, 0].copy() for f in z.factors]
-    factors[0] *= z.coeffs[0]
-    return factors
-
-
 def seed_rank_one(sizes, rng) -> TensorSum:
     return _balanced([rng.standard_normal(n) for n in sizes])
 
@@ -111,8 +105,9 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
     cfg.tol_sweep)`` holds for the factors and objective before and after
     a sweep.  The first sweep has nothing before it to compare with, so
     convergence takes at least two sweeps.  Seeds and reseeds draw from
-    ``rng``.  A ``start`` must have exactly one term; its coefficient goes
-    into the first factor.
+    ``rng``.  A ``start`` must have exactly one term.  A sweep solves
+    direction 0 first, from the others, so a start's first factor and its
+    coefficient are never read.
     """
     if start is not None and start.num_terms != 1:
         raise StructuralError(
@@ -120,7 +115,7 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
     last_error = None
     for attempt in range(cfg.restart_attempts):
         z = start if (start is not None and attempt == 0) else seed_rank_one(op.sizes, rng)
-        factors = _folded(z)
+        factors = [f[:, 0] for f in z.factors]
         sq_norms = [f @ f for f in factors]
         obj = np.inf
         converged = False
@@ -164,7 +159,9 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
         return s, tau
 
     out = _sweep_loop(op, cfg, rng, update)
-    return replace(out, z=_balanced(_folded(normalize(out.z, m))))
+    z = normalize(out.z, m)
+    first, *rest = (f[:, 0] for f in z.factors)
+    return replace(out, z=_balanced([first * z.coeffs[0], *rest]))
 
 
 def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
@@ -174,7 +171,7 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
 
     The direction problem is solved exactly through the secular reduction,
     so each update is a global minimizer over its slot and the reported
-    objective is the quotient value itself.
+    objective is the quotient value itself.  A start supplies factors 1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
     rho = None   # the quotient after the previous update
@@ -198,7 +195,7 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
 
     Each direction is a single SPD solve of the shifted contracted system
     (A_j + nu Mj_eff) s = lambda_prev m_j - b_j; the quadratic objective
-    follows from the same contracted data.
+    follows from the same contracted data.  A start supplies factors 1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
 
@@ -228,7 +225,8 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     (A_j - lambda_prev Mj_eff) s = lambda_prev m_j - b_j.  The sweep is a
     fixed-point iteration with no variational objective: it converges once
     a sweep moves the iterate by at most tol_sweep (1 + ||z||_H) in the
-    metric norm.  The reported objective is None.
+    metric norm.  The reported objective is None.  A start supplies factors
+    1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
 

@@ -71,8 +71,6 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise InvalidSpec(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
 
@@ -248,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, ParseError, VersionError) as exc:
+    except (InvalidSpec, ParseError, VersionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GreedyEigError as exc:

@@ -54,8 +54,8 @@ class ExplicitStepFailure(GreedyEigError):
     """The explicit correction equation has no usable solution."""
 
 
-class InvalidSpec(GreedyEigError):
-    """A problem specification violates its constraints."""
+class InvalidSpec(GreedyEigError, ValueError):
+    """A problem specification or a setting violates its constraints."""
 
 
 class TooLargeForOracle(GreedyEigError):

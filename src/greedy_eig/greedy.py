@@ -9,6 +9,7 @@ and an orthogonal flavor, where all coefficients over the collected basis
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import time
@@ -46,7 +47,7 @@ class Variant(enum.Enum):
 @dataclass(frozen=True)
 class GreedyConfig:
     """Every solver setting: the rule, the residual rule's shift ``nu``
-    (the metric carries none) and the seed of every random draw."""
+    (the metric carries none) and the seed of the run's one random stream."""
 
     variant: Variant = Variant.RAYLEIGH
     orthogonal: bool = False
@@ -91,6 +92,7 @@ class GreedyState:
     trace: list          # TraceRow per executed iteration
     gram_a: np.ndarray   # basis Gram of the operator form
     gram_b: np.ndarray   # basis Gram of the metric
+    rng: np.random.Generator   # the run's stream; a step draws from a copy
 
 
 @dataclass(frozen=True)
@@ -129,15 +131,15 @@ def _unit(coef, gram_b):
     return alpha * coef, alpha
 
 
-def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
-               rng=None) -> GreedyState:
+def initialize(op: KroneckerSumOperator, m: MetricSet,
+               cfg: GreedyConfig) -> GreedyState:
     """Build the starting iterate: the best rank-one element, H-normalized.
 
-    Under the residual rule, warns when the starting Rayleigh value plus the
-    shift ``cfg.nu`` is not positive: the shifted form may then fail to be
-    coercive.
+    Seeds the run's generator from ``cfg.rng_seed``.  Under the residual
+    rule, warns when the starting Rayleigh value plus the shift ``cfg.nu``
+    is not positive: the shifted form may then fail to be coercive.
     """
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
+    rng = np.random.default_rng(cfg.rng_seed)
     out = adm_initial_guess(op, m, cfg.adm, rng)
     z0 = out.z
     empty = np.zeros((0, 0))
@@ -150,7 +152,7 @@ def initialize(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig,
                       f"rank-one Rayleigh value is {lam0:.3e}", stacklevel=2)
     res0 = eig_residual(op, m, u0, lam0)
     row = TraceRow(0, lam0, 0.0, 0.0, 0.0, res0, 1.0, 0.0, lam0)
-    return GreedyState(0, u0, lam0, [row], gram_a, gram_b)
+    return GreedyState(0, u0, lam0, [row], gram_a, gram_b, rng)
 
 
 def _compute_correction(op, m, state, cfg, rng) -> TensorSum:
@@ -193,17 +195,17 @@ def _galerkin_update(prev, pure, gram_a, gram_b):
     return coef if prev @ gram_b @ coef > 0 else -coef
 
 
-def _step(state, op, m, cfg, rng, update_coefficients) -> GreedyState:
+def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
     """One greedy iteration: correction, coefficient update, record.
 
     The iterate's terms are the basis, so both updates map coefficients to
     coefficients and every recorded scalar except the eigenpair residual is
     a quadratic form of the basis Grams.  The normalized pure update u + z
     is formed under either update: the trace records its value and its
-    stationarity residual.
+    stationarity residual.  The draws come from a copy of ``state.rng``.
     """
-    rng = np.random.default_rng(cfg.rng_seed + state.n + 1) if rng is None else rng
     t0 = time.perf_counter()
+    rng = np.random.Generator(copy.copy(state.rng.bit_generator))
     z = _compute_correction(op, m, state, cfg, rng)
     members = state.u.plus(z)
     A, B = _extend_grams(op, m, state.gram_a, state.gram_b, members)
@@ -228,20 +230,20 @@ def _step(state, op, m, cfg, rng, update_coefficients) -> GreedyState:
     row = TraceRow(state.n + 1, lam_new, state.lam - lam_new, z_norm_a,
                    float(abs(euler)), res, alpha, time.perf_counter() - t0,
                    lam_pure)
-    return GreedyState(state.n + 1, u_new, lam_new, state.trace + [row], A, B)
+    return GreedyState(row.n, u_new, lam_new, state.trace + [row], A, B, rng)
 
 
 def step(state: GreedyState, op: KroneckerSumOperator, m: MetricSet,
-         cfg: GreedyConfig, rng=None) -> GreedyState:
+         cfg: GreedyConfig) -> GreedyState:
     """One pure iteration: the new iterate is u + z, normalized."""
-    return _step(state, op, m, cfg, rng, _pure_update)
+    return _step(state, op, m, cfg, _pure_update)
 
 
 def orthogonal_update(state: GreedyState, op: KroneckerSumOperator,
-                      m: MetricSet, cfg: GreedyConfig, rng=None) -> GreedyState:
+                      m: MetricSet, cfg: GreedyConfig) -> GreedyState:
     """One orthogonal iteration: all coefficients over (u_0, z_1, ..., z_n)
     are re-optimized through the smallest eigenpair of the basis Grams."""
-    return _step(state, op, m, cfg, rng, _galerkin_update)
+    return _step(state, op, m, cfg, _galerkin_update)
 
 
 @one_blas_thread()
@@ -251,11 +253,11 @@ def run(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig) -> GreedyResu
     Stops when the eigenpair residual drops below tol_residual, when the
     eigenvalue decrease stays below tol_lambda for three consecutive
     iterations, at max_iter, or on a step failure.  The result carries one
-    normalized iterate per trace row.  The bundled OpenBLAS runs on one
-    thread for the duration of the call.
+    normalized iterate per trace row; ``initialize`` and then ``step`` or,
+    under ``cfg.orthogonal``, ``orthogonal_update`` calls make the same run.
+    The bundled OpenBLAS runs on one thread for the duration of the call.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
-    state = initialize(op, m, cfg, rng)
+    state = initialize(op, m, cfg)
     iterates = [state.u]
     if state.trace[0].eig_residual_h <= cfg.tol_residual:
         return GreedyResult(state.lam, state.u, tuple(state.trace),
@@ -266,7 +268,7 @@ def run(op: KroneckerSumOperator, m: MetricSet, cfg: GreedyConfig) -> GreedyResu
     reason = "max_iter"
     while state.n < cfg.max_iter:
         try:
-            state = advance(state, op, m, cfg, rng)
+            state = advance(state, op, m, cfg)
         except GreedyEigError as exc:
             reason = f"step_failure: {type(exc).__name__}: {exc}"
             break

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adm import AdmConfig, adm_initial_guess
+from .adm import AdmConfig, adm_initial_guess, require_count
 from .errors import InvalidSpec, ParseError, StructuralError, VersionError
 from .tensor_core import (
     KroneckerSumOperator,
@@ -41,14 +42,12 @@ def _random_spd(n: int, rng) -> np.ndarray:
 
 def gen_random_kronecker(d: int, sizes, K: int, seed: int):
     """Random SPD-factor Kronecker sum with the identity metric."""
-    if K < 1:
-        raise InvalidSpec("K must be >= 1")
-    sizes = tuple(int(n) for n in sizes)
+    require_count("d", d, least=2)
+    require_count("K", K)
+    sizes = tuple(require_count("each size", n, least=2) for n in sizes)
     if len(sizes) != d:
         raise InvalidSpec(f"expected {d} sizes, got {len(sizes)}")
-    if any(n < 2 for n in sizes):
-        raise InvalidSpec("each dimension size must be >= 2")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count("seed", seed, least=0))
     terms = [[_random_spd(n, rng) for n in sizes] for _ in range(K)]
     return KroneckerSumOperator(terms), MetricSet.identity(sizes)
 
@@ -118,16 +117,16 @@ def gen_degenerate_lowest(sizes, gap_free_multiplicity: int, seed: int):
     Kronecker decomposition and (b) the set of matrices whose lowest
     eigenvalue has the requested multiplicity with a unit spectral gap.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(require_count("each size", n) for n in sizes)
     if len(sizes) != 2:
         raise InvalidSpec("degenerate generator supports two dimensions")
-    mult = int(gap_free_multiplicity)
+    mult = require_count("multiplicity", gap_free_multiplicity)
     dim = sizes[0] * sizes[1]
-    if mult < 1 or mult > 4 or mult >= dim:
+    if mult > 4 or mult >= dim:
         raise InvalidSpec(
             f"multiplicity {mult} incompatible with sizes {sizes} (need 1..4, < {dim})"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count("seed", seed, least=0))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     vals = np.sort(rng.uniform(3.0, 9.0, size=dim))
     vals[:mult] = 1.0
@@ -206,18 +205,18 @@ def gen_excited_trap(mu_02: float, mu_11: float, mu_20: float, M_shift: float,
     same amount so every coupling block stays symmetric and the operator has
     an exact symmetric-factor Kronecker decomposition.
     """
-    if not (0 < mu_02 < mu_11 < mu_20 < M_shift):
+    real = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in (mu_02, mu_11, mu_20, M_shift))
+    if not (real and 0 < mu_02 < mu_11 < mu_20 < M_shift):
         raise InvalidSpec(
-            f"need 0 < mu_02 < mu_11 < mu_20 < M_shift, got "
-            f"({mu_02}, {mu_11}, {mu_20}, {M_shift})"
+            f"need numbers 0 < mu_02 < mu_11 < mu_20 < M_shift, got "
+            f"({mu_02!r}, {mu_11!r}, {mu_20!r}, {M_shift!r})"
         )
     if not mu_20 > mu_02 + 2.0 * mu_11:
         raise InvalidSpec(
             f"need mu_20 > mu_02 + 2*mu_11, got {mu_20} <= {mu_02 + 2 * mu_11}"
         )
-    n = int(modes_per_dim)
-    if n < 3:
-        raise InvalidSpec("modes_per_dim must be >= 3")
+    n = require_count("modes_per_dim", modes_per_dim, least=3)
 
     def band(k, l):
         lo = M_shift + 0.5 * (1 + k * k) * (1 + l * l)
@@ -412,6 +411,8 @@ class ProblemSpec:
             )
         merged = dict(_SPEC_DEFAULTS.get(self.kind, {}))
         merged.update(self.params)
+        if not isinstance(merged.get("sizes", []), list):
+            raise InvalidSpec(f"sizes must be a list, got {merged['sizes']!r}")
         missing = allowed - set(merged)
         if missing:
             raise InvalidSpec(
@@ -432,17 +433,18 @@ class ProblemSpec:
         """Materialize the operator and metric described by this spec."""
         p = self.params
         if self.kind == "RandomKronecker":
-            return gen_random_kronecker(p["d"], tuple(p["sizes"]), p["K"], p["seed"])
+            return gen_random_kronecker(p["d"], p["sizes"], p["K"], p["seed"])
         if self.kind == "Separable":
-            rng = np.random.default_rng(p["seed"])
+            rng = np.random.default_rng(require_count("seed", p["seed"], least=0))
             mats = []
             for n in p["sizes"]:
+                require_count("each size", n)
                 g = rng.standard_normal((n, n))
                 mats.append(0.5 * (g + g.T) + np.diag(np.arange(1, n + 1, dtype=float)))
             op = gen_separable(mats)
             return op, MetricSet.identity(op.sizes)
         if self.kind == "DegenerateLowest":
-            return gen_degenerate_lowest(tuple(p["sizes"]), p["multiplicity"], p["seed"])
+            return gen_degenerate_lowest(p["sizes"], p["multiplicity"], p["seed"])
         if self.kind == "ExcitedTrap":
             return gen_excited_trap(p["mu_02"], p["mu_11"], p["mu_20"],
                                     p["M_shift"], p["modes_per_dim"])

@@ -193,8 +193,8 @@ class TestExplicitStep:
 
 
 class TestStart:
-    """A start is one rank-one term; its coefficient goes into its first
-    factor, for every solver that takes a start."""
+    """A start is one rank-one term that supplies factors 1..d-1, for every
+    solver that takes a start."""
 
     @pytest.fixture
     def solve(self, request):
@@ -226,17 +226,23 @@ class TestStart:
 
     @pytest.mark.parametrize("solve", ["rayleigh", "residual", "explicit"],
                              indirect=True)
-    def test_start_coefficient_goes_into_first_factor(self, solve):
+    def test_start_first_factor_and_coefficient_are_not_read(self, solve):
+        """Random values in place of a start's first factor and its
+        coefficient leave the outcome bitwise unchanged."""
         op, run_from = solve
         rng = np.random.default_rng(6)
         factors = [rng.standard_normal(n) for n in op.sizes]
-        scaled = run_from(TensorSum.rank_one(factors).scaled(-2.5))
-        folded = run_from(TensorSum.rank_one([-2.5 * factors[0], *factors[1:]]))
-        assert scaled.z.num_terms == 1 and scaled.z.coeffs.tolist() == [1.0]
-        assert (scaled.sweeps_used, scaled.objective) == (folded.sweeps_used,
-                                                          folded.objective)
-        for a, b in zip(scaled.z.factors, folded.z.factors):
-            assert np.array_equal(a, b)
+        want = run_from(TensorSum.rank_one(factors))
+        assert want.z.num_terms == 1 and want.z.coeffs.tolist() == [1.0]
+        for _ in range(3):
+            first = rng.standard_normal(op.sizes[0])
+            got = run_from(TensorSum.rank_one([first, *factors[1:]])
+                           .scaled(rng.uniform(-5.0, 5.0)))
+            assert (got.sweeps_used, got.converged, got.objective) == (
+                want.sweeps_used, want.converged, want.objective)
+            assert np.array_equal(got.z.coeffs, want.z.coeffs)
+            for a, b in zip(got.z.factors, want.z.factors):
+                assert np.array_equal(a, b)
 
 
 class TestSweepLoop:

@@ -102,6 +102,30 @@ class TestGen:
         assert main(["gen", "--config", cfg,
                      "--out", str(tmp_path / "x.geig")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("spec", [
+        dict(PROBLEM, K=2.5),
+        dict(PROBLEM, seed=-1),
+        {"kind": "Separable", "sizes": [4, 5], "seed": -1},
+        dict(PROBLEM, sizes=5),
+        {"kind": "ExcitedTrap", "mu_02": "a"},
+        {"kind": "FromFile", "path": "no/such/operator.geig"},
+        dict(PROBLEM, sizes=[5, 5.5]),
+        {"kind": "DegenerateLowest", "sizes": [5, 5], "multiplicity": 2.5},
+        {"kind": "ExcitedTrap", "modes_per_dim": 3.5},
+    ], ids=["K_float", "seed_negative", "separable_seed_negative",
+            "sizes_scalar", "mu_string", "missing_file", "size_float",
+            "multiplicity_float", "modes_float"])
+    def test_bad_value_is_rejected_not_coerced(self, tmp_path, capsys, spec):
+        """A value of the wrong type or range exits 2 with one error line
+        and writes no file; it is neither truncated nor left to raise."""
+        cfg = write_config(tmp_path, spec)
+        out = tmp_path / "x.geig"
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+        assert not (tmp_path / "x.geig.json").exists()
+
 
 class TestSolve:
     def test_header_and_summary(self, tmp_path):

@@ -281,23 +281,41 @@ class TestConfigAndShift:
         op, m = small_problem(seed=7)
         run(op, m, GreedyConfig(variant=Variant.RESIDUAL, nu=0.0, max_iter=1))
 
-    def test_hand_driven_loop_matches_run(self):
-        """initialize + step with one shared generator reproduce run's
-        trace row for row: both take the shift from the config."""
+    @pytest.mark.parametrize("variant,ortho", ALL_VARIANTS)
+    def test_hand_driven_loop_matches_run(self, variant, ortho):
+        """initialize + step (orthogonal_update for the orthogonal flavour)
+        reproduce run's trace row for row: both take the shift and the seed
+        from the config."""
         op, m = small_problem(seed=7)
-        cfg = GreedyConfig(variant=Variant.RESIDUAL, nu=50.0, max_iter=5,
-                           tol_residual=1e-14, tol_lambda=1e-16)
+        cfg = GreedyConfig(variant=variant, orthogonal=ortho, nu=50.0,
+                           max_iter=5, tol_residual=1e-14, tol_lambda=1e-16)
         res = run(op, m, cfg)
-        rng = np.random.default_rng(cfg.rng_seed)
-        state = initialize(op, m, cfg, rng)
+        advance = orthogonal_update if ortho else step
+        state = initialize(op, m, cfg)
         while state.n < cfg.max_iter:
-            state = step(state, op, m, cfg, rng)
+            state = advance(state, op, m, cfg)
         assert res.reason == "max_iter"
 
         def untimed(trace):
             return [dataclasses.replace(row, wall_time=0.0) for row in trace]
 
         assert untimed(state.trace) == untimed(res.trace)
+        assert np.array_equal(state.u.to_dense(), res.u.to_dense())
+
+    @pytest.mark.parametrize("advance", [step, orthogonal_update])
+    def test_stepping_a_state_twice_gives_the_same_step(self, advance):
+        """A step draws from a copy of the state's generator, so the state
+        it was given can be stepped again."""
+        op, m = small_problem(seed=7)
+        cfg = GreedyConfig(max_iter=5, rng_seed=2)
+        state = advance(initialize(op, m, cfg), op, m, cfg)
+        first, second = (advance(state, op, m, cfg) for _ in range(2))
+        assert first.lam == second.lam
+        assert np.array_equal(first.u.coeffs, second.u.coeffs)
+        for f, g in zip(first.u.factors, second.u.factors):
+            assert np.array_equal(f, g)
+        assert (first.rng.bit_generator.state
+                == second.rng.bit_generator.state)
 
     def test_shift_does_not_change_limit(self):
         op, m = small_problem(seed=7)
