@@ -11,9 +11,13 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 The first three minimize an objective, which every direction update reports
 as a byproduct of the contracted data, so sweep convergence costs nothing
 extra; the explicit sweep has no objective and stops once its iterate
-settles.  Factors are rebalanced to equal norms whenever an update leaves
-their norms far apart, and on return; the objectives are invariant under
-that rescaling.  Seeds and reseeds draw from the generator the caller
+settles.  From its third sweep on, a minimizing sweep first moves factors
+1..d-1 along the previous sweep's change, by s^(1/3) at sweep s (Bro's line
+search for alternating least squares), and keeps the direction-0 update from
+there only if it lowers the objective: the objective never rises, and a trial
+draws nothing.  Factors are rebalanced to equal norms whenever an update
+leaves their norms far apart, and on return; the objectives are invariant
+under that rescaling.  Seeds and reseeds draw from the generator the caller
 passes, so the greedy driver's seed fixes every draw.
 """
 
@@ -96,6 +100,17 @@ def _objective_settled(prev_factors, prev_obj, factors, obj, tol) -> bool:
     return abs(obj - prev_obj) <= tol * (1.0 + abs(prev_obj))
 
 
+def _extrapolated(update_direction, before, after, obj, step):
+    """Factors 1..d-1 at ``before + step (after - before)``, factor 0 solved
+    from them, and their objective; None unless it is below ``obj``."""
+    trial = [after[0], *(b + step * (a - b) for b, a in zip(before[1:], after[1:]))]
+    try:
+        trial[0], trial_obj = update_direction(trial, 0)
+    except DegenerateDirection:
+        return None
+    return (trial, trial_obj) if trial_obj < obj else None
+
+
 def _sweep_loop(op, cfg, rng, update_direction, start=None,
                 settled=_objective_settled) -> AdmOutcome:
     """Generic ADM driver: cyclic direction updates with reseeding on collapse.
@@ -105,13 +120,16 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
     cfg.tol_sweep)`` holds for the factors and objective before and after
     a sweep.  The first sweep has nothing before it to compare with, so
     convergence takes at least two sweeps.  Seeds and reseeds draw from
-    ``rng``.  A ``start`` must have exactly one term.  A sweep solves
-    direction 0 first, from the others, so a start's first factor and its
-    coefficient are never read.
+    ``rng``.  A ``start`` must have exactly one term and ``op``'s sizes.
+    A sweep solves direction 0 first, from the others, so a start's first
+    factor and its coefficient are never read.
+
+    When the updates report an objective, sweeps from the third on try the
+    extrapolated factors first (see the module docstring).
     """
-    if start is not None and start.num_terms != 1:
-        raise StructuralError(
-            f"ADM start must be one rank-one term, got {start.num_terms}")
+    if start is not None and (start.num_terms != 1 or start.sizes != op.sizes):
+        raise StructuralError(f"ADM start must be one rank-one term of sizes "
+                              f"{op.sizes}, got {start.num_terms} of {start.sizes}")
     last_error = None
     for attempt in range(cfg.restart_attempts):
         z = start if (start is not None and attempt == 0) else seed_rank_one(op.sizes, rng)
@@ -119,15 +137,24 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
         sq_norms = [f @ f for f in factors]
         obj = np.inf
         converged = False
+        before = None   # the factors at the start of the previous sweep
         try:
             for sweep in range(1, cfg.max_sweeps + 1):
                 prev_factors, prev_obj = list(factors), obj
                 for j in range(op.d):
-                    factors[j], obj = update_direction(factors, j)
+                    trial = None
+                    if j == 0 and before is not None and obj is not None:
+                        trial = _extrapolated(update_direction, before, factors,
+                                              obj, sweep ** (1.0 / 3.0))
+                    if trial is None:
+                        factors[j], obj = update_direction(factors, j)
+                        sq_norms[j] = factors[j] @ factors[j]
+                    else:
+                        factors, obj = trial
+                        sq_norms = [f @ f for f in factors]
                     # rebalancing makes new factors, which the workspaces
                     # must contract again, so it waits for the norms to
                     # drift apart
-                    sq_norms[j] = factors[j] @ factors[j]
                     if max(sq_norms) > REBALANCE_RATIO ** 2 * min(sq_norms):
                         factors = rebalance(factors) or factors
                         sq_norms = [f @ f for f in factors]
@@ -135,6 +162,9 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
                                          cfg.tol_sweep):
                     converged = True
                     break
+                # the first sweep's change starts from a random seed, so
+                # extrapolating it is no use
+                before = prev_factors if sweep > 1 else None
             return AdmOutcome(_balanced(factors), sweep, converged, obj)
         except DegenerateDirection as exc:
             last_error = exc

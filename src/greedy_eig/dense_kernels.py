@@ -11,8 +11,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -38,8 +38,7 @@ def _fortran_view(S) -> np.ndarray:
     return S.T if S.flags.c_contiguous and not S.flags.f_contiguous else S
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     values: np.ndarray   # ascending
     vectors: np.ndarray  # orthonormal columns
 
@@ -63,9 +62,12 @@ def cholesky_spd(S) -> np.ndarray:
     Only one triangle of S is read.
     """
     S = _fortran_view(S)
-    diag_scale = float(np.abs(S.diagonal()).max())
     L, info = _potrf(S, lower=1, clean=1)
-    if info != 0 or L.diagonal().min() ** 2 <= PIVOT_RTOL * diag_scale:
+    # a complete factorization has every S_ii >= L_ii^2 > 0, so the largest
+    # S_ii is the largest |S_ii|; Python's min and max are the cheaper here
+    if info != 0 or (min(L.diagonal().tolist()) ** 2
+                     <= PIVOT_RTOL * max(S.diagonal().tolist())):
+        diag_scale = np.abs(S.diagonal()).max()
         # potrf stops at pivot info - 1; an earlier one may be too small
         done = L.diagonal()[:info - 1] if info > 0 else L.diagonal()
         small = np.flatnonzero(done ** 2 <= PIVOT_RTOL * diag_scale)
@@ -110,7 +112,6 @@ def gen_sym_eig_smallest(A, B):
 
 def spd_solve(S, rhs) -> np.ndarray:
     """Solve S x = rhs with S SPD via Cholesky."""
-    rhs = np.asarray(rhs, dtype=float)
     L = cholesky_spd(S)
     return tri_solve(L, tri_solve(L, rhs), transposed=True)
 

@@ -19,7 +19,7 @@ t_i = c_i / (rho - kappa_i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,31 +31,17 @@ DEFAULT_TOL = 1e-12
 _MAX_ROOT_ITER = 300
 
 
-@dataclass(frozen=True)
 class SecularProblem:
-    kappa: np.ndarray  # ascending poles
-    c: np.ndarray      # linear coefficients in the pole eigenbasis
-    gamma: float
-    delta: float
+    """Ascending poles ``kappa``, linear coefficients ``c`` in the pole
+    eigenbasis, ``gamma`` and ``delta`` > 0, as ``reduce`` makes them (not
+    checked again); ``active`` marks the coefficients not negligible."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", np.asarray(self.kappa, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        if self.delta <= 0:
-            raise DegenerateDenominator(f"delta must be positive, got {self.delta}")
-        if (self.kappa[1:] < self.kappa[:-1]).any():
-            raise ValueError("kappa must be sorted ascending")
-        object.__setattr__(self, "_active", np.abs(self.c) > ACTIVE_RTOL
-                           * math.sqrt(self.c @ self.c))
+    __slots__ = ("kappa", "c", "gamma", "delta", "active")
 
-    def active_mask(self) -> np.ndarray:
-        return self._active.copy()
-
-    def f(self, rho: float) -> float:
-        mask = self.active_mask()
-        return float(
-            np.sum(self.c[mask] ** 2 / (rho - self.kappa[mask])) + self.gamma
-        )
+    def __init__(self, kappa: np.ndarray, c: np.ndarray, gamma: float,
+                 delta: float):
+        self.kappa, self.c, self.gamma, self.delta = kappa, c, gamma, delta
+        self.active = np.abs(c) > ACTIVE_RTOL * math.sqrt(c @ c)
 
     def quotient(self, T) -> float:
         """L(T), the reduced quotient this problem minimizes."""
@@ -63,25 +49,17 @@ class SecularProblem:
         num = float(self.kappa @ (T * T) + 2.0 * self.c @ T + self.gamma)
         return num / float(T @ T + self.delta)
 
-    def m_of_rho(self, rho: float) -> float:
-        """L(T(rho)) with t_i(rho) = c_i / (rho - kappa_i) on active poles."""
-        mask = self.active_mask()
-        t = np.zeros_like(self.c)
-        t[mask] = self.c[mask] / (rho - self.kappa[mask])
-        return self.quotient(t)
 
-
-@dataclass(frozen=True)
-class SecularReduction:
+class SecularReduction(NamedTuple):
     problem: SecularProblem
     chol_L: np.ndarray      # Cholesky factor of the denominator quadratic
     shift_g: np.ndarray     # L^-1 b
     eigvecs: np.ndarray     # eigenbasis of the transformed numerator quadratic
 
-    def to_original(self, T) -> np.ndarray:
+    def to_original(self, T: np.ndarray) -> np.ndarray:
         """Map reduced coordinates T back to the direction vector S."""
-        y = self.eigvecs @ np.asarray(T, dtype=float) - self.shift_g
-        return tri_solve(self.chol_L, y, transposed=True)
+        return tri_solve(self.chol_L, self.eigvecs @ T - self.shift_g,
+                         transposed=True)
 
 
 def reduce(A_eff, B_eff, a_lin, b_lin, alpha, beta: float = 1.0) -> SecularReduction:
@@ -112,12 +90,11 @@ def reduce(A_eff, B_eff, a_lin, b_lin, alpha, beta: float = 1.0) -> SecularReduc
     # L^-1 (L^-1 A_eff)^T = L^-1 A_eff L^-T, symmetric up to round-off;
     # sym_eig_full reads one triangle
     Atil = tri_solve(L, X[:, :n].T)
-    dec = sym_eig_full(Atil)
+    kappa, V = sym_eig_full(Atil)
     Ag = Atil @ g
-    c = dec.vectors.T @ (atil - Ag)
+    c = V.T @ (atil - Ag)
     gamma = float(g @ Ag) - 2.0 * float(atil @ g) + alpha
-    problem = SecularProblem(dec.values, c, gamma, delta)
-    return SecularReduction(problem, L, g, dec.vectors)
+    return SecularReduction(SecularProblem(kappa, c, gamma, delta), L, g, V)
 
 
 def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
@@ -136,10 +113,11 @@ def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
     the quotient attains, such as the previous direction's, lies at or right
     of the root.  Otherwise the iteration starts next to the pole.
     """
-    mask = p._active
-    if mask.all():
+    mask = p.active
+    n_active = np.count_nonzero(mask)
+    if n_active == len(mask):
         kap, cs2 = p.kappa, p.c ** 2
-    elif mask.any():
+    elif n_active:
         kap, cs2 = p.kappa[mask], p.c[mask] ** 2
     else:
         return p.gamma / p.delta
@@ -168,7 +146,7 @@ def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
     for _ in range(_MAX_ROOT_ITER):
         gaps = kap_rest - x
         terms = cs2_rest / gaps
-        phi = float(terms.sum())
+        phi = float(np.add.reduce(terms))   # ndarray.sum, less dispatch
         gx = x * delta + c1sq / (k_min - x) + phi - gamma
         if abs(gx) <= tol * max(1.0, abs(x) * delta):
             return x
@@ -178,7 +156,7 @@ def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
             lo = x
         # delta*rho + c1sq/(k_min - rho) + phi + dphi*(rho - x) = gamma,
         # as a v^2 - b v - c1sq = 0 in v = k_min - rho > 0
-        dphi = float((terms / gaps).sum())
+        dphi = float(np.add.reduce(terms / gaps))
         a = delta + dphi
         b = a * k_min + phi - dphi * x - gamma
         disc = math.sqrt(b * b + 4.0 * a * c1sq)
@@ -197,10 +175,10 @@ def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
 def recover_minimizer(r: SecularReduction, rho_m: float) -> np.ndarray:
     """Direction vector S attaining the quotient value rho_m."""
     p = r.problem
-    mask = p._active
+    mask = p.active
     gaps = rho_m - p.kappa
     scale = 1.0 + max(abs(float(p.kappa[0])), abs(float(p.kappa[-1])))
-    if (mask & (np.abs(gaps) < 1e-14 * scale)).any():
+    if np.count_nonzero(mask & (np.abs(gaps) < 1e-14 * scale)):
         raise PoleCollision("secular root coincides with an active pole")
     # t_i = c_i / (rho_m - kappa_i) on active poles, 0 elsewhere
     return r.to_original(np.divide(p.c, gaps, out=np.zeros(len(gaps)),

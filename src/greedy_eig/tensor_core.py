@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -286,8 +286,7 @@ def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum, lam: floa
     return euclidean_norm(r)
 
 
-@dataclass(frozen=True)
-class DirectionData:
+class DirectionData(NamedTuple):
     """Per-direction contraction of the bilinear forms around a rank-one hole.
 
     Writing z(s) for the frozen rank-one element with s in the open slot:
@@ -313,8 +312,9 @@ class DirectionWorkspace:
     operator factors and the mass matrix are stacked into one array, and
     their context images side by side, so contracting a frozen factor
     against all terms takes two matrix products.  The contractions of the
-    last factor seen in each slot are kept, so a sweep that changes one
-    factor per update recomputes one slot per update; frozen factors must
+    last two factors seen in each slot are kept, so a sweep that changes
+    one factor per update recomputes one slot per update, and going back
+    from a rejected ADM trial recomputes none; frozen factors must
     therefore not be modified in place between calls.
     """
 
@@ -339,20 +339,22 @@ class DirectionWorkspace:
                                      .reshape(-1, (K + 1) * n))
                 for j, stack in enumerate(self._stacks)
             ]
-            # the open slot's images carry the context coefficients
-            self._weighted = [img * np.tile(context.coeffs, K + 1)
-                              for img in self._images]
-        self._slots = [None] * op.d
+            # the open slot's images carry the context coefficients; split
+            # into the operator terms' columns and the mass's
+            self._weighted = [(w[:, :K * n], w[:, K * n:]) for w in (
+                img * np.tile(context.coeffs, K + 1) for img in self._images)]
+        # per slot, (factor, quad, proj) of the newest and the one before
+        self._slots = [((None,) * 3,) * 2] * op.d
 
     def _contract(self, l: int, f):
         """(f^T D^(k,l) f over k and the mass, f^T [images] per term) for
         the frozen factor ``f`` in slot ``l``."""
-        slot = self._slots[l]
-        if slot is not None and slot[0] is f:
-            return slot[1], slot[2]
+        newest, older = self._slots[l]
+        if newest[0] is f:
+            return newest[1], newest[2]
+        if older[0] is f:
+            return older[1], older[2]
         key, f = f, np.asarray(f, dtype=float)
-        if len(f) != self.op.sizes[l]:
-            raise StructuralError("frozen factor length mismatch")
         if f @ f < ZERO_NORM_TOL ** 2:
             raise DegenerateDirection(f"frozen factor in dimension {l} is zero")
         terms = self.op.num_terms + 1
@@ -360,7 +362,7 @@ class DirectionWorkspace:
         proj = None
         if self._images is not None:
             proj = (f @ self._images[l]).reshape(terms, -1)
-        self._slots[l] = (key, quad, proj)
+        self._slots[l] = ((key, quad, proj), newest)
         return quad, proj
 
     def reduce(self, frozen: Sequence, j: int) -> DirectionData:
@@ -384,9 +386,8 @@ class DirectionWorkspace:
         if p is None:
             b_j, m_j = np.zeros(nj), np.zeros(nj)
         else:
-            n = self.context.num_terms
-            img = self._weighted[j]
-            b_j = img[:, :K * n] @ p[:K].ravel()
-            m_j = img[:, K * n:] @ p[K]
+            img_a, img_m = self._weighted[j]
+            b_j = img_a @ p[:K].ravel()
+            m_j = img_m @ p[K]
         return DirectionData(A_j, Mj_eff, b_j, m_j, self.alpha, self.beta)
 

@@ -52,6 +52,12 @@ def make_config(variant, ortho):
                         tol_residual=1e-10, tol_lambda=1e-13, rng_seed=3)
 
 
+def secular_f(p, rho):
+    """f(rho) = sum_i c_i^2 / (rho - kappa_i) + gamma over active poles."""
+    mask = p.active
+    return float(np.sum(p.c[mask] ** 2 / (rho - p.kappa[mask])) + p.gamma)
+
+
 @contextlib.contextmanager
 def criterion(num, label):
     try:
@@ -142,15 +148,15 @@ def test_04_secular_oracle_equivalence():
                                rng.standard_normal(n),
                                rng.uniform(-3, 3), rng.uniform(0.1, 2.0))
             rho = solve_secular(p)
-            mask = p.active_mask()
+            mask = p.active
             if np.any(mask):
                 hi = float(np.min(p.kappa[mask])) - 1e-9
                 lo = min(rho - 10.0, hi - 10.0)
-                while lo * p.delta - p.f(lo) >= 0:
+                while lo * p.delta - secular_f(p, lo) >= 0:
                     lo -= 10.0
                 for _ in range(200):
                     mid = 0.5 * (lo + hi)
-                    if mid * p.delta - p.f(mid) > 0:
+                    if mid * p.delta - secular_f(p, mid) > 0:
                         hi = mid
                     else:
                         lo = mid

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from greedy_eig import adm, greedy
 from greedy_eig.adm import (
     AdmConfig,
     adm_explicit_step,
@@ -11,8 +12,10 @@ from greedy_eig.adm import (
     adm_residual_step,
 )
 from greedy_eig.errors import ExplicitStepFailure, StructuralError
+from greedy_eig.greedy import GreedyConfig, Variant
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.tensor_core import (
+    DirectionWorkspace,
     KroneckerSumOperator,
     MetricSet,
     TensorSum,
@@ -42,6 +45,31 @@ def small_problem(seed=0, sizes=(4, 4), K=2):
         [[random_spd(n, rng) for n in sizes] for _ in range(K)]
     )
     return op, MetricSet.identity(sizes)
+
+
+def tensor4d_type(n=8, seed=0):
+    """A d = 4 Kronecker sum shaped like the tensor4d benchmark operator:
+    four one-body terms (a three-point Laplacian plus a diagonal potential)
+    and two diagonal coupling products."""
+    rng = np.random.default_rng(seed)
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    terms = []
+    for j in range(4):
+        term = [np.eye(n)] * 4
+        term[j] = lap + np.diag(rng.uniform(0.0, 1.0, n))
+        terms.append(term)
+    terms += [[np.diag(rng.uniform(0.0, 1.0, n)) for _ in range(4)]
+              for _ in range(2)]
+    op = KroneckerSumOperator(terms)
+    return op, MetricSet.identity(op.sizes)
+
+
+def spd_mass_problem(seed, sizes=(5, 4, 3), K=3):
+    """A d = 3 Kronecker sum with random SPD masses."""
+    rng = np.random.default_rng(seed)
+    op = KroneckerSumOperator(
+        [[random_spd(n, rng) for n in sizes] for _ in range(K)])
+    return op, MetricSet([random_spd(n, rng) for n in sizes])
 
 
 class TestInitialGuess:
@@ -224,6 +252,25 @@ class TestStart:
         with pytest.raises(StructuralError):
             run_from(z.plus(z.scaled(0.5)))
 
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("solve", ["rayleigh", "residual", "explicit"],
+                             indirect=True)
+    def test_start_of_wrong_size_rejected(self, solve, slot, monkeypatch):
+        """A start whose factor in any slot has the wrong length is refused
+        before any direction update, the first slot's included."""
+        op, run_from = solve
+
+        class NoUpdates(DirectionWorkspace):
+            def reduce(self, frozen, j):
+                raise AssertionError("a direction update ran")
+
+        monkeypatch.setattr(adm, "DirectionWorkspace", NoUpdates)
+        rng = np.random.default_rng(7)
+        factors = [rng.standard_normal(n) for n in op.sizes]
+        factors[slot] = rng.standard_normal(op.sizes[slot] + 5)
+        with pytest.raises(StructuralError, match="sizes"):
+            run_from(TensorSum.rank_one(factors))
+
     @pytest.mark.parametrize("solve", ["rayleigh", "residual", "explicit"],
                              indirect=True)
     def test_start_first_factor_and_coefficient_are_not_read(self, solve):
@@ -263,6 +310,110 @@ class TestSweepLoop:
                                 np.random.default_rng(0))
         assert out.sweeps_used == 1
         assert not out.converged
+
+
+@pytest.fixture
+def kept_objectives(monkeypatch):
+    """Record, for the ADM solves a test runs, the objective of every
+    update the sweep keeps, in order, and whether each extrapolated trial
+    was kept."""
+    kept, trials, in_trial = [], [], []
+    loop, extrapolated = adm._sweep_loop, adm._extrapolated
+
+    def trial(update, before, after, obj, step):
+        in_trial.append(True)
+        try:
+            out = extrapolated(update, before, after, obj, step)
+        finally:
+            in_trial.pop()
+        trials.append(out is not None)
+        if out is not None:
+            kept.append(out[1])
+        return out
+
+    def recording_loop(op, cfg, rng, update_direction, **kwargs):
+        def update(factors, j):
+            new, obj = update_direction(factors, j)
+            if not in_trial:
+                kept.append(obj)
+            return new, obj
+        return loop(op, cfg, rng, update, **kwargs)
+
+    monkeypatch.setattr(adm, "_extrapolated", trial)
+    monkeypatch.setattr(adm, "_sweep_loop", recording_loop)
+    return kept, trials
+
+
+class TestExtrapolation:
+    """From the third sweep on, a sweep first tries factors extrapolated
+    along the previous sweep's change, for every rule with an objective."""
+
+    @pytest.mark.parametrize("rule", ["initial", "rayleigh", "residual"])
+    def test_objective_never_rises(self, rule, kept_objectives):
+        kept, trials = kept_objectives
+        op, m = spd_mass_problem(1)
+        cfg = AdmConfig()
+        u = adm_initial_guess(op, m, cfg, np.random.default_rng(0)).z
+        lam = rayleigh(op, m, u)
+        kept.clear()
+        trials.clear()
+        out = {
+            "initial": lambda: adm_initial_guess(
+                op, m, cfg, np.random.default_rng(0)),
+            "rayleigh": lambda: adm_rayleigh_step(
+                op, m, u, cfg, np.random.default_rng(1)),
+            "residual": lambda: adm_residual_step(
+                op, m, u, lam, 1.0, cfg, np.random.default_rng(1)),
+        }[rule]()
+        assert out.converged
+        assert True in trials and False in trials
+        assert kept[-1] == out.objective
+        for a, b in zip(kept, kept[1:]):
+            assert b <= a + 1e-13 * (1.0 + abs(a))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rule", ["rayleigh", "residual"])
+    def test_converged_outcome_is_stationary(self, rule, seed):
+        """One more plain sweep from a converged outcome moves the
+        objective by at most the sweep tolerance."""
+        op, m = spd_mass_problem(seed)
+        cfg = AdmConfig()
+        u = adm_initial_guess(op, m, cfg, np.random.default_rng(0)).z
+        lam = rayleigh(op, m, u)
+
+        def solve(cfg, start=None):
+            rng = np.random.default_rng(1)
+            if rule == "rayleigh":
+                return adm_rayleigh_step(op, m, u, cfg, rng, start=start)
+            return adm_residual_step(op, m, u, lam, NU, cfg, rng, start=start)
+
+        out = solve(cfg)
+        assert out.converged
+        again = solve(AdmConfig(max_sweeps=1), start=out.z)
+        assert abs(again.objective - out.objective) <= (
+            cfg.tol_sweep * (1.0 + abs(out.objective)))
+
+    # mean sweeps per call of the runs below with plain sweeps only (the
+    # sweep loop before extrapolation): 725/60 and 781/60
+    PLAIN_SWEEPS = {Variant.RAYLEIGH: 12.08, Variant.RESIDUAL: 13.02}
+
+    @pytest.mark.parametrize("variant", [Variant.RAYLEIGH, Variant.RESIDUAL])
+    def test_fewer_sweeps_than_plain_sweeps(self, variant, monkeypatch):
+        name = f"adm_{variant.value}_step"
+        solver, sweeps = getattr(greedy, name), []
+
+        def counted(*args, **kwargs):
+            out = solver(*args, **kwargs)
+            sweeps.append(out.sweeps_used)
+            return out
+
+        monkeypatch.setattr(greedy, name, counted)
+        op, m = tensor4d_type()
+        for seed in (0, 1, 2):
+            greedy.run(op, m, GreedyConfig(
+                variant=variant, max_iter=20, tol_residual=1e-300,
+                tol_lambda=1e-300, rng_seed=seed))
+        assert np.mean(sweeps) <= 0.85 * self.PLAIN_SWEEPS[variant]
 
 
 class TestConfig:
