@@ -53,7 +53,6 @@ from .reference_oracle import (
     error_metrics,
     grad_check_rayleigh,
 )
-from .secular import SecularProblem, SecularReduction, recover_minimizer, solve_secular
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,

@@ -6,7 +6,7 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 * ``adm_initial_guess``  - smallest eigenpair of the contracted pencil,
 * ``adm_rayleigh_step``  - global direction minimizer via the secular solver,
 * ``adm_residual_step``  - SPD linear solve of the shifted quadratic,
-* ``adm_explicit_step``  - symmetric (possibly indefinite) linear solve.
+* ``adm_explicit_step``  - the residual rule's solve at shift -lambda_prev.
 
 The first three minimize an objective, which every direction update reports
 as a byproduct of the contracted data, so sweep convergence costs nothing
@@ -251,12 +251,13 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
                       start: TensorSum | None = None) -> AdmOutcome:
     """Solve the explicit correction equation direction-wise.
 
-    Each direction solves the symmetric, possibly indefinite system
-    (A_j - lambda_prev Mj_eff) s = lambda_prev m_j - b_j.  The sweep is a
-    fixed-point iteration with no variational objective: it converges once
-    a sweep moves the iterate by at most tol_sweep (1 + ||z||_H) in the
-    metric norm.  The reported objective is None.  A start supplies factors
-    1..d-1.
+    Each direction solves the symmetric system
+    (A_j - lambda_prev Mj_eff) s = lambda_prev m_j - b_j, the residual
+    rule's system at nu = -lambda_prev.  That shifted form is indefinite,
+    so there is no objective to minimize: the sweep is a fixed-point
+    iteration that converges once a sweep moves the iterate by at most
+    tol_sweep (1 + ||z||_H) in the metric norm.  The reported objective is
+    None.  A start supplies factors 1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
 

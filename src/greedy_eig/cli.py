@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .adm import AdmConfig
 from .errors import GreedyEigError, InvalidSpec, ParseError, VersionError
@@ -30,9 +31,8 @@ TRACE_COLUMNS = (
     "wall_time_ms",
 )
 
-_ADM_KEYS = {"max_sweeps", "tol_sweep", "restart_attempts"}
-_SOLVER_KEYS = {"variant", "orthogonal", "nu", "max_iter", "tol_lambda",
-                "tol_residual", "rng_seed", "adm"}
+_ADM_KEYS = {f.name for f in fields(AdmConfig)}
+_SOLVER_KEYS = {f.name for f in fields(GreedyConfig)}
 _RUN_KEYS = {"problem", "solver", "output", "oracle"}
 _COMPARE_KEYS = {"problem", "variants", "output", "oracle"}
 

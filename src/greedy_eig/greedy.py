@@ -219,11 +219,10 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
     a_z, b_z = A[-1], B[-1]
     if cfg.variant is Variant.RAYLEIGH:
         euler = a_z @ pure - lam_pure * (b_z @ pure)
-    elif cfg.variant is Variant.RESIDUAL:
-        euler = (a_z @ plus + cfg.nu * (b_z @ plus)
-                 - (state.lam + cfg.nu) * (b_z @ prev))
-    else:
-        euler = a_z @ plus - state.lam * (b_z @ plus)
+    else:   # the explicit rule is the residual rule at shift -lambda
+        shift = cfg.nu if cfg.variant is Variant.RESIDUAL else -state.lam
+        euler = (a_z @ plus + shift * (b_z @ plus)
+                 - (state.lam + shift) * (b_z @ prev))
     z_norm_a = float(np.sqrt(max(a_z[-1] + cfg.nu * b_z[-1], 0.0)))
     u_new = TensorSum(members.sizes, coef, members.factors)
     res = eig_residual(op, m, u_new, lam_new)

@@ -12,8 +12,10 @@ whose minimum value rho is the smallest root of the scalar secular equation
 
     rho * delta = f(rho),    f(rho) = sum_i c_i^2 / (rho - kappa_i) + gamma,
 
-located left of the smallest active pole.  The minimizer follows from
-t_i = c_i / (rho - kappa_i).
+located left of the smallest active pole, where a one-pole Newton
+iteration reaches it monotonically (``solve_secular``).  The minimizer
+follows from t_i = c_i / (rho - kappa_i); a root on an active pole has none,
+and ``recover_minimizer`` raises PoleCollision.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .dense_kernels import cholesky_spd, sym_eig_full, tri_solve
 from .errors import DegenerateDenominator, PoleCollision
 
 ACTIVE_RTOL = 1e-14
-DEFAULT_TOL = 1e-12
+ROOT_TOL = 1e-12   # stop once |g(rho)| <= ROOT_TOL max(1, |rho| delta)
 _MAX_ROOT_ITER = 300
 
 
@@ -42,12 +44,6 @@ class SecularProblem:
                  delta: float):
         self.kappa, self.c, self.gamma, self.delta = kappa, c, gamma, delta
         self.active = np.abs(c) > ACTIVE_RTOL * math.sqrt(c @ c)
-
-    def quotient(self, T) -> float:
-        """L(T), the reduced quotient this problem minimizes."""
-        T = np.asarray(T, dtype=float)
-        num = float(self.kappa @ (T * T) + 2.0 * self.c @ T + self.gamma)
-        return num / float(T @ T + self.delta)
 
 
 class SecularReduction(NamedTuple):
@@ -97,21 +93,22 @@ def reduce(A_eff, B_eff, a_lin, b_lin, alpha, beta: float = 1.0) -> SecularReduc
     return SecularReduction(SecularProblem(kappa, c, gamma, delta), L, g, V)
 
 
-def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
-                  start: float | None = None) -> float:
+def solve_secular(p: SecularProblem, start: float | None = None) -> float:
     """Smallest root of rho*delta = f(rho), left of the smallest active pole.
 
-    Safeguarded Newton on a one-pole rational model ("middle way"): the term
-    of the smallest active pole, c_1^2 / (kappa_1 - rho), is kept exact and
-    the other terms are linearized at the iterate, so each step solves a
-    quadratic.  g(rho) = rho*delta - f(rho) is increasing and convex left of
-    the pole, so the model lies below g and, from the right, the steps
-    decrease monotonically onto the root; a root close to the pole costs no
-    more steps than a distant one.  The iterate is kept inside a
-    sign-changing bracket and any step leaving it is replaced by bisection.
-    ``start``, when it lies left of the pole, is the first iterate; a value
-    the quotient attains, such as the previous direction's, lies at or right
-    of the root.  Otherwise the iteration starts next to the pole.
+    Newton on a one-pole rational model ("middle way", R.-C. Li, LAPACK
+    Working Note 89): the term of the smallest active pole kappa_1,
+    c_1^2 / (kappa_1 - rho), is kept exact and the other terms are
+    linearized at the iterate, so each step solves a quadratic.  Left of
+    kappa_1, g(rho) = rho*delta - f(rho) is increasing and convex, so the
+    linearized remainder lies below g and every step, from either side of
+    the root, lands in [root, kappa_1): after the first step the iterates
+    decrease monotonically onto the root (Bunch, Nielsen & Sorensen, Numer.
+    Math. 31, 1978), and a root close to the pole costs no more steps than a
+    distant one.  ``start``, when left of the pole, is the first iterate; a
+    value the quotient attains, such as the previous direction's, lies at or
+    right of the root.  Otherwise the iteration starts next to the pole.  A
+    step that rounds onto the pole returns it; ``recover_minimizer`` raises.
     """
     mask = p.active
     n_active = np.count_nonzero(mask)
@@ -125,19 +122,6 @@ def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
     kap_rest, cs2_rest = kap[1:], cs2[1:]
     delta, gamma = p.delta, p.gamma
 
-    def left_end():
-        # g -> -inf as rho -> -inf and g is strictly increasing on
-        # (-inf, k_min), so stepping left finds a point with g < 0
-        lo = min(gamma / delta, k_min - 1.0)
-        step = max(1.0, abs(k_min - lo))
-        while lo * delta - float((cs2 / (lo - kap)).sum()) - gamma >= 0.0:
-            lo -= step
-            step *= 2.0
-            if step > 1e200:
-                raise PoleCollision("failed to bracket the secular root")
-        return lo
-
-    lo, hi = -math.inf, k_min
     if start is not None and start < k_min:
         x = float(start)
     else:
@@ -148,12 +132,8 @@ def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
         terms = cs2_rest / gaps
         phi = float(np.add.reduce(terms))   # ndarray.sum, less dispatch
         gx = x * delta + c1sq / (k_min - x) + phi - gamma
-        if abs(gx) <= tol * max(1.0, abs(x) * delta):
+        if abs(gx) <= ROOT_TOL * max(1.0, abs(x) * delta):
             return x
-        if gx > 0.0:
-            hi = x
-        else:
-            lo = x
         # delta*rho + c1sq/(k_min - rho) + phi + dphi*(rho - x) = gamma,
         # as a v^2 - b v - c1sq = 0 in v = k_min - rho > 0
         dphi = float(np.add.reduce(terms / gaps))
@@ -162,12 +142,8 @@ def solve_secular(p: SecularProblem, tol: float = DEFAULT_TOL,
         disc = math.sqrt(b * b + 4.0 * a * c1sq)
         v = (b + disc) / (2.0 * a) if b >= 0.0 else 2.0 * c1sq / (disc - b)
         x_new = k_min - v
-        if x_new == x:
-            return x   # the model's root is x to working precision
-        if not (lo < x_new < hi):
-            if lo == -math.inf:
-                lo = left_end()
-            x_new = 0.5 * (lo + hi)
+        if x_new == x or x_new == k_min:
+            return x_new   # the model's root to working precision, or the pole
         x = x_new
     return x
 

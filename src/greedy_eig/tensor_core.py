@@ -30,15 +30,20 @@ from .errors import DegenerateDirection, DegenerateIterate, StructuralError
 
 ZERO_NORM_TOL = 1e-14
 DENSE_NORM_LIMIT = 4096   # entries up to which euclidean_norm assembles
+SYMMETRY_RTOL = 1e-12     # largest max|A - A^T| / max|A| of a factor
 
 
 def symmetrize_factor(mat) -> np.ndarray:
-    """Validate and symmetrize a per-dimension factor matrix."""
+    """Validate a per-dimension factor matrix: square, finite and symmetric
+    to SYMMETRY_RTOL relative.  Returns 0.5 (A + A^T), exactly symmetric."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError(f"factor must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise StructuralError("factor contains non-finite entries")
+    asym = np.abs(a - a.T).max(initial=0.0)
+    if asym > SYMMETRY_RTOL * np.abs(a).max(initial=0.0):
+        raise StructuralError(f"asymmetric factor: max|A - A^T| = {asym:.3e}")
     return 0.5 * (a + a.T)
 
 
@@ -46,8 +51,8 @@ def symmetrize_factor(mat) -> np.ndarray:
 class KroneckerSumOperator:
     """Symmetric bilinear form given by a sum of Kronecker-product terms.
 
-    ``terms[k][j]`` is the j-th dimension factor of the k-th term; all
-    factors are symmetrized on construction.
+    ``terms[k][j]`` is the j-th dimension factor of the k-th term; a factor
+    that is not symmetric to rounding is refused (``symmetrize_factor``).
     """
 
     terms: tuple
@@ -322,7 +327,6 @@ class DirectionWorkspace:
         _check_shapes(context, context, op.sizes)
         self.op = op
         self.m = m
-        self.context = context
         self.alpha = a_inner(op, context, context)
         self.beta = h_inner(context, context, m)
         K, n = op.num_terms, context.num_terms
@@ -369,8 +373,6 @@ class DirectionWorkspace:
         """Contract everything but direction ``j`` against the frozen factors."""
         op = self.op
         d, K = op.d, op.num_terms
-        if not (0 <= j < d):
-            raise StructuralError(f"direction index {j} out of range for d={d}")
         nj = op.sizes[j]
         # w[k] = prod_{l != j} f_l^T D^(k,l) f_l, with w[K] the mass weight;
         # p[k] = prod_{l != j} f_l^T D^(k,l) U_l, row K for the mass

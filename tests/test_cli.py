@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from greedy_eig.cli import (
     main,
     parse_solver_config,
 )
+from greedy_eig.adm import AdmConfig
 from greedy_eig.errors import ParseError, VersionError
-from greedy_eig.greedy import run
+from greedy_eig.greedy import GreedyConfig, Variant, run
 from greedy_eig.problems import ProblemSpec, load_operator
 
 PROBLEM = {"kind": "RandomKronecker", "d": 2, "sizes": [7, 7], "K": 2,
@@ -275,7 +277,7 @@ class TestSolve:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("corrupt", ["nan_factor", "version_1",
-                                         "trailing_bytes"])
+                                         "trailing_bytes", "asymmetric_factor"])
     def test_corrupt_operator_file(self, tmp_path, corrupt):
         op, m = gen_random_kronecker(2, (4, 3), 2, seed=0)
         path = tmp_path / "op.geig"
@@ -284,6 +286,10 @@ class TestSolve:
         # header: magic, version, d, d sizes, K; then the float64 blocks
         if corrupt == "nan_factor":
             data[24:32] = struct.pack("<d", float("nan"))
+        elif corrupt == "asymmetric_factor":
+            # entry (0, 1) of the first 4 x 4 factor
+            (entry,) = struct.unpack("<d", data[32:40])
+            data[32:40] = struct.pack("<d", entry + 1.0)
         elif corrupt == "version_1":
             # version 1 stored a shift nu after the masses
             data[4:8] = struct.pack("<I", 1)
@@ -300,6 +306,32 @@ class TestSolve:
         })
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+
+
+class TestSolverConfig:
+    """Every config field is a key of the solver config; a field added to
+    GreedyConfig or AdmConfig without an entry below fails here."""
+
+    # field -> (JSON value, parsed value), neither the default
+    SOLVER = {"variant": ("explicit", Variant.EXPLICIT),
+              "orthogonal": (True, True), "nu": (0.5, 0.5),
+              "max_iter": (7, 7), "tol_lambda": (1e-9, 1e-9),
+              "tol_residual": (1e-7, 1e-7), "rng_seed": (11, 11)}
+    ADM = {"max_sweeps": 9, "tol_sweep": 1e-6, "restart_attempts": 2}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(GreedyConfig)
+                                      if f.name != "adm"])
+    def test_solver_field_round_trips(self, name):
+        raw, parsed = self.SOLVER[name]
+        want = replace(GreedyConfig(), **{name: parsed})
+        assert want != GreedyConfig()
+        assert parse_solver_config({name: raw}) == want
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(AdmConfig)])
+    def test_adm_field_round_trips(self, name):
+        want = GreedyConfig(adm=replace(AdmConfig(), **{name: self.ADM[name]}))
+        assert want != GreedyConfig()
+        assert parse_solver_config({"adm": {name: self.ADM[name]}}) == want
 
 
 class TestCompare:

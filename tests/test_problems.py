@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedy_eig.adm import AdmConfig, adm_initial_guess
 from greedy_eig.errors import InvalidSpec, ParseError, VersionError
@@ -161,7 +163,49 @@ class TestExcitedTrap:
             gen_excited_trap(1.0, 2.0, 9.0, 20.0, 3)
 
 
+@pytest.fixture(scope="module")
+def operator_file(tmp_path_factory):
+    """A valid operator file and its bytes; the fuzz test overwrites it."""
+    path = tmp_path_factory.mktemp("fuzz") / "op.geig"
+    op, m = gen_random_kronecker(2, (3, 2), 2, seed=0)
+    save_operator(op, m, path)
+    return path, path.read_bytes()
+
+
+def damaged(data):
+    """Byte strings made from a valid file: bytes overwritten, the file cut
+    short, random bytes, or a valid header followed by random bytes."""
+    n = len(data)
+
+    def overwrite(edits):
+        out = bytearray(data)
+        for pos, value in edits:
+            out[pos] = value
+        return bytes(out)
+
+    header = 4 + 4 + 4 + 2 * 4 + 4   # magic, version, d, 2 sizes, K
+    return st.one_of(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 255)),
+                 min_size=1, max_size=8).map(overwrite),
+        st.integers(0, n - 1).map(lambda k: data[:k]),
+        st.binary(max_size=2 * n),
+        st.binary(max_size=2 * n).map(lambda tail: data[:header] + tail),
+    )
+
+
 class TestSerialization:
+    @settings(database=None, derandomize=True, deadline=None,
+              max_examples=300)
+    @given(data=st.data())
+    def test_damaged_file_raises_only_parse_or_version_error(
+            self, operator_file, data):
+        path, valid = operator_file
+        path.write_bytes(data.draw(damaged(valid)))
+        try:
+            load_operator(path)
+        except (ParseError, VersionError):
+            pass
+
     def test_round_trip(self, tmp_path):
         op, m = gen_random_kronecker(2, (4, 5), 2, seed=6)
         path = tmp_path / "op.geig"

@@ -8,6 +8,8 @@ independent oracle.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedy_eig.errors import DegenerateDenominator, PoleCollision
 from greedy_eig.secular import (
@@ -21,20 +23,25 @@ from greedy_eig.secular import (
 KNOWN_ROOT = -1.1700864866260337
 
 
-def bisect_root(p, lo, hi, tol=1e-13):
+def bisect_root(p):
+    """The root of g(rho) = rho*delta - f(rho) left of the smallest active
+    pole kappa_1, by bisection down to adjacent floats; g is never evaluated
+    at kappa_1, where it is infinite."""
     def g(rho):
         return rho * p.delta - secular_f(p, rho)
 
-    assert g(lo) < 0 < g(hi)
-    for _ in range(200):
+    hi = float(np.min(p.kappa[p.active]))
+    width = 1.0
+    while g(hi - width) >= 0:
+        width *= 2.0
+    lo = hi - width
+    while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0:
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def secular_f(p, rho):
@@ -43,11 +50,53 @@ def secular_f(p, rho):
     return float(np.sum(p.c[mask] ** 2 / (rho - p.kappa[mask])) + p.gamma)
 
 
+def quotient(p, T):
+    """L(T), the reduced quotient the problem minimizes."""
+    T = np.asarray(T, dtype=float)
+    num = float(p.kappa @ (T * T) + 2.0 * p.c @ T + p.gamma)
+    return num / float(T @ T + p.delta)
+
+
 def m_of_rho(p, rho):
     """L(T(rho)) with t_i(rho) = c_i / (rho - kappa_i) on active poles."""
     t = np.zeros_like(p.c)
     t[p.active] = p.c[p.active] / (rho - p.kappa[p.active])
-    return p.quotient(t)
+    return quotient(p, t)
+
+
+class Unreduced:
+    """The identity reduction of a SecularProblem, for recover_minimizer."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def to_original(self, T):
+        return T
+
+
+def signed_powers(draw, n, lo, hi):
+    """n values of magnitude 10**U(lo, hi), each of random sign."""
+    return np.array([draw(st.sampled_from((-1.0, 1.0)))
+                     * 10.0 ** draw(st.floats(lo, hi)) for _ in range(n)])
+
+
+@st.composite
+def stiff_problems(draw):
+    """Poles spread over eight decades, coefficients over four."""
+    n = draw(st.integers(1, 6))
+    return SecularProblem(np.sort(signed_powers(draw, n, -2.0, 6.0)),
+                          signed_powers(draw, n, -3.0, 1.0),
+                          draw(st.floats(-3.0, 3.0)),
+                          10.0 ** draw(st.floats(-1.0, 0.0)))
+
+
+# a stiff problem whose root lies within rounding of its far-off first pole;
+# the Newton step rounds onto that pole
+POLE_ROUNDING = SecularProblem(
+    np.array([-857981.1504847535, -3.799146672080414, -0.17317789374414508]),
+    np.array([-0.001363395270700266, -2.9960057343920323,
+              -0.8670654305834228]),
+    -1.8188213114368408, 0.19755464569100556)
 
 
 def random_problem(rng, n_max=6):
@@ -69,13 +118,19 @@ class TestSolveSecular:
         for _ in range(200):
             p = random_problem(rng)
             rho = solve_secular(p)
-            kap_active = p.kappa[p.active]
-            hi = float(np.min(kap_active)) - 1e-9
-            lo = min(rho - 10.0, hi - 10.0)
-            while lo * p.delta - secular_f(p, lo) >= 0:
-                lo -= 10.0
-            ref = bisect_root(p, lo, hi)
-            assert rho == pytest.approx(ref, abs=1e-10)
+            assert rho == pytest.approx(bisect_root(p), abs=1e-10)
+
+    def test_start_on_either_side_of_the_root(self):
+        """A start left of the root costs a step, not the answer."""
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            p = random_problem(rng)
+            ref = bisect_root(p)
+            k1 = float(np.min(p.kappa[p.active]))
+            for start in (ref - 10.0 * rng.uniform(), ref,
+                          ref + (k1 - ref) * rng.uniform()):
+                rho = solve_secular(p, start=start)
+                assert rho == pytest.approx(ref, abs=1e-10)
 
     def test_left_of_smallest_active_pole(self):
         rng = np.random.default_rng(8)
@@ -97,7 +152,7 @@ class TestSolveSecular:
             n = len(p.kappa)
             for _ in range(40):
                 t = rng.standard_normal(n) * rng.uniform(0.1, 10)
-                assert p.quotient(t) >= rho - 1e-9 * max(1.0, abs(rho))
+                assert quotient(p, t) >= rho - 1e-9 * max(1.0, abs(rho))
             assert m_of_rho(p, rho) == pytest.approx(rho, abs=1e-7)
 
 
@@ -120,7 +175,7 @@ class TestReduce:
             s = red.to_original(t)
             num = s @ A @ s + 2 * a_lin @ s + alpha
             den = s @ B @ s + 2 * b_lin @ s + beta
-            assert p.quotient(t) == pytest.approx(num / den, rel=1e-9)
+            assert quotient(p, t) == pytest.approx(num / den, rel=1e-9)
 
     def test_minimizer_attains_root_value(self):
         rng = np.random.default_rng(12)
@@ -158,9 +213,26 @@ class TestReduce:
 class TestRecoverMinimizer:
     def test_pole_collision_guard(self):
         p = SecularProblem(np.array([0.0]), np.array([1.0]), 0.0, 1.0)
-
-        class FakeRed:
-            problem = p
-
         with pytest.raises(PoleCollision):
-            recover_minimizer(FakeRed(), 0.0)
+            recover_minimizer(Unreduced(p), 0.0)
+
+    def test_step_onto_the_pole_fails_cleanly(self):
+        """The root rounds onto kappa_1: the solver returns the pole, and
+        recovering a minimizer from it raises PoleCollision, a
+        GreedyEigError, rather than dividing by zero."""
+        rho = solve_secular(POLE_ROUNDING)
+        assert rho == POLE_ROUNDING.kappa[0]
+        with pytest.raises(PoleCollision):
+            recover_minimizer(Unreduced(POLE_ROUNDING), rho)
+
+    @settings(database=None, derandomize=True, deadline=None,
+              max_examples=300)   # about 1 in 25 ends on the pole
+    @given(stiff_problems())
+    def test_stiff_problems_give_the_root_or_a_pole_collision(self, p):
+        rho = solve_secular(p)
+        try:
+            recover_minimizer(Unreduced(p), rho)
+        except PoleCollision:
+            return
+        assert rho < np.min(p.kappa[p.active])
+        assert abs(rho - bisect_root(p)) <= 1e-10 * max(1.0, abs(rho))

@@ -67,10 +67,24 @@ def dense_metric(m):
 
 class TestConstruction:
     def test_factors_are_symmetrized(self):
-        g = np.arange(9.0).reshape(3, 3)
-        op = KroneckerSumOperator([[g, g]])
+        """A factor symmetric up to rounding is accepted and stored as
+        0.5 (A + A^T), which is exactly symmetric."""
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))
+        a = (q * np.arange(1.0, 7.0)) @ q.T
+        assert not np.array_equal(a, a.T)
+        op = KroneckerSumOperator([[a, a]])
         for f in op.terms[0]:
-            assert np.allclose(f, f.T)
+            assert np.array_equal(f, f.T)
+            assert np.array_equal(f, 0.5 * (a + a.T))
+
+    @pytest.mark.parametrize("factor", [np.arange(9.0).reshape(3, 3),
+                                        np.array([[1.0, 2.0], [0.0, 1.0]])])
+    def test_asymmetric_factor_refused(self, factor):
+        """Not rewritten as 0.5 (A + A^T): [[1, 2], [0, 1]] would become
+        [[1, 1], [1, 1]] and change the operator."""
+        n = len(factor)
+        with pytest.raises(StructuralError, match="asymmetric"):
+            KroneckerSumOperator([[np.eye(n), factor]])
 
     def test_rejects_mismatched_sizes(self):
         with pytest.raises(StructuralError):
