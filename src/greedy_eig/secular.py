@@ -14,8 +14,8 @@ whose minimum value rho is the smallest root of the scalar secular equation
 
 located left of the smallest active pole, where a one-pole Newton
 iteration reaches it monotonically (``solve_secular``).  The minimizer
-follows from t_i = c_i / (rho - kappa_i); a root on an active pole has none,
-and ``recover_minimizer`` raises PoleCollision.
+follows from t_i = c_i / (rho - kappa_i); a root within rounding of an
+active pole has none, and ``recover_minimizer`` raises PoleCollision.
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ def solve_secular(p: SecularProblem, start: float | None = None) -> float:
     linearized remainder lies below g and every step, from either side of
     the root, lands in [root, kappa_1): after the first step the iterates
     decrease monotonically onto the root (Bunch, Nielsen & Sorensen, Numer.
-    Math. 31, 1978), and a root close to the pole costs no more steps than a
-    distant one.  ``start``, when left of the pole, is the first iterate; a
-    value the quotient attains, such as the previous direction's, lies at or
-    right of the root.  Otherwise the iteration starts next to the pole.  A
-    step that rounds onto the pole returns it; ``recover_minimizer`` raises.
+    Math. 31, 1978).  A step that rounds onto kappa_1, as one from far left
+    can, stops one ulp short of it; a root that close ends there, and
+    ``recover_minimizer`` raises.  ``start``, if left of kappa_1, is the
+    first iterate, else a point next to kappa_1; a value the quotient
+    attains, such as the previous direction's, lies at or right of the root.
     """
     mask = p.active
     n_active = np.count_nonzero(mask)
@@ -141,9 +141,9 @@ def solve_secular(p: SecularProblem, start: float | None = None) -> float:
         b = a * k_min + phi - dphi * x - gamma
         disc = math.sqrt(b * b + 4.0 * a * c1sq)
         v = (b + disc) / (2.0 * a) if b >= 0.0 else 2.0 * c1sq / (disc - b)
-        x_new = k_min - v
-        if x_new == x or x_new == k_min:
-            return x_new   # the model's root to working precision, or the pole
+        x_new = min(k_min - v, math.nextafter(k_min, -math.inf))
+        if x_new == x:
+            return x   # the model's root to working precision
         x = x_new
     return x
 

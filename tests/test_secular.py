@@ -90,8 +90,22 @@ def stiff_problems(draw):
                           10.0 ** draw(st.floats(-1.0, 0.0)))
 
 
-# a stiff problem whose root lies within rounding of its far-off first pole;
-# the Newton step rounds onto that pole
+@st.composite
+def clustered_problems(draw):
+    """Poles within 10**U(-6, 0) above the first, whose coefficient may be
+    tiny: from far left a linearized cluster hides the root behind the
+    first pole."""
+    n = draw(st.integers(2, 6))
+    gaps = np.sort([10.0 ** draw(st.floats(-6.0, 0.0)) for _ in range(n - 1)])
+    c = signed_powers(draw, n, -3.0, 1.0)
+    c[0] = signed_powers(draw, 1, -12.0, 1.0)[0]
+    return SecularProblem(signed_powers(draw, 1, -2.0, 6.0)
+                          + np.concatenate(([0.0], gaps)), c,
+                          draw(st.floats(-3.0, 3.0)),
+                          10.0 ** draw(st.floats(-1.0, 0.0)))
+
+
+# a stiff problem whose root lies within rounding of its far-off first pole
 POLE_ROUNDING = SecularProblem(
     np.array([-857981.1504847535, -3.799146672080414, -0.17317789374414508]),
     np.array([-0.001363395270700266, -2.9960057343920323,
@@ -131,6 +145,15 @@ class TestSolveSecular:
                           ref + (k1 - ref) * rng.uniform()):
                 rho = solve_secular(p, start=start)
                 assert rho == pytest.approx(ref, abs=1e-10)
+
+    def test_far_left_start_next_to_a_second_pole(self):
+        """From far left the tangent of the second pole's term is too flat:
+        the step rounds onto kappa_1 although the root is far from it."""
+        p = SecularProblem(np.array([1.0, 1.001]), np.array([1e-10, 1.0]),
+                           2.0, 1.0)
+        rho = solve_secular(p, start=-10.0)
+        assert rho == pytest.approx(bisect_root(p), abs=1e-12)
+        assert rho == pytest.approx(0.3826895285872474, abs=1e-12)
 
     def test_left_of_smallest_active_pole(self):
         rng = np.random.default_rng(8)
@@ -217,22 +240,31 @@ class TestRecoverMinimizer:
             recover_minimizer(Unreduced(p), 0.0)
 
     def test_step_onto_the_pole_fails_cleanly(self):
-        """The root rounds onto kappa_1: the solver returns the pole, and
-        recovering a minimizer from it raises PoleCollision, a
-        GreedyEigError, rather than dividing by zero."""
+        """The root lies within rounding of kappa_1: recovering a minimizer
+        raises PoleCollision, a GreedyEigError, rather than dividing by
+        zero."""
         rho = solve_secular(POLE_ROUNDING)
-        assert rho == POLE_ROUNDING.kappa[0]
         with pytest.raises(PoleCollision):
             recover_minimizer(Unreduced(POLE_ROUNDING), rho)
 
     @settings(database=None, derandomize=True, deadline=None,
-              max_examples=300)   # about 1 in 25 ends on the pole
-    @given(stiff_problems())
-    def test_stiff_problems_give_the_root_or_a_pole_collision(self, p):
-        rho = solve_secular(p)
+              max_examples=300)   # 5 of the 300 end on the pole
+    @given(st.one_of(stiff_problems(), clustered_problems()),
+           st.sampled_from(("cold", "left", "right")),
+           st.floats(0.0, 6.0), st.floats(0.0, 1.0))
+    def test_stiff_problems_give_the_root_or_a_pole_collision(
+            self, p, side, far, frac):
+        ref = bisect_root(p)
+        k1 = float(np.min(p.kappa[p.active]))
+        start = {"cold": None, "left": ref - 10.0 ** far,
+                 "right": ref + (k1 - ref) * frac}[side]
+        rho = solve_secular(p, start=start)
         try:
             recover_minimizer(Unreduced(p), rho)
         except PoleCollision:
+            # only a root within rounding of the pole may end there
+            scale = 1.0 + np.max(np.abs(p.kappa))
+            assert abs(ref - k1) <= 1e-14 * scale
             return
-        assert rho < np.min(p.kappa[p.active])
-        assert abs(rho - bisect_root(p)) <= 1e-10 * max(1.0, abs(rho))
+        assert rho < k1
+        assert abs(rho - ref) <= 1e-10 * max(1.0, abs(rho))
