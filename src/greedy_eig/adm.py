@@ -4,7 +4,7 @@ Each greedy iteration needs one rank-one correction.  The four inner solvers
 here sweep cyclically over tensor directions, freezing all factors but one:
 
 * ``adm_initial_guess``  - smallest eigenpair of the contracted pencil,
-* ``adm_rayleigh_step``  - global direction minimizer via the secular solver,
+* ``adm_rayleigh_step``  - global direction minimizer, a bordered eigenpair,
 * ``adm_residual_step``  - SPD linear solve of the shifted quadratic,
 * ``adm_explicit_step``  - the residual rule's solve at shift -lambda_prev.
 
@@ -199,20 +199,19 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
                       start: TensorSum | None = None) -> AdmOutcome:
     """Minimize the Rayleigh quotient of u_prev + z over rank-one z.
 
-    The direction problem is solved exactly through the secular reduction,
-    so each update is a global minimizer over its slot and the reported
-    objective is the quotient value itself.  A start supplies factors 1..d-1.
+    Each direction problem is solved exactly as the smallest eigenpair of
+    its bordered matrix (see ``secular``), so each update is a global
+    minimizer over its slot and the reported objective is the quotient
+    value itself.  An update whose infimum is not attained raises
+    PoleCollision.  A start supplies factors 1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
-    rho = None   # the quotient after the previous update
 
     def update(factors, j):
-        nonlocal rho
         dd = ws.reduce(factors, j)
         red = secular.reduce(dd.A_j, dd.Mj_eff, dd.b_j, dd.m_j, dd.alpha, dd.beta)
-        # the current factor attains rho, so the new root is at or left of it
-        rho = secular.solve_secular(red.problem, start=rho)
-        return secular.recover_minimizer(red, rho), rho
+        rho, y = secular.solve_secular(red)
+        return secular.recover_minimizer(red, y), rho
 
     return _sweep_loop(op, cfg, rng, update, start=start)
 

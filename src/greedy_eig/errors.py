@@ -43,7 +43,7 @@ class DegenerateDenominator(GreedyEigError):
 
 
 class PoleCollision(GreedyEigError):
-    """The secular root coincides with an active pole."""
+    """A Rayleigh direction quotient's infimum is not attained."""
 
 
 class NuTooSmall(GreedyEigError):

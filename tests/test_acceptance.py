@@ -23,7 +23,7 @@ from greedy_eig.reference_oracle import (
     error_metrics,
     grad_check_rayleigh,
 )
-from greedy_eig.secular import SecularProblem, solve_secular
+from greedy_eig.secular import reduce, solve_secular
 from greedy_eig.tensor_core import MetricSet, TensorSum, normalize
 
 # Frozen two-dimensional random instances (sizes, seed).  Seeds are chosen so
@@ -52,10 +52,9 @@ def make_config(variant, ortho):
                         tol_residual=1e-10, tol_lambda=1e-13, rng_seed=3)
 
 
-def secular_f(p, rho):
-    """f(rho) = sum_i c_i^2 / (rho - kappa_i) + gamma over active poles."""
-    mask = p.active
-    return float(np.sum(p.c[mask] ** 2 / (rho - p.kappa[mask])) + p.gamma)
+def secular_f(kappa, c, gamma, rho):
+    """f(rho) = sum_i c_i^2 / (rho - kappa_i) + gamma over the poles given."""
+    return float(np.sum(c ** 2 / (rho - kappa)) + gamma)
 
 
 @contextlib.contextmanager
@@ -144,19 +143,23 @@ def test_04_secular_oracle_equivalence():
         rng = np.random.default_rng(77)
         for _ in range(500):
             n = rng.integers(1, 7)
-            p = SecularProblem(np.sort(rng.uniform(-5, 5, size=n)),
-                               rng.standard_normal(n),
-                               rng.uniform(-3, 3), rng.uniform(0.1, 2.0))
-            rho = solve_secular(p)
-            mask = p.active
+            kappa = np.sort(rng.uniform(-5, 5, size=n))
+            c = rng.standard_normal(n)
+            gamma, delta = rng.uniform(-3, 3), rng.uniform(0.1, 2.0)
+            # the quotient (sum kappa_i t_i^2 + 2 c_i t_i + gamma) /
+            # (T^T T + delta), minimized as a bordered eigenpair
+            rho, _ = solve_secular(reduce(np.diag(kappa), np.eye(n), c,
+                                          np.zeros(n), gamma, delta))
+            mask = np.abs(c) > 1e-14 * np.sqrt(c @ c)
+            kap, cs = kappa[mask], c[mask]
             if np.any(mask):
-                hi = float(np.min(p.kappa[mask])) - 1e-9
+                hi = float(np.min(kap)) - 1e-9
                 lo = min(rho - 10.0, hi - 10.0)
-                while lo * p.delta - secular_f(p, lo) >= 0:
+                while lo * delta - secular_f(kap, cs, gamma, lo) >= 0:
                     lo -= 10.0
                 for _ in range(200):
                     mid = 0.5 * (lo + hi)
-                    if mid * p.delta - secular_f(p, mid) > 0:
+                    if mid * delta - secular_f(kap, cs, gamma, mid) > 0:
                         hi = mid
                     else:
                         lo = mid
@@ -164,14 +167,14 @@ def test_04_secular_oracle_equivalence():
                         break
                 assert rho == pytest.approx(0.5 * (lo + hi), abs=1e-10)
             # the root is the global minimum of the quotient curve
-            grid = np.linspace(rho - 5.0, float(np.max(p.kappa)) + 5.0, 1000)
+            grid = np.linspace(rho - 5.0, float(np.max(kappa)) + 5.0, 1000)
             scale = 1e-9 * max(1.0, abs(rho))
             if np.any(mask):
-                grid = grid[np.min(np.abs(grid[:, None] - p.kappa[mask]),
-                                   axis=1) >= 1e-6]
-                t = p.c[mask] / (grid[:, None] - p.kappa[mask])
-                num = t * t @ p.kappa[mask] + 2.0 * t @ p.c[mask] + p.gamma
-                den = np.sum(t * t, axis=1) + p.delta
+                grid = grid[np.min(np.abs(grid[:, None] - kap), axis=1)
+                            >= 1e-6]
+                t = cs / (grid[:, None] - kap)
+                num = t * t @ kap + 2.0 * t @ cs + gamma
+                den = np.sum(t * t, axis=1) + delta
                 assert np.all(num / den >= rho - scale)
         assert time.perf_counter() - t0 < 10.0
 

@@ -1,26 +1,49 @@
-"""Secular reduction and root finding against a bisection oracle.
+"""The bordered direction minimizer against independent oracles.
 
-The scalar equation rho*delta = f(rho) has its relevant root left of the
-smallest active pole, where g(rho) = rho*delta - f(rho) is strictly
-increasing; bisection on a sign-changing bracket is therefore a trustworthy
-independent oracle.
+A reduced problem (poles kappa, coefficients c, gamma, delta > 0) is the
+quotient (sum_i kappa_i t_i^2 + 2 c_i t_i + gamma) / (T^T T + delta), which
+``reduce`` takes as A = diag(kappa), B = I, a = c, b = 0.  Its minimum is
+the root of the secular equation rho*delta = f(rho) left of the smallest
+active pole, where g(rho) = rho*delta - f(rho) is strictly increasing;
+bisection on a sign-changing bracket is therefore a trustworthy independent
+oracle.  With a general B the oracles are the dense generalized eigenvalue
+of the bordered pencil and sampled points.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedy_eig.errors import DegenerateDenominator, PoleCollision
-from greedy_eig.secular import (
-    SecularProblem,
-    recover_minimizer,
-    reduce,
-    solve_secular,
-)
+from greedy_eig.secular import recover_minimizer, reduce, solve_secular
 
 # smallest root of rho = 1/rho + 1/(rho - 2), found by bisection to 1e-13
 KNOWN_ROOT = -1.1700864866260337
+
+
+class Problem(NamedTuple):
+    kappa: np.ndarray
+    c: np.ndarray
+    gamma: float
+    delta: float
+
+    @property
+    def active(self):
+        """The coefficients not negligible against the largest."""
+        return np.abs(self.c) > 1e-14 * np.sqrt(self.c @ self.c)
+
+
+def solve(p):
+    """(reduction, rho, y) of the problem through reduce(diag(kappa), I,
+    c, 0, gamma, delta)."""
+    n = len(p.kappa)
+    red = reduce(np.diag(p.kappa), np.eye(n), p.c, np.zeros(n), p.gamma,
+                 p.delta)
+    return (red, *solve_secular(red))
 
 
 def bisect_root(p):
@@ -57,21 +80,10 @@ def quotient(p, T):
     return num / float(T @ T + p.delta)
 
 
-def m_of_rho(p, rho):
-    """L(T(rho)) with t_i(rho) = c_i / (rho - kappa_i) on active poles."""
-    t = np.zeros_like(p.c)
-    t[p.active] = p.c[p.active] / (rho - p.kappa[p.active])
-    return quotient(p, t)
-
-
-class Unreduced:
-    """The identity reduction of a SecularProblem, for recover_minimizer."""
-
-    def __init__(self, problem):
-        self.problem = problem
-
-    def to_original(self, T):
-        return T
+def full_quotient(A, B, a, b, alpha, beta, S):
+    """(S^T A S + 2 a^T S + alpha) / (S^T B S + 2 b^T S + beta)."""
+    return ((S @ A @ S + 2.0 * a @ S + alpha)
+            / (S @ B @ S + 2.0 * b @ S + beta))
 
 
 def signed_powers(draw, n, lo, hi):
@@ -84,29 +96,29 @@ def signed_powers(draw, n, lo, hi):
 def stiff_problems(draw):
     """Poles spread over eight decades, coefficients over four."""
     n = draw(st.integers(1, 6))
-    return SecularProblem(np.sort(signed_powers(draw, n, -2.0, 6.0)),
-                          signed_powers(draw, n, -3.0, 1.0),
-                          draw(st.floats(-3.0, 3.0)),
-                          10.0 ** draw(st.floats(-1.0, 0.0)))
+    return Problem(np.sort(signed_powers(draw, n, -2.0, 6.0)),
+                   signed_powers(draw, n, -3.0, 1.0),
+                   draw(st.floats(-3.0, 3.0)),
+                   10.0 ** draw(st.floats(-1.0, 0.0)))
 
 
 @st.composite
 def clustered_problems(draw):
     """Poles within 10**U(-6, 0) above the first, whose coefficient may be
-    tiny: from far left a linearized cluster hides the root behind the
-    first pole."""
+    tiny."""
     n = draw(st.integers(2, 6))
     gaps = np.sort([10.0 ** draw(st.floats(-6.0, 0.0)) for _ in range(n - 1)])
     c = signed_powers(draw, n, -3.0, 1.0)
     c[0] = signed_powers(draw, 1, -12.0, 1.0)[0]
-    return SecularProblem(signed_powers(draw, 1, -2.0, 6.0)
-                          + np.concatenate(([0.0], gaps)), c,
-                          draw(st.floats(-3.0, 3.0)),
-                          10.0 ** draw(st.floats(-1.0, 0.0)))
+    return Problem(signed_powers(draw, 1, -2.0, 6.0)
+                   + np.concatenate(([0.0], gaps)), c,
+                   draw(st.floats(-3.0, 3.0)),
+                   10.0 ** draw(st.floats(-1.0, 0.0)))
 
 
-# a stiff problem whose root lies within rounding of its far-off first pole
-POLE_ROUNDING = SecularProblem(
+# a stiff problem whose root lies within an ulp of its far-off first pole,
+# where a Newton iteration on the secular equation ended
+POLE_ROUNDING = Problem(
     np.array([-857981.1504847535, -3.799146672080414, -0.17317789374414508]),
     np.array([-0.001363395270700266, -2.9960057343920323,
               -0.8670654305834228]),
@@ -119,69 +131,76 @@ def random_problem(rng, n_max=6):
     c = rng.standard_normal(n)
     gamma = rng.uniform(-3, 3)
     delta = rng.uniform(0.1, 2.0)
-    return SecularProblem(kappa, c, gamma, delta)
+    return Problem(kappa, c, gamma, delta)
 
 
 class TestSolveSecular:
     def test_known_two_pole_problem(self):
-        p = SecularProblem(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 0.0, 1.0)
-        assert solve_secular(p) == pytest.approx(KNOWN_ROOT, abs=1e-11)
+        _, rho, _ = solve(Problem(np.array([0.0, 2.0]), np.array([1.0, 1.0]),
+                                  0.0, 1.0))
+        assert rho == pytest.approx(KNOWN_ROOT, abs=1e-11)
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             p = random_problem(rng)
-            rho = solve_secular(p)
+            _, rho, _ = solve(p)
             assert rho == pytest.approx(bisect_root(p), abs=1e-10)
 
-    def test_start_on_either_side_of_the_root(self):
-        """A start left of the root costs a step, not the answer."""
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            p = random_problem(rng)
-            ref = bisect_root(p)
-            k1 = float(np.min(p.kappa[p.active]))
-            for start in (ref - 10.0 * rng.uniform(), ref,
-                          ref + (k1 - ref) * rng.uniform()):
-                rho = solve_secular(p, start=start)
-                assert rho == pytest.approx(ref, abs=1e-10)
-
-    def test_far_left_start_next_to_a_second_pole(self):
-        """From far left the tangent of the second pole's term is too flat:
-        the step rounds onto kappa_1 although the root is far from it."""
-        p = SecularProblem(np.array([1.0, 1.001]), np.array([1e-10, 1.0]),
-                           2.0, 1.0)
-        rho = solve_secular(p, start=-10.0)
+    def test_tiny_first_coefficient_next_to_a_second_pole(self):
+        """A first pole with a tiny coefficient still bounds the root."""
+        p = Problem(np.array([1.0, 1.001]), np.array([1e-10, 1.0]), 2.0, 1.0)
+        _, rho, _ = solve(p)
         assert rho == pytest.approx(bisect_root(p), abs=1e-12)
         assert rho == pytest.approx(0.3826895285872474, abs=1e-12)
+
+    def test_small_root_against_large_poles(self):
+        """The eigenvalue of H is accurate only to rounding of |H| ~ 1e6,
+        1.3e-10 here; the Rayleigh quotient of its eigenvector is exact to
+        rounding of the root."""
+        p = Problem(np.array([1e6, 1e6 + 1.0]), np.array([-1.0, -10.0]),
+                    0.0, 1.0)
+        _, rho, _ = solve(p)
+        assert rho == pytest.approx(bisect_root(p), rel=1e-14)
 
     def test_left_of_smallest_active_pole(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             p = random_problem(rng)
-            rho = solve_secular(p)
+            _, rho, _ = solve(p)
             assert rho < np.min(p.kappa[p.active])
 
     def test_pole_free_case(self):
-        p = SecularProblem(np.array([1.0]), np.array([0.0]), 3.0, 2.0)
-        assert solve_secular(p) == pytest.approx(1.5)
+        """No active pole: the minimum gamma / delta is attained at T = 0."""
+        red, rho, y = solve(Problem(np.array([2.0]), np.array([0.0]), 3.0,
+                                    2.0))
+        assert rho == pytest.approx(1.5)
+        assert recover_minimizer(red, y) == pytest.approx([0.0], abs=1e-15)
 
     def test_root_value_is_global_minimum_on_grid(self):
         """The root equals the quotient minimum; grid values never beat it."""
         rng = np.random.default_rng(9)
         for _ in range(50):
             p = random_problem(rng, n_max=3)
-            rho = solve_secular(p)
+            red, rho, y = solve(p)
             n = len(p.kappa)
             for _ in range(40):
                 t = rng.standard_normal(n) * rng.uniform(0.1, 10)
                 assert quotient(p, t) >= rho - 1e-9 * max(1.0, abs(rho))
-            assert m_of_rho(p, rho) == pytest.approx(rho, abs=1e-7)
+            assert quotient(p, recover_minimizer(red, y)) == pytest.approx(
+                rho, abs=1e-10 * max(1.0, abs(rho)))
+
+
+def spd(rng, n, cond):
+    """A random SPD matrix with condition number cond."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (Q * np.geomspace(1.0, cond, n)) @ Q.T
 
 
 class TestReduce:
     def test_reduction_preserves_quotient(self):
-        """L(T) at mapped points equals the original quadratic quotient."""
+        """y's Rayleigh quotient on the bordered matrix equals the original
+        quotient at the direction vector y maps to."""
         rng = np.random.default_rng(10)
         n = 5
         g = rng.standard_normal((n, n))
@@ -192,13 +211,12 @@ class TestReduce:
         b_lin = 0.01 * rng.standard_normal(n)
         alpha, beta = 1.3, 0.8
         red = reduce(A, B, a_lin, b_lin, alpha, beta)
-        p = red.problem
+        H = red.bordered
         for _ in range(20):
-            t = rng.standard_normal(n)
-            s = red.to_original(t)
-            num = s @ A @ s + 2 * a_lin @ s + alpha
-            den = s @ B @ s + 2 * b_lin @ s + beta
-            assert quotient(p, t) == pytest.approx(num / den, rel=1e-9)
+            y = rng.standard_normal(n + 1)
+            s = recover_minimizer(red, y)
+            assert (y @ H @ y) / (y @ y) == pytest.approx(
+                full_quotient(A, B, a_lin, b_lin, alpha, beta, s), rel=1e-9)
 
     def test_minimizer_attains_root_value(self):
         rng = np.random.default_rng(12)
@@ -210,17 +228,48 @@ class TestReduce:
         a_lin = rng.standard_normal(n)
         b_lin = 0.05 * rng.standard_normal(n)
         red = reduce(A, B, a_lin, b_lin, 0.7, 1.0)
-        rho = solve_secular(red.problem)
-        s = recover_minimizer(red, rho)
-        num = s @ A @ s + 2 * a_lin @ s + 0.7
-        den = s @ B @ s + 2 * b_lin @ s + 1.0
-        assert num / den == pytest.approx(rho, rel=1e-8)
+        rho, y = solve_secular(red)
+        s = recover_minimizer(red, y)
+        assert full_quotient(A, B, a_lin, b_lin, 0.7, 1.0, s) == pytest.approx(
+            rho, rel=1e-8)
         # perturbations never go below the minimum
         for _ in range(30):
             sp = s + 0.1 * rng.standard_normal(n)
-            nump = sp @ A @ sp + 2 * a_lin @ sp + 0.7
-            denp = sp @ B @ sp + 2 * b_lin @ sp + 1.0
-            assert nump / denp >= rho - 1e-10
+            assert (full_quotient(A, B, a_lin, b_lin, 0.7, 1.0, sp)
+                    >= rho - 1e-10)
+
+    @settings(database=None, derandomize=True, deadline=None,
+              max_examples=200)
+    @given(st.integers(1, 12), st.floats(0.0, 4.0), st.floats(-2.0, 0.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_direction_minimizer_matches_dense_minimization(
+            self, n, log_cond, log_delta, seed):
+        """Symmetric A, SPD B with condition number up to 1e4: the returned
+        direction attains the smallest eigenvalue of the dense bordered
+        pencil, and no sampled direction goes below it."""
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        A = A + A.T
+        B = spd(rng, n, 10.0 ** log_cond)
+        a_lin, b_lin = rng.standard_normal(n), rng.standard_normal(n)
+        alpha = rng.standard_normal()
+        beta = float(b_lin @ np.linalg.solve(B, b_lin)) + 10.0 ** log_delta
+        red = reduce(A, B, a_lin, b_lin, alpha, beta)
+        rho, y = solve_secular(red)
+        s = recover_minimizer(red, y)
+        tol = max(1.0, abs(rho))
+        assert abs(full_quotient(A, B, a_lin, b_lin, alpha, beta, s)
+                   - rho) <= 1e-10 * tol
+        pencil = [np.block([[M, v[:, None]], [v[None, :], np.array([[w]])]])
+                  for M, v, w in ((A, a_lin, alpha), (B, b_lin, beta))]
+        dense = scipy.linalg.eigh(*pencil, eigvals_only=True)[0]
+        assert abs(dense - rho) <= 1e-9 * tol
+        for scale in (1e-3, 1e-1, 1e1, 1e3):
+            for _ in range(10):
+                step = scale * (1.0 + np.abs(s).max())
+                sp = s + step * rng.standard_normal(n)
+                assert (full_quotient(A, B, a_lin, b_lin, alpha, beta, sp)
+                        >= rho - 1e-9 * tol)
 
     def test_degenerate_denominator_raises(self):
         B = np.eye(2)
@@ -235,36 +284,43 @@ class TestReduce:
 
 class TestRecoverMinimizer:
     def test_pole_collision_guard(self):
-        p = SecularProblem(np.array([0.0]), np.array([1.0]), 0.0, 1.0)
+        red, _, _ = solve(Problem(np.array([0.0]), np.array([1.0]), 0.0, 1.0))
         with pytest.raises(PoleCollision):
-            recover_minimizer(Unreduced(p), 0.0)
+            recover_minimizer(red, np.array([1.0, 0.0]))
 
-    def test_step_onto_the_pole_fails_cleanly(self):
-        """The root lies within rounding of kappa_1: recovering a minimizer
-        raises PoleCollision, a GreedyEigError, rather than dividing by
-        zero."""
-        rho = solve_secular(POLE_ROUNDING)
+    def test_unattained_infimum_raises_pole_collision(self):
+        """An inactive pole below the secular root: the infimum -10 is
+        approached only as t_1 grows without bound; the stationary value
+        left of the active pole, -0.618, is no minimum."""
+        p = Problem(np.array([-10.0, 1.0]), np.array([0.0, 1.0]), 0.0, 1.0)
+        red, rho, y = solve(p)
+        assert rho == -10.0 and y[-1] == 0.0
+        assert quotient(p, [1e4, 0.0]) < bisect_root(p)
         with pytest.raises(PoleCollision):
-            recover_minimizer(Unreduced(POLE_ROUNDING), rho)
+            recover_minimizer(red, y)
+
+    def test_root_next_to_a_far_pole_is_attained(self):
+        """The root lies within an ulp of kappa_1 = -857981, but y[N] is
+        about 3.6e-9: the minimizer, about 1.24e8 e_1, attains the root."""
+        red, rho, y = solve(POLE_ROUNDING)
+        s = recover_minimizer(red, y)
+        assert s[0] == pytest.approx(1.24e8, rel=1e-2)
+        assert quotient(POLE_ROUNDING, s) == pytest.approx(
+            rho, abs=1e-10 * abs(rho))
+        assert rho == pytest.approx(bisect_root(POLE_ROUNDING),
+                                    abs=1e-14 * abs(rho))
 
     @settings(database=None, derandomize=True, deadline=None,
-              max_examples=300)   # 5 of the 300 end on the pole
-    @given(st.one_of(stiff_problems(), clustered_problems()),
-           st.sampled_from(("cold", "left", "right")),
-           st.floats(0.0, 6.0), st.floats(0.0, 1.0))
-    def test_stiff_problems_give_the_root_or_a_pole_collision(
-            self, p, side, far, frac):
-        ref = bisect_root(p)
-        k1 = float(np.min(p.kappa[p.active]))
-        start = {"cold": None, "left": ref - 10.0 ** far,
-                 "right": ref + (k1 - ref) * frac}[side]
-        rho = solve_secular(p, start=start)
+              max_examples=300)
+    @given(st.one_of(stiff_problems(), clustered_problems()))
+    def test_stiff_problems_give_the_root_or_a_pole_collision(self, p):
+        red, rho, y = solve(p)
         try:
-            recover_minimizer(Unreduced(p), rho)
+            s = recover_minimizer(red, y)
         except PoleCollision:
-            # only a root within rounding of the pole may end there
-            scale = 1.0 + np.max(np.abs(p.kappa))
-            assert abs(ref - k1) <= 1e-14 * scale
+            assert abs(y[-1]) <= 1e-14 * np.linalg.norm(y)
             return
-        assert rho < k1
-        assert abs(rho - ref) <= 1e-10 * max(1.0, abs(rho))
+        tol = max(1.0, abs(rho))
+        assert abs(quotient(p, s) - rho) <= 1e-10 * tol
+        scale = 1.0 + np.max(np.abs(p.kappa))
+        assert abs(rho - bisect_root(p)) <= 1e-13 * scale
