@@ -33,8 +33,6 @@ TRACE_COLUMNS = (
 
 _ADM_KEYS = {f.name for f in fields(AdmConfig)}
 _SOLVER_KEYS = {f.name for f in fields(GreedyConfig)}
-_RUN_KEYS = {"problem", "solver", "output", "oracle"}
-_COMPARE_KEYS = {"problem", "variants", "output", "oracle"}
 
 
 def _reject_unknown(raw: dict, allowed: set, where: str) -> None:
@@ -75,6 +73,23 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _load_run(args, entry: str, where: str):
+    """Read a ``solve`` or ``compare`` config: return its ``entry`` value,
+    problem spec, output path and oracle flag."""
+    raw = _load_json(args.config)
+    _reject_unknown(raw, {"problem", entry, "output", "oracle"}, where)
+    if "problem" not in raw or entry not in raw:
+        raise InvalidSpec(f"{where} needs 'problem' and '{entry}' entries")
+    spec = ProblemSpec.from_dict(raw["problem"])
+    out = args.out or raw.get("output")
+    if out is None:
+        raise InvalidSpec("no output path (use --out or the 'output' key)")
+    oracle = raw.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise InvalidSpec(f"'oracle' must be true or false, got {oracle!r}")
+    return raw[entry], spec, out, oracle
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -83,27 +98,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _oracle_flag(raw: dict) -> bool:
-    oracle = raw.get("oracle", False)
-    if not isinstance(oracle, bool):
-        raise InvalidSpec(f"'oracle' must be true or false, got {oracle!r}")
-    return oracle
-
-
 def _trace_rows(result, ref, nu):
     """Yield CSV field lists for one run (err columns blank without oracle);
     ``nu`` is the run's shift, so err_vec_a uses the shift z_norm_a uses."""
-    n_err = 0 if ref is None else len(result.trace)
-    if n_err:
-        errs = error_metrics(result.iterates[:n_err],
-                             [row.lambda_n for row in result.trace[:n_err]],
-                             ref, nu)
+    errs = None if ref is None else error_metrics(
+        result.iterates, [row.lambda_n for row in result.trace], ref, nu)
     for idx, row in enumerate(result.trace):
-        if idx < n_err:
-            err_fields = [_fmt(errs[key][idx])
-                          for key in ("err_lambda", "err_vec_h", "err_vec_a")]
-        else:
-            err_fields = ["", "", ""]
+        err_fields = ["", "", ""] if errs is None else [
+            _fmt(errs[key][idx])
+            for key in ("err_lambda", "err_vec_h", "err_vec_a")]
         yield [
             str(row.n), _fmt(row.lambda_n), _fmt(row.lambda_decrease),
             _fmt(row.z_norm_a), _fmt(row.euler_residual),
@@ -137,19 +140,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    raw = _load_json(args.config)
-    _reject_unknown(raw, _RUN_KEYS, "run config")
-    if "problem" not in raw or "solver" not in raw:
-        raise InvalidSpec("run config needs 'problem' and 'solver' entries")
-    spec = ProblemSpec.from_dict(raw["problem"])
-    solver_cfg = parse_solver_config(raw["solver"], args.seed)
-    out = args.out or raw.get("output")
-    if out is None:
-        raise InvalidSpec("no output path (use --out or the 'output' key)")
-    oracle_enabled = _oracle_flag(raw)
+    solver_raw, spec, out, oracle = _load_run(args, "solver", "run config")
+    solver_cfg = parse_solver_config(solver_raw, args.seed)
 
     op, m = spec.build()
-    ref = dense_reference(op, m) if oracle_enabled else None
+    ref = dense_reference(op, m) if oracle else None
     result = run(op, m, solver_cfg)
     _write_csv(out, TRACE_COLUMNS, _trace_rows(result, ref, solver_cfg.nu))
     summary = {
@@ -174,18 +169,10 @@ def _variant_label(cfg: GreedyConfig) -> str:
 
 
 def cmd_compare(args) -> int:
-    raw = _load_json(args.config)
-    _reject_unknown(raw, _COMPARE_KEYS, "compare config")
-    if "problem" not in raw or "variants" not in raw:
-        raise InvalidSpec("compare config needs 'problem' and 'variants' entries")
-    if not isinstance(raw["variants"], list) or not raw["variants"]:
+    variants, spec, out, oracle = _load_run(args, "variants", "compare config")
+    if not isinstance(variants, list) or not variants:
         raise InvalidSpec("'variants' must be a non-empty list")
-    spec = ProblemSpec.from_dict(raw["problem"])
-    out = args.out or raw.get("output")
-    if out is None:
-        raise InvalidSpec("no output path (use --out or the 'output' key)")
-    oracle_enabled = _oracle_flag(raw)
-    cfgs = [parse_solver_config(v_raw, args.seed) for v_raw in raw["variants"]]
+    cfgs = [parse_solver_config(v_raw, args.seed) for v_raw in variants]
     # rows are told apart only by their label
     labels = [_variant_label(cfg) for cfg in cfgs]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
@@ -194,7 +181,7 @@ def cmd_compare(args) -> int:
                           "and flavour may appear once")
 
     op, m = spec.build()
-    ref = dense_reference(op, m) if oracle_enabled else None
+    ref = dense_reference(op, m) if oracle else None
     runs = []
     for label, cfg in zip(labels, cfgs):
         try:
@@ -207,7 +194,7 @@ def cmd_compare(args) -> int:
     rows = []
     for label, result, failure, nu in runs:
         if result is None:
-            rows.append([label, "", "", "", "", "", "", "", "", "", "",
+            rows.append([label, *[""] * len(TRACE_COLUMNS),
                          f"failed: {failure}"])
             continue
         for fields in _trace_rows(result, ref, nu):

@@ -9,6 +9,7 @@ numerically before returning.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import numbers
@@ -71,6 +72,17 @@ def gen_separable(one_body) -> KroneckerSumOperator:
     return KroneckerSumOperator(terms)
 
 
+def _random_separable(sizes, seed=0):
+    """Separable operator whose one-body terms are seeded symmetric Gaussian
+    matrices plus diag(1, ..., n), with the identity metric."""
+    rng = np.random.default_rng(require_count("seed", seed, least=0))
+    sizes = [require_count("each size", n) for n in sizes]
+    gs = [rng.standard_normal((n, n)) for n in sizes]
+    op = gen_separable([0.5 * (g + g.T) + np.diag(np.arange(1.0, len(g) + 1))
+                        for g in gs])
+    return op, MetricSet.identity(op.sizes)
+
+
 def _partial_transpose(dense: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Transpose the second tensor slot of a matrix on a 2-fold product space."""
     t = dense.reshape(n1, n2, n1, n2)
@@ -109,7 +121,7 @@ def kronecker_decompose(dense: np.ndarray, sizes) -> KroneckerSumOperator:
     return KroneckerSumOperator(terms)
 
 
-def gen_degenerate_lowest(sizes, gap_free_multiplicity: int, seed: int):
+def gen_degenerate_lowest(sizes, multiplicity: int = 2, seed: int = 0):
     """Operator with a prescribed multiplicity of the lowest eigenvalue.
 
     A seeded dense symmetric matrix is driven by alternating projection onto
@@ -120,7 +132,7 @@ def gen_degenerate_lowest(sizes, gap_free_multiplicity: int, seed: int):
     sizes = tuple(require_count("each size", n) for n in sizes)
     if len(sizes) != 2:
         raise InvalidSpec("degenerate generator supports two dimensions")
-    mult = require_count("multiplicity", gap_free_multiplicity)
+    mult = require_count("multiplicity", multiplicity)
     dim = sizes[0] * sizes[1]
     if mult > 4 or mult >= dim:
         raise InvalidSpec(
@@ -194,7 +206,8 @@ def _certify_trap(op: KroneckerSumOperator, m: MetricSet, mu_02: float,
         raise InvalidSpec("rank-one floor does not exceed the dense minimum")
 
 
-def gen_excited_trap(mu_02: float, mu_11: float, mu_20: float, M_shift: float,
+def gen_excited_trap(mu_02: float = 1.0, mu_11: float = 2.0,
+                     mu_20: float = 17.0, M_shift: float = 20.0,
                      modes_per_dim: int = 3):
     """Two-dimensional operator trapping greedy runs at an excited level.
 
@@ -202,8 +215,8 @@ def gen_excited_trap(mu_02: float, mu_11: float, mu_20: float, M_shift: float,
     (e0 x e2 + e2 x e0)/sqrt(2), unreachable by rank-one elements, while the
     best rank-one value is mu_11 on e1 x e1.  The two symmetric/antisymmetric
     pairs over {e0 x e2, e2 x e0} and {e0 x e0, e2 x e2} are split by the
-    same amount so every coupling block stays symmetric and the operator has
-    an exact symmetric-factor Kronecker decomposition.
+    same amount, so both couplings are the one term -split/2 S x S with
+    S = E_02 + E_20; every other mode pair sits at the middle of its band.
     """
     real = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                for v in (mu_02, mu_11, mu_20, M_shift))
@@ -224,8 +237,7 @@ def gen_excited_trap(mu_02: float, mu_11: float, mu_20: float, M_shift: float,
         return lo, hi
 
     split = mu_20 - mu_02
-    lo_p, hi_p = band(0, 0)
-    mu_p = 0.5 * (lo_p + hi_p)
+    mu_p = 0.5 * sum(band(0, 0))
     mu_q = mu_p + split
     lo_q, hi_q = band(2, 2)
     if not (lo_q <= mu_q <= hi_q):
@@ -234,36 +246,19 @@ def gen_excited_trap(mu_02: float, mu_11: float, mu_20: float, M_shift: float,
             f"{mu_q}, outside its admissible band [{lo_q}, {hi_q}]"
         )
 
-    def basis_vec(k, l):
-        v = np.zeros((n, n))
-        v[k, l] = 1.0
-        return v.ravel()
-
-    dim = n * n
-    dense = np.zeros((dim, dim))
-    used = set()
-
-    def add_level(vec, mu):
-        nonlocal dense
-        dense += mu * np.outer(vec, vec)
-
-    s2 = 1.0 / np.sqrt(2.0)
-    add_level(s2 * (basis_vec(0, 2) + basis_vec(2, 0)), mu_02)
-    add_level(s2 * (basis_vec(0, 2) - basis_vec(2, 0)), mu_20)
-    add_level(s2 * (basis_vec(0, 0) + basis_vec(2, 2)), mu_p)
-    add_level(s2 * (basis_vec(0, 0) - basis_vec(2, 2)), mu_q)
-    add_level(basis_vec(1, 1), mu_11)
-    used.update({(0, 2), (2, 0), (0, 0), (2, 2), (1, 1)})
-    for k in range(n):
-        for l in range(n):
-            if (k, l) in used:
-                continue
-            lo, hi = band(k, l)
-            add_level(basis_vec(k, l), 0.5 * (lo + hi))
-
-    op = kronecker_decompose(dense, (n, n))
+    # a split pair {mu, mu'} has diagonal (mu + mu')/2 and coupling
+    # (mu - mu')/2 = -split/2
+    levels = np.array([[0.5 * sum(band(k, l)) for l in range(n)]
+                       for k in range(n)])
+    levels[1, 1] = mu_11
+    levels[0, 2] = levels[2, 0] = 0.5 * (mu_02 + mu_20)
+    levels[0, 0] = levels[2, 2] = 0.5 * (mu_p + mu_q)
+    s = np.zeros((n, n))
+    s[0, 2] = s[2, 0] = 1.0
+    terms = [[np.diag(np.eye(n)[k]), np.diag(levels[k])] for k in range(n)]
+    op = KroneckerSumOperator(terms + [[s, -0.5 * split * s]])
     m = MetricSet.identity((n, n))
-    w = np.linalg.eigvalsh(dense)
+    w = np.linalg.eigvalsh(sum(np.kron(a, b) for a, b in op.terms))
     if abs(w[0] - mu_02) > 1e-9:
         raise InvalidSpec(
             f"dense minimum {w[0]:.12g} does not equal mu_02 = {mu_02}"
@@ -374,19 +369,14 @@ def load_operator(path):
 # ---------------------------------------------------------------------------
 # declarative problem specs
 
-_SPEC_FIELDS = {
-    "RandomKronecker": {"d", "sizes", "K", "seed"},
-    "Separable": {"sizes", "seed"},
-    "DegenerateLowest": {"sizes", "multiplicity", "seed"},
-    "ExcitedTrap": {"mu_02", "mu_11", "mu_20", "M_shift", "modes_per_dim"},
-    "FromFile": {"path"},
-}
-
-_SPEC_DEFAULTS = {
-    "ExcitedTrap": {"mu_02": 1.0, "mu_11": 2.0, "mu_20": 17.0,
-                    "M_shift": 20.0, "modes_per_dim": 3},
-    "Separable": {"seed": 0},
-    "DegenerateLowest": {"multiplicity": 2, "seed": 0},
+# Each kind's builder, by name: its signature gives the kind's parameters and
+# defaults, and a wrapper put in its place in this module is the one called.
+_BUILDERS = {
+    "RandomKronecker": "gen_random_kronecker",
+    "Separable": "_random_separable",
+    "DegenerateLowest": "gen_degenerate_lowest",
+    "ExcitedTrap": "gen_excited_trap",
+    "FromFile": "load_operator",
 }
 
 
@@ -398,27 +388,31 @@ class ProblemSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _SPEC_FIELDS:
+        if not isinstance(self.kind, str) or self.kind not in _BUILDERS:
             raise InvalidSpec(
                 f"unknown problem kind {self.kind!r}; "
-                f"expected one of {sorted(_SPEC_FIELDS)}"
+                f"expected one of {sorted(_BUILDERS)}"
             )
-        allowed = _SPEC_FIELDS[self.kind]
-        unknown = set(self.params) - allowed
+        signature = inspect.signature(self._builder())
+        unknown = set(self.params) - set(signature.parameters)
         if unknown:
             raise InvalidSpec(
                 f"unknown parameter(s) {sorted(unknown)} for kind {self.kind}"
             )
-        merged = dict(_SPEC_DEFAULTS.get(self.kind, {}))
+        merged = {name: p.default for name, p in signature.parameters.items()
+                  if p.default is not p.empty}
         merged.update(self.params)
         if not isinstance(merged.get("sizes", []), list):
             raise InvalidSpec(f"sizes must be a list, got {merged['sizes']!r}")
-        missing = allowed - set(merged)
+        missing = set(signature.parameters) - set(merged)
         if missing:
             raise InvalidSpec(
                 f"missing parameter(s) {sorted(missing)} for kind {self.kind}"
             )
         object.__setattr__(self, "params", merged)
+
+    def _builder(self):
+        return globals()[_BUILDERS[self.kind]]
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProblemSpec":
@@ -431,21 +425,4 @@ class ProblemSpec:
 
     def build(self):
         """Materialize the operator and metric described by this spec."""
-        p = self.params
-        if self.kind == "RandomKronecker":
-            return gen_random_kronecker(p["d"], p["sizes"], p["K"], p["seed"])
-        if self.kind == "Separable":
-            rng = np.random.default_rng(require_count("seed", p["seed"], least=0))
-            mats = []
-            for n in p["sizes"]:
-                require_count("each size", n)
-                g = rng.standard_normal((n, n))
-                mats.append(0.5 * (g + g.T) + np.diag(np.arange(1, n + 1, dtype=float)))
-            op = gen_separable(mats)
-            return op, MetricSet.identity(op.sizes)
-        if self.kind == "DegenerateLowest":
-            return gen_degenerate_lowest(p["sizes"], p["multiplicity"], p["seed"])
-        if self.kind == "ExcitedTrap":
-            return gen_excited_trap(p["mu_02"], p["mu_11"], p["mu_20"],
-                                    p["M_shift"], p["modes_per_dim"])
-        return load_operator(p["path"])
+        return self._builder()(**self.params)

@@ -19,7 +19,7 @@ from greedy_eig.cli import (
     parse_solver_config,
 )
 from greedy_eig.adm import AdmConfig
-from greedy_eig.errors import ParseError, VersionError
+from greedy_eig.errors import DegenerateIterate, ParseError, VersionError
 from greedy_eig.greedy import GreedyConfig, Variant, run
 from greedy_eig.problems import ProblemSpec, load_operator
 
@@ -418,3 +418,21 @@ class TestCompare:
         })
         assert main(["compare", "--config", cfg,
                      "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+
+
+class TestCompareFailedRun:
+    def test_failed_variant_row_is_as_wide_as_the_header(self, tmp_path,
+                                                         monkeypatch):
+        """A variant whose run raises writes one row with every column,
+        and the failure lands in the reason column."""
+        def fail(*args, **kwargs):
+            raise DegenerateIterate("forced")
+
+        monkeypatch.setattr("greedy_eig.cli.run", fail)
+        cfg = write_config(tmp_path, {"problem": PROBLEM,
+                                      "variants": [{"max_iter": 2}]})
+        out = str(tmp_path / "c.csv")
+        assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
+        header, row = read_csv(out)
+        assert len(row) == len(header)
+        assert row[-1] == "failed: DegenerateIterate: forced"

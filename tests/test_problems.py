@@ -1,10 +1,13 @@
 """Problem generators and operator file round-trips."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greedy_eig import problems
 from greedy_eig.adm import AdmConfig, adm_initial_guess
 from greedy_eig.errors import InvalidSpec, ParseError, VersionError
 from greedy_eig.problems import (
@@ -127,6 +130,30 @@ class TestDegenerateLowest:
             gen_degenerate_lowest((2, 2), 4, seed=0)
 
 
+def dense_trap(mu_02, mu_11, mu_20, M_shift, n):
+    """The trap's operator built level by level, as the sum of mu v v^T over
+    its eigenpairs (mu, v): the reference for the Kronecker-sum build."""
+    def mid(k, l):
+        return M_shift + 0.75 * (1 + k * k) * (1 + l * l)
+
+    def e(k, l):
+        v = np.zeros((n, n))
+        v[k, l] = 1.0
+        return v.ravel()
+
+    s2 = 1.0 / np.sqrt(2.0)
+    mu_p = mid(0, 0)
+    levels = [(s2 * (e(0, 2) + e(2, 0)), mu_02),
+              (s2 * (e(0, 2) - e(2, 0)), mu_20),
+              (s2 * (e(0, 0) + e(2, 2)), mu_p),
+              (s2 * (e(0, 0) - e(2, 2)), mu_p + mu_20 - mu_02),
+              (e(1, 1), mu_11)]
+    special = {(0, 2), (2, 0), (0, 0), (2, 2), (1, 1)}
+    levels += [(e(k, l), mid(k, l)) for k in range(n) for l in range(n)
+               if (k, l) not in special]
+    return sum(mu * np.outer(v, v) for v, mu in levels)
+
+
 class TestExcitedTrap:
     def test_default_parameters_certify(self):
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, 3)
@@ -137,8 +164,14 @@ class TestExcitedTrap:
     def test_certifies_every_size(self, modes):
         """mu_02 is the dense minimum and mu_11, on e_1 x e_1, the best
         rank-one value.  From 5 modes on, random samples and ADM runs all
-        stall at 9.0, so only the coordinate elements certify the trap."""
+        stall at 9.0, so only the coordinate elements certify the trap.
+        The n diagonal terms and one coupling term are the operator built
+        level by level."""
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, modes)
+        a, _ = dense_assemble(op, m)
+        reference = dense_trap(1.0, 2.0, 17.0, 20.0, modes)
+        assert np.max(np.abs(a - reference)) <= 1e-13
+        assert op.num_terms == modes + 1
         assert dense_reference(op, m).mu1 == pytest.approx(1.0, abs=1e-9)
         e1 = np.eye(modes)[1]
         e11 = TensorSum.rank_one([e1, e1])
@@ -263,6 +296,8 @@ class TestProblemSpec:
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
             ProblemSpec("Nonsense", {})
+        with pytest.raises(InvalidSpec):   # a JSON list is not hashable
+            ProblemSpec.from_dict({"kind": ["RandomKronecker"]})
 
     def test_unknown_key(self):
         with pytest.raises(InvalidSpec):
@@ -288,5 +323,37 @@ class TestProblemSpec:
         assert op2.sizes == (3, 4)
 
     def test_trap_defaults(self):
+        """Every kind with defaults takes them, as documented, from its
+        builder's signature."""
         spec = ProblemSpec("ExcitedTrap", {})
         assert spec.params["mu_11"] == 2.0
+        for kind, given, defaults, builder in (
+            ("ExcitedTrap", {}, {"mu_02": 1.0, "mu_11": 2.0, "mu_20": 17.0,
+                                 "M_shift": 20.0, "modes_per_dim": 3},
+             gen_excited_trap),
+            ("Separable", {"sizes": [3, 3]}, {"seed": 0},
+             problems._random_separable),
+            ("DegenerateLowest", {"sizes": [4, 4]},
+             {"multiplicity": 2, "seed": 0}, gen_degenerate_lowest),
+        ):
+            assert ProblemSpec(kind, given).params == {**given, **defaults}
+            params = inspect.signature(builder).parameters
+            assert {k: params[k].default for k in defaults} == defaults
+
+    def test_build_looks_up_the_builder_by_name(self, monkeypatch):
+        """A wrapper put in place of a module generator is what a spec
+        calls, and the wrapped signature still gives the parameters."""
+        calls = []
+        original = problems.gen_random_kronecker
+
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        wrapper.__wrapped__ = original
+        monkeypatch.setattr(problems, "gen_random_kronecker", wrapper)
+        spec = ProblemSpec("RandomKronecker",
+                           {"d": 2, "sizes": [3, 3], "K": 1, "seed": 0})
+        op, _ = spec.build()
+        assert calls == [spec.params]
+        assert op.sizes == (3, 3)
