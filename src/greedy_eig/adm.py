@@ -24,7 +24,6 @@ passes, so the greedy driver's seed fixes every draw.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,10 +35,10 @@ from .errors import (
     DegenerateDirection,
     ExplicitStepFailure,
     IllConditionedGram,
-    InvalidSpec,
     NuTooSmall,
     SingularSystem,
     StructuralError,
+    require_count,
 )
 from .tensor_core import (
     DirectionWorkspace,
@@ -54,15 +53,6 @@ from .tensor_core import (
 
 # largest ratio of two factor norms the sweep lets stand before rebalancing
 REBALANCE_RATIO = 1e3
-
-
-def require_count(name, value, least=1):
-    """``value``, unless it is not an integer (numpy's included, bool not)
-    of at least ``least``: then raise InvalidSpec, a ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -98,6 +88,17 @@ def seed_rank_one(sizes, rng) -> TensorSum:
 def _objective_settled(prev_factors, prev_obj, factors, obj, tol) -> bool:
     """The objective changed by at most ``tol`` relative over the sweep."""
     return abs(obj - prev_obj) <= tol * (1.0 + abs(prev_obj))
+
+
+def _sweep_change(prev_factors, factors) -> TensorSum:
+    """cur - prev for the rank-one elements of two factor lists, written as
+    the d terms prev_<l x (cur_l - prev_l) x cur_>l, no two of which cancel,
+    where the Gram of the two-term cur - prev cancels to rounding of cur."""
+    d = len(factors)
+    return TensorSum([len(f) for f in factors], np.ones(d), [
+        np.column_stack([p if j < l else c if j > l else c - p
+                         for l in range(d)])
+        for j, (p, c) in enumerate(zip(prev_factors, factors))])
 
 
 def _extrapolated(update_direction, before, after, obj, step):
@@ -272,8 +273,7 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
             ) from exc
 
     def settled(prev_factors, prev_obj, factors, obj, tol):
-        cur = TensorSum.rank_one(factors)
-        change = cur.plus(TensorSum.rank_one(prev_factors).scaled(-1.0))
-        return h_norm(change, m) <= tol * (1.0 + h_norm(cur, m))
+        return (h_norm(_sweep_change(prev_factors, factors), m)
+                <= tol * (1.0 + h_norm(TensorSum.rank_one(factors), m)))
 
     return _sweep_loop(op, cfg, rng, update, start=start, settled=settled)

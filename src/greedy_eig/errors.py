@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all solver components."""
 
+import numbers
+
 
 class GreedyEigError(Exception):
     """Base class for all errors raised by this package."""
@@ -56,6 +58,15 @@ class ExplicitStepFailure(GreedyEigError):
 
 class InvalidSpec(GreedyEigError, ValueError):
     """A problem specification or a setting violates its constraints."""
+
+
+def require_count(name, value, least=1):
+    """``value``, unless it is not an integer (numpy's included, bool not)
+    of at least ``least``: then raise InvalidSpec, a ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 class TooLargeForOracle(GreedyEigError):

@@ -24,10 +24,10 @@ from .adm import (
     adm_initial_guess,
     adm_rayleigh_step,
     adm_residual_step,
-    require_count,
 )
 from .dense_kernels import gen_sym_eig_smallest, one_blas_thread
-from .errors import DegenerateIterate, GreedyEigError, IllConditionedGram
+from .errors import (DegenerateIterate, GreedyEigError, IllConditionedGram,
+                     require_count)
 from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,

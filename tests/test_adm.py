@@ -1,5 +1,9 @@
 """Inner alternating-direction solvers against brute-force direction oracles."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,7 @@ from greedy_eig.tensor_core import (
     TensorSum,
     a_inner,
     h_inner,
+    h_norm,
     normalize,
     rayleigh,
 )
@@ -204,6 +209,28 @@ class TestExplicitStep:
         lhs = a_inner(op, u_plus, z)
         rhs = lam * h_inner(u_plus, z, m)
         assert lhs == pytest.approx(rhs, abs=1e-7 * max(1, abs(lhs)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("rel", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_sweep_change_reads_the_change_not_rounding(self, d, rel):
+        """The stop test's norm of z - z_prev matches the difference of the
+        assembled elements, taken exactly in rationals, down to relative
+        changes of 1e-12, far below the two-term Gram's rounding of z."""
+        rng = np.random.default_rng(d)
+        sizes = (3, 4, 2, 3)[:d]
+        prev = [rng.standard_normal(n) for n in sizes]
+        cur = [p * (1 + rel * rng.standard_normal(len(p))) for p in prev]
+        masses = [rng.uniform(0.5, 2.0, n) for n in sizes]
+
+        def exact(factors, idx):
+            return math.prod(Fraction(float(f[i])) for f, i in zip(factors, idx))
+
+        square = sum(
+            exact(masses, idx) * (exact(cur, idx) - exact(prev, idx)) ** 2
+            for idx in itertools.product(*map(range, sizes)))
+        m = MetricSet([np.diag(w) for w in masses])
+        change = h_norm(adm._sweep_change(prev, cur), m)
+        assert change == pytest.approx(math.sqrt(square), rel=1e-10)
 
     @pytest.mark.filterwarnings("error")
     def test_singular_shift_raises(self):

@@ -4,7 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedy_eig import problems
@@ -154,6 +154,20 @@ def dense_trap(mu_02, mu_11, mu_20, M_shift, n):
     return sum(mu * np.outer(v, v) for v, mu in levels)
 
 
+@st.composite
+def trap_parameters(draw):
+    """Admissible trap parameters: mu_02 from 1e-6 to 3, the split
+    s = mu_20 - mu_02 inside the paired level's band (11.75 to 24.25),
+    mu_11 between mu_02 and s/2, so that mu_20 > mu_02 + 2 mu_11, and
+    M_shift from 1e-3 to 1e9 above mu_20."""
+    mu_02 = 10.0 ** draw(st.floats(-6.0, 0.5))
+    split = draw(st.floats(12.0, 24.0))
+    mu_11 = mu_02 + draw(st.floats(0.01, 0.99)) * (0.5 * split - mu_02)
+    mu_20 = mu_02 + split
+    M_shift = mu_20 + 10.0 ** draw(st.floats(-3.0, 9.0))
+    return mu_02, mu_11, mu_20, M_shift, draw(st.integers(3, 6))
+
+
 class TestExcitedTrap:
     def test_default_parameters_certify(self):
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, 3)
@@ -194,6 +208,33 @@ class TestExcitedTrap:
         # split too small for the paired level's admissible band
         with pytest.raises(InvalidSpec):
             gen_excited_trap(1.0, 2.0, 9.0, 20.0, 3)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=50)
+    @given(params=trap_parameters())
+    @example(params=(0.1, 1.0, 14.0, 1e8, 3))
+    @example(params=(1e-6, 1.0, 14.0, 1e8, 3))
+    @example(params=(1e-6, 1.0, 14.0, 1e9, 3))
+    def test_admissible_parameters_make_a_trap(self, params):
+        """Every admissible set is built, with mu_11 on e1 x e1, mu_02 on the
+        entangled state, and no rank-one element found below mu_11.  The
+        explicit examples sit far from the defaults, where a dense
+        eigensolve misreads mu_02 by about eps times the largest level."""
+        mu_02, mu_11, mu_20, M_shift, n = params
+        op, m = gen_excited_trap(*params)
+        e = np.eye(n)
+        assert rayleigh(op, m, TensorSum.rank_one([e[1], e[1]])) == mu_11
+        entangled = TensorSum((n, n), np.full(2, 0.5 ** 0.5),
+                              (e[:, [0, 2]], e[:, [2, 0]]))
+        assert abs(rayleigh(op, m, entangled) - mu_02) <= 1e-12 * (1 + mu_20)
+        floor = mu_11 - 1e-10 * (1 + M_shift)
+        for seed in range(3):
+            out = adm_initial_guess(op, m, AdmConfig(),
+                                    np.random.default_rng(seed))
+            assert out.objective >= floor
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            z = TensorSum.rank_one([rng.standard_normal(n) for _ in range(2)])
+            assert rayleigh(op, m, z) >= floor
 
 
 @pytest.fixture(scope="module")
