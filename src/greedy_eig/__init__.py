@@ -1,7 +1,6 @@
 """Greedy rank-one solvers for Kronecker-structured symmetric eigenproblems."""
 
 from .adm import (
-    AdmConfig,
     AdmOutcome,
     adm_explicit_step,
     adm_initial_guess,

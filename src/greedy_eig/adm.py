@@ -23,7 +23,6 @@ passes, so the greedy driver's seed fixes every draw.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +37,6 @@ from .errors import (
     NuTooSmall,
     SingularSystem,
     StructuralError,
-    require_count,
 )
 from .tensor_core import (
     DirectionWorkspace,
@@ -53,19 +51,9 @@ from .tensor_core import (
 
 # largest ratio of two factor norms the sweep lets stand before rebalancing
 REBALANCE_RATIO = 1e3
-
-
-@dataclass(frozen=True)
-class AdmConfig:
-    max_sweeps: int = 50
-    tol_sweep: float = 1e-10
-    restart_attempts: int = 3
-
-    def __post_init__(self):
-        require_count("max_sweeps", self.max_sweeps)
-        require_count("restart_attempts", self.restart_attempts)
-        if not 0 < self.tol_sweep < math.inf:
-            raise ValueError("tol_sweep must be positive and finite")
+MAX_SWEEPS = 50          # sweeps per start before giving up on convergence
+TOL_SWEEP = 1e-10        # relative change a settled sweep stays within
+RESTART_ATTEMPTS = 3     # starts, the first included, before AdmFailure
 
 
 @dataclass(frozen=True)
@@ -85,9 +73,9 @@ def seed_rank_one(sizes, rng) -> TensorSum:
     return _balanced([rng.standard_normal(n) for n in sizes])
 
 
-def _objective_settled(prev_factors, prev_obj, factors, obj, tol) -> bool:
-    """The objective changed by at most ``tol`` relative over the sweep."""
-    return abs(obj - prev_obj) <= tol * (1.0 + abs(prev_obj))
+def _objective_settled(prev_factors, prev_obj, factors, obj) -> bool:
+    """The objective changed by at most TOL_SWEEP relative over the sweep."""
+    return abs(obj - prev_obj) <= TOL_SWEEP * (1.0 + abs(prev_obj))
 
 
 def _sweep_change(prev_factors, factors) -> TensorSum:
@@ -112,16 +100,17 @@ def _extrapolated(update_direction, before, after, obj, step):
     return (trial, trial_obj) if trial_obj < obj else None
 
 
-def _sweep_loop(op, cfg, rng, update_direction, start=None,
+def _sweep_loop(op, rng, update_direction, start=None,
                 settled=_objective_settled) -> AdmOutcome:
     """Generic ADM driver: cyclic direction updates with reseeding on collapse.
 
     ``update_direction(factors, j)`` returns ``(new_factor, objective)``.
-    The sweep stops once ``settled(prev_factors, prev_obj, factors, obj,
-    cfg.tol_sweep)`` holds for the factors and objective before and after
-    a sweep.  The first sweep has nothing before it to compare with, so
-    convergence takes at least two sweeps.  Seeds and reseeds draw from
-    ``rng``.  A ``start`` must have exactly one term and ``op``'s sizes.
+    The sweep stops once ``settled(prev_factors, prev_obj, factors, obj)``
+    holds for the factors and objective before and after a sweep, or,
+    unconverged, after MAX_SWEEPS sweeps.  The first sweep has nothing
+    before it to compare with, so convergence takes at least two sweeps.
+    Seeds and reseeds draw from ``rng``.  A ``start`` must have exactly
+    one term and ``op``'s sizes.
     A sweep solves direction 0 first, from the others, so a start's first
     factor and its coefficient are never read.
 
@@ -132,7 +121,7 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
         raise StructuralError(f"ADM start must be one rank-one term of sizes "
                               f"{op.sizes}, got {start.num_terms} of {start.sizes}")
     last_error = None
-    for attempt in range(cfg.restart_attempts):
+    for attempt in range(RESTART_ATTEMPTS):
         z = start if (start is not None and attempt == 0) else seed_rank_one(op.sizes, rng)
         factors = [f[:, 0] for f in z.factors]
         sq_norms = [f @ f for f in factors]
@@ -140,7 +129,7 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
         converged = False
         before = None   # the factors at the start of the previous sweep
         try:
-            for sweep in range(1, cfg.max_sweeps + 1):
+            for sweep in range(1, MAX_SWEEPS + 1):
                 prev_factors, prev_obj = list(factors), obj
                 for j in range(op.d):
                     trial = None
@@ -159,8 +148,7 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
                     if max(sq_norms) > REBALANCE_RATIO ** 2 * min(sq_norms):
                         factors = rebalance(factors) or factors
                         sq_norms = [f @ f for f in factors]
-                if sweep > 1 and settled(prev_factors, prev_obj, factors, obj,
-                                         cfg.tol_sweep):
+                if sweep > 1 and settled(prev_factors, prev_obj, factors, obj):
                     converged = True
                     break
                 # the first sweep's change starts from a random seed, so
@@ -171,11 +159,11 @@ def _sweep_loop(op, cfg, rng, update_direction, start=None,
             last_error = exc
             continue
     raise AdmFailure(
-        f"ADM failed after {cfg.restart_attempts} reseeds: {last_error}"
+        f"ADM failed after {RESTART_ATTEMPTS} reseeds: {last_error}"
     )
 
 
-def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
+def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet,
                       rng) -> AdmOutcome:
     """Minimize the Rayleigh quotient over rank-one elements.
 
@@ -189,15 +177,14 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet, cfg: AdmConfig,
         tau, s = gen_sym_eig_smallest(dd.A_j, dd.Mj_eff)
         return s, tau
 
-    out = _sweep_loop(op, cfg, rng, update)
+    out = _sweep_loop(op, rng, update)
     z = normalize(out.z, m)
     first, *rest = (f[:, 0] for f in z.factors)
     return replace(out, z=_balanced([first * z.coeffs[0], *rest]))
 
 
 def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      cfg: AdmConfig, rng,
-                      start: TensorSum | None = None) -> AdmOutcome:
+                      rng, start: TensorSum | None = None) -> AdmOutcome:
     """Minimize the Rayleigh quotient of u_prev + z over rank-one z.
 
     Each direction problem is solved exactly as the smallest eigenpair of
@@ -214,11 +201,11 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         rho, y = secular.solve_secular(red)
         return secular.recover_minimizer(red, y), rho
 
-    return _sweep_loop(op, cfg, rng, update, start=start)
+    return _sweep_loop(op, rng, update, start=start)
 
 
 def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      lambda_prev: float, nu: float, cfg: AdmConfig, rng,
+                      lambda_prev: float, nu: float, rng,
                       start: TensorSum | None = None) -> AdmOutcome:
     """Minimize 0.5*||u_prev + z||_a^2 - (lambda_prev + nu) <u_prev, z>,
     where ||v||_a^2 = a(v, v) + nu <v, v> with the residual rule's shift nu.
@@ -243,11 +230,11 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         # at the solution of (A_j + nu M_j) s = rhs is:
         return s, 0.5 * (dd.alpha + nu * dd.beta - float(rhs @ s))
 
-    return _sweep_loop(op, cfg, rng, update, start=start)
+    return _sweep_loop(op, rng, update, start=start)
 
 
 def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      lambda_prev: float, cfg: AdmConfig, rng,
+                      lambda_prev: float, rng,
                       start: TensorSum | None = None) -> AdmOutcome:
     """Solve the explicit correction equation direction-wise.
 
@@ -256,7 +243,7 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     rule's system at nu = -lambda_prev.  That shifted form is indefinite,
     so there is no objective to minimize: the sweep is a fixed-point
     iteration that converges once a sweep moves the iterate by at most
-    tol_sweep (1 + ||z||_H) in the metric norm.  The reported objective is
+    TOL_SWEEP (1 + ||z||_H) in the metric norm.  The reported objective is
     None.  A start supplies factors 1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
@@ -272,8 +259,8 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
                 f"explicit direction system singular at shift {lambda_prev}: {exc}"
             ) from exc
 
-    def settled(prev_factors, prev_obj, factors, obj, tol):
+    def settled(prev_factors, prev_obj, factors, obj):
         return (h_norm(_sweep_change(prev_factors, factors), m)
-                <= tol * (1.0 + h_norm(TensorSum.rank_one(factors), m)))
+                <= TOL_SWEEP * (1.0 + h_norm(TensorSum.rank_one(factors), m)))
 
-    return _sweep_loop(op, cfg, rng, update, start=start, settled=settled)
+    return _sweep_loop(op, rng, update, start=start, settled=settled)

@@ -14,8 +14,8 @@ import json
 import sys
 from dataclasses import fields
 
-from .adm import AdmConfig
-from .errors import GreedyEigError, InvalidSpec, ParseError, VersionError
+from .errors import (GreedyEigError, InvalidSpec, ParseError,
+                     TooLargeForOracle, VersionError)
 from .greedy import GreedyConfig, Variant, run
 from .problems import ProblemSpec, save_operator
 from .reference_oracle import dense_reference, error_metrics
@@ -31,7 +31,6 @@ TRACE_COLUMNS = (
     "wall_time_ms",
 )
 
-_ADM_KEYS = {f.name for f in fields(AdmConfig)}
 _SOLVER_KEYS = {f.name for f in fields(GreedyConfig)}
 
 
@@ -45,10 +44,7 @@ def _reject_unknown(raw: dict, allowed: set, where: str) -> None:
 
 def parse_solver_config(raw: dict, seed_override=None) -> GreedyConfig:
     _reject_unknown(raw, _SOLVER_KEYS, "solver config")
-    adm_raw = raw.get("adm", {})
-    _reject_unknown(adm_raw, _ADM_KEYS, "adm config")
     kwargs = dict(raw)
-    kwargs.pop("adm", None)
     if "variant" in kwargs:
         try:
             kwargs["variant"] = Variant(kwargs["variant"])
@@ -60,7 +56,7 @@ def parse_solver_config(raw: dict, seed_override=None) -> GreedyConfig:
     if seed_override is not None:
         kwargs["rng_seed"] = seed_override
     try:
-        return GreedyConfig(adm=AdmConfig(**adm_raw), **kwargs)
+        return GreedyConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"bad solver config: {exc}") from exc
 
@@ -82,8 +78,9 @@ def _load_run(args, entry: str, where: str):
         raise InvalidSpec(f"{where} needs 'problem' and '{entry}' entries")
     spec = ProblemSpec.from_dict(raw["problem"])
     out = args.out or raw.get("output")
-    if out is None:
-        raise InvalidSpec("no output path (use --out or the 'output' key)")
+    if not isinstance(out, str):
+        raise InvalidSpec("no output path string (use --out or the 'output' "
+                          f"key), got {out!r}")
     oracle = raw.get("oracle", False)
     if not isinstance(oracle, bool):
         raise InvalidSpec(f"'oracle' must be true or false, got {oracle!r}")
@@ -233,7 +230,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, ParseError, VersionError, OSError) as exc:
+    except (InvalidSpec, ParseError, VersionError, TooLargeForOracle,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GreedyEigError as exc:

@@ -20,7 +20,7 @@ class DegenerateDirection(GreedyEigError):
 
 
 class AdmFailure(GreedyEigError):
-    """ADM failed even after the configured number of reseeds."""
+    """ADM failed in each of its RESTART_ATTEMPTS starts."""
 
 
 class KernelFailure(GreedyEigError):

@@ -14,12 +14,11 @@ import enum
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adm import (
-    AdmConfig,
     adm_explicit_step,
     adm_initial_guess,
     adm_rayleigh_step,
@@ -55,7 +54,6 @@ class GreedyConfig:
     max_iter: int = 100
     tol_lambda: float = 1e-12
     tol_residual: float = 1e-9
-    adm: AdmConfig = field(default_factory=AdmConfig)
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -140,7 +138,7 @@ def initialize(op: KroneckerSumOperator, m: MetricSet,
     is not positive: the shifted form may then fail to be coercive.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    out = adm_initial_guess(op, m, cfg.adm, rng)
+    out = adm_initial_guess(op, m, rng)
     z0 = out.z
     empty = np.zeros((0, 0))
     gram_a, gram_b = _extend_grams(op, m, empty, empty, z0)
@@ -157,11 +155,10 @@ def initialize(op: KroneckerSumOperator, m: MetricSet,
 
 def _compute_correction(op, m, state, cfg, rng) -> TensorSum:
     if cfg.variant is Variant.RAYLEIGH:
-        return adm_rayleigh_step(op, m, state.u, cfg.adm, rng).z
+        return adm_rayleigh_step(op, m, state.u, rng).z
     if cfg.variant is Variant.RESIDUAL:
-        return adm_residual_step(op, m, state.u, state.lam, cfg.nu, cfg.adm,
-                                 rng).z
-    return adm_explicit_step(op, m, state.u, state.lam, cfg.adm, rng).z
+        return adm_residual_step(op, m, state.u, state.lam, cfg.nu, rng).z
+    return adm_explicit_step(op, m, state.u, state.lam, rng).z
 
 
 def _pure_update(prev, pure, gram_a, gram_b):

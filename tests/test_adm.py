@@ -9,7 +9,6 @@ import pytest
 
 from greedy_eig import adm, greedy
 from greedy_eig.adm import (
-    AdmConfig,
     adm_explicit_step,
     adm_initial_guess,
     adm_rayleigh_step,
@@ -81,7 +80,7 @@ class TestInitialGuess:
     def test_attains_brute_force_rank_one_minimum(self):
         """Exhaustive alternating solve from many starts agrees with ADM."""
         op, m = small_problem(seed=3)
-        out = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0))
+        out = adm_initial_guess(op, m, np.random.default_rng(0))
         val = out.objective
         # multi-start brute force over normalized rank-one grid
         rng = np.random.default_rng(99)
@@ -94,13 +93,13 @@ class TestInitialGuess:
 
     def test_unit_norm(self):
         op, m = small_problem(seed=4)
-        out = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0))
+        out = adm_initial_guess(op, m, np.random.default_rng(0))
         u = out.z
         assert h_inner(u, u, m) == pytest.approx(1.0)
 
     def test_objective_matches_iterate(self):
         op, m = small_problem(seed=5)
-        out = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0))
+        out = adm_initial_guess(op, m, np.random.default_rng(0))
         u = out.z
         assert rayleigh(op, m, u) == pytest.approx(out.objective, rel=1e-8)
 
@@ -108,8 +107,8 @@ class TestInitialGuess:
 class TestRayleighStep:
     def test_decreases_quotient_and_beats_random_directions(self):
         op, m = small_problem(seed=6)
-        u = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
-        out = adm_rayleigh_step(op, m, u, AdmConfig(), np.random.default_rng(1))
+        u = adm_initial_guess(op, m, np.random.default_rng(0)).z
+        out = adm_rayleigh_step(op, m, u, np.random.default_rng(1))
         val = rayleigh(op, m, u.plus(out.z))
         assert val <= rayleigh(op, m, u) + 1e-12
         assert val == pytest.approx(out.objective, rel=1e-8)
@@ -121,8 +120,8 @@ class TestRayleighStep:
     def test_fixed_point_satisfies_euler_identity(self):
         """At the step's stationary point, a(u_new, z) = J(u_new) <u_new, z>."""
         op, m = small_problem(seed=7)
-        u = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
-        out = adm_rayleigh_step(op, m, u, AdmConfig(), np.random.default_rng(1))
+        u = adm_initial_guess(op, m, np.random.default_rng(0)).z
+        out = adm_rayleigh_step(op, m, u, np.random.default_rng(1))
         z = out.z
         u_new = u.plus(z)
         lam = rayleigh(op, m, u_new)
@@ -134,10 +133,9 @@ class TestRayleighStep:
 class TestResidualStep:
     def test_beats_random_rank_one_candidates(self):
         op, m = small_problem(seed=8)
-        u = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
+        u = adm_initial_guess(op, m, np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
-        out = adm_residual_step(op, m, u, lam, NU, AdmConfig(),
-                                np.random.default_rng(1))
+        out = adm_residual_step(op, m, u, lam, NU, np.random.default_rng(1))
 
         def objective(z):
             up = u.plus(z)
@@ -159,7 +157,7 @@ class TestResidualStep:
         the two objectives must rank candidates identically.
         """
         op, m = small_problem(seed=9, sizes=(3, 3), K=2)
-        u = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
+        u = adm_initial_guess(op, m, np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
         # dense Riesz representant
         a_full = np.zeros((9, 9))
@@ -168,8 +166,7 @@ class TestResidualStep:
         u_vec = u.to_dense()
         r_vec = np.linalg.solve(a_full, lam * u_vec - a_full @ u_vec)
 
-        out = adm_residual_step(op, m, u, lam, NU, AdmConfig(),
-                                np.random.default_rng(1))
+        out = adm_residual_step(op, m, u, lam, NU, np.random.default_rng(1))
         z_vec = out.z.to_dense()
 
         def dist2(zv):
@@ -195,13 +192,12 @@ class TestExplicitStep:
         """
         op, m = small_problem(seed=10)
         rng = np.random.default_rng(33)
-        base = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
+        base = adm_initial_guess(op, m, np.random.default_rng(0)).z
         u = base.plus(
             TensorSum.rank_one([0.05 * rng.standard_normal(n) for n in op.sizes]))
         u = normalize(u, m)
         lam = rayleigh(op, m, u)
-        out = adm_explicit_step(op, m, u, lam, AdmConfig(),
-                                np.random.default_rng(1))
+        out = adm_explicit_step(op, m, u, lam, np.random.default_rng(1))
         assert out.converged
         z = out.z
         u_plus = u.plus(z)
@@ -233,16 +229,16 @@ class TestExplicitStep:
         assert change == pytest.approx(math.sqrt(square), rel=1e-10)
 
     @pytest.mark.filterwarnings("error")
-    def test_singular_shift_raises(self):
+    def test_singular_shift_raises(self, monkeypatch):
         """Shifting exactly onto a contracted eigenvalue breaks the solve."""
         d1 = np.diag([1.0, 2.0])
         op = KroneckerSumOperator([[d1, np.eye(2)], [np.eye(2), d1]])
         m = MetricSet.identity((2, 2))
         u = TensorSum.rank_one([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
         # A_j for frozen e1 is diag(1,2) + I; shift with an exact eigenvalue
+        monkeypatch.setattr(adm, "RESTART_ATTEMPTS", 1)
         with pytest.raises(ExplicitStepFailure):
-            adm_explicit_step(op, m, u, 2.0, AdmConfig(restart_attempts=1),
-                              np.random.default_rng(0),
+            adm_explicit_step(op, m, u, 2.0, np.random.default_rng(0),
                               start=TensorSum.rank_one([np.array([1.0, 0.0]),
                                                         np.array([1.0, 0.0])]))
 
@@ -255,18 +251,17 @@ class TestStart:
     def solve(self, request):
         op, m = small_problem(seed=10)
         rng = np.random.default_rng(33)
-        base = adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(0)).z
+        base = adm_initial_guess(op, m, np.random.default_rng(0)).z
         u = normalize(base.plus(TensorSum.rank_one(
             [0.05 * rng.standard_normal(n) for n in op.sizes])), m)
         lam = rayleigh(op, m, u)
-        cfg = AdmConfig()
         solvers = {
             "rayleigh": lambda start: adm_rayleigh_step(
-                op, m, u, cfg, np.random.default_rng(1), start=start),
+                op, m, u, np.random.default_rng(1), start=start),
             "residual": lambda start: adm_residual_step(
-                op, m, u, lam, 1.0, cfg, np.random.default_rng(1), start=start),
+                op, m, u, lam, 1.0, np.random.default_rng(1), start=start),
             "explicit": lambda start: adm_explicit_step(
-                op, m, u, lam, cfg, np.random.default_rng(1), start=start),
+                op, m, u, lam, np.random.default_rng(1), start=start),
         }
         return op, solvers[request.param]
 
@@ -323,18 +318,18 @@ class TestSweepLoop:
     def test_initial_guess_sweeps_to_a_seed_independent_value(self):
         """The sweep runs until the objective settles, not for one sweep."""
         op, m = gen_random_kronecker(2, (20, 20), 2, seed=0)
-        outs = [adm_initial_guess(op, m, AdmConfig(), np.random.default_rng(s))
+        outs = [adm_initial_guess(op, m, np.random.default_rng(s))
                 for s in (0, 1, 2)]
         for out in outs:
             assert out.converged
             assert out.sweeps_used > 1
             assert out.objective == pytest.approx(outs[0].objective, abs=1e-8)
 
-    def test_one_sweep_is_not_converged(self):
+    def test_one_sweep_is_not_converged(self, monkeypatch):
         """A single sweep has no previous objective to compare with."""
         op, m = gen_random_kronecker(2, (20, 20), 2, seed=0)
-        out = adm_initial_guess(op, m, AdmConfig(max_sweeps=1),
-                                np.random.default_rng(0))
+        monkeypatch.setattr(adm, "MAX_SWEEPS", 1)
+        out = adm_initial_guess(op, m, np.random.default_rng(0))
         assert out.sweeps_used == 1
         assert not out.converged
 
@@ -358,13 +353,13 @@ def kept_objectives(monkeypatch):
             kept.append(out[1])
         return out
 
-    def recording_loop(op, cfg, rng, update_direction, **kwargs):
+    def recording_loop(op, rng, update_direction, **kwargs):
         def update(factors, j):
             new, obj = update_direction(factors, j)
             if not in_trial:
                 kept.append(obj)
             return new, obj
-        return loop(op, cfg, rng, update, **kwargs)
+        return loop(op, rng, update, **kwargs)
 
     monkeypatch.setattr(adm, "_extrapolated", trial)
     monkeypatch.setattr(adm, "_sweep_loop", recording_loop)
@@ -379,18 +374,17 @@ class TestExtrapolation:
     def test_objective_never_rises(self, rule, kept_objectives):
         kept, trials = kept_objectives
         op, m = spd_mass_problem(1)
-        cfg = AdmConfig()
-        u = adm_initial_guess(op, m, cfg, np.random.default_rng(0)).z
+        u = adm_initial_guess(op, m, np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
         kept.clear()
         trials.clear()
         out = {
             "initial": lambda: adm_initial_guess(
-                op, m, cfg, np.random.default_rng(0)),
+                op, m, np.random.default_rng(0)),
             "rayleigh": lambda: adm_rayleigh_step(
-                op, m, u, cfg, np.random.default_rng(1)),
+                op, m, u, np.random.default_rng(1)),
             "residual": lambda: adm_residual_step(
-                op, m, u, lam, 1.0, cfg, np.random.default_rng(1)),
+                op, m, u, lam, 1.0, np.random.default_rng(1)),
         }[rule]()
         assert out.converged
         assert True in trials and False in trials
@@ -400,25 +394,25 @@ class TestExtrapolation:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("rule", ["rayleigh", "residual"])
-    def test_converged_outcome_is_stationary(self, rule, seed):
+    def test_converged_outcome_is_stationary(self, rule, seed, monkeypatch):
         """One more plain sweep from a converged outcome moves the
         objective by at most the sweep tolerance."""
         op, m = spd_mass_problem(seed)
-        cfg = AdmConfig()
-        u = adm_initial_guess(op, m, cfg, np.random.default_rng(0)).z
+        u = adm_initial_guess(op, m, np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
 
-        def solve(cfg, start=None):
+        def solve(start=None):
             rng = np.random.default_rng(1)
             if rule == "rayleigh":
-                return adm_rayleigh_step(op, m, u, cfg, rng, start=start)
-            return adm_residual_step(op, m, u, lam, NU, cfg, rng, start=start)
+                return adm_rayleigh_step(op, m, u, rng, start=start)
+            return adm_residual_step(op, m, u, lam, NU, rng, start=start)
 
-        out = solve(cfg)
+        out = solve()
         assert out.converged
-        again = solve(AdmConfig(max_sweeps=1), start=out.z)
+        monkeypatch.setattr(adm, "MAX_SWEEPS", 1)
+        again = solve(start=out.z)
         assert abs(again.objective - out.objective) <= (
-            cfg.tol_sweep * (1.0 + abs(out.objective)))
+            adm.TOL_SWEEP * (1.0 + abs(out.objective)))
 
     # mean sweeps per call of the runs below with plain sweeps only (the
     # sweep loop before extrapolation): 725/60 and 781/60
@@ -442,19 +436,3 @@ class TestExtrapolation:
                 tol_lambda=1e-300, rng_seed=seed))
         assert np.mean(sweeps) <= 0.85 * self.PLAIN_SWEEPS[variant]
 
-
-class TestConfig:
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            AdmConfig(max_sweeps=0)
-        with pytest.raises(ValueError):
-            AdmConfig(tol_sweep=0.0)
-        for bad in ({"tol_sweep": float("nan")}, {"tol_sweep": float("inf")},
-                    {"max_sweeps": 2.5}, {"restart_attempts": 0},
-                    {"restart_attempts": 1.5}):
-            with pytest.raises(ValueError):
-                AdmConfig(**bad)
-        with pytest.raises(TypeError):   # the seed is GreedyConfig's
-            AdmConfig(rng_seed=1)
-        cfg = AdmConfig(max_sweeps=np.int32(5), restart_attempts=np.int64(2))
-        assert (cfg.max_sweeps, cfg.restart_attempts) == (5, 2)

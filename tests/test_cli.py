@@ -18,7 +18,6 @@ from greedy_eig.cli import (
     main,
     parse_solver_config,
 )
-from greedy_eig.adm import AdmConfig
 from greedy_eig.errors import DegenerateIterate, ParseError, VersionError
 from greedy_eig.greedy import GreedyConfig, Variant, run
 from greedy_eig.problems import ProblemSpec, load_operator
@@ -249,6 +248,7 @@ class TestSolve:
         {"adm": {"tol_sweep": float("nan")}},
         {"adm": {"restart_attempts": 0}},
         {"rng_seed": -1}, {"rng_seed": 1.5}, {"orthogonal": "false"},
+        {"adm": {"max_sweeps": 60}},
     ])
     def test_invalid_solver_value(self, tmp_path, solver):
         cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": solver})
@@ -310,28 +310,20 @@ class TestSolve:
 
 class TestSolverConfig:
     """Every config field is a key of the solver config; a field added to
-    GreedyConfig or AdmConfig without an entry below fails here."""
+    GreedyConfig without an entry below fails here."""
 
     # field -> (JSON value, parsed value), neither the default
     SOLVER = {"variant": ("explicit", Variant.EXPLICIT),
               "orthogonal": (True, True), "nu": (0.5, 0.5),
               "max_iter": (7, 7), "tol_lambda": (1e-9, 1e-9),
               "tol_residual": (1e-7, 1e-7), "rng_seed": (11, 11)}
-    ADM = {"max_sweeps": 9, "tol_sweep": 1e-6, "restart_attempts": 2}
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(GreedyConfig)
-                                      if f.name != "adm"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(GreedyConfig)])
     def test_solver_field_round_trips(self, name):
         raw, parsed = self.SOLVER[name]
         want = replace(GreedyConfig(), **{name: parsed})
         assert want != GreedyConfig()
         assert parse_solver_config({name: raw}) == want
-
-    @pytest.mark.parametrize("name", [f.name for f in fields(AdmConfig)])
-    def test_adm_field_round_trips(self, name):
-        want = GreedyConfig(adm=replace(AdmConfig(), **{name: self.ADM[name]}))
-        assert want != GreedyConfig()
-        assert parse_solver_config({"adm": {name: self.ADM[name]}}) == want
 
 
 class TestCompare:
@@ -436,3 +428,35 @@ class TestCompareFailedRun:
         header, row = read_csv(out)
         assert len(row) == len(header)
         assert row[-1] == "failed: DegenerateIterate: forced"
+
+
+
+class TestRefusedBeforeWriting:
+    """Configs that ``solve`` and ``compare`` refuse with exit code 2
+    before they write anything."""
+
+    RUN_ENTRY = {"solve": {"solver": {}}, "compare": {"variants": [{}]}}
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("output", [2, True, ["a"]])
+    def test_non_string_output(self, tmp_path, monkeypatch, command, output):
+        """An integer or true would name an open file descriptor."""
+        monkeypatch.setattr("greedy_eig.cli.run",
+                            lambda *args: pytest.fail("a solve ran"))
+        cfg = write_config(tmp_path, {"problem": PROBLEM,
+                                      **self.RUN_ENTRY[command],
+                                      "output": output})
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_oracle_size_guard(self, tmp_path, monkeypatch, command):
+        """A problem too large for the dense oracle is a config refusal,
+        not a step failure: no step has run."""
+        monkeypatch.delenv("GREEDY_EIG_ORACLE_LIMIT", raising=False)
+        cfg = write_config(tmp_path, {"problem": dict(PROBLEM, sizes=[70, 70]),
+                                      **self.RUN_ENTRY[command],
+                                      "oracle": True})
+        out = tmp_path / "t.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()

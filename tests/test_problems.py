@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedy_eig import problems
-from greedy_eig.adm import AdmConfig, adm_initial_guess
+from greedy_eig.adm import adm_initial_guess
 from greedy_eig.errors import InvalidSpec, ParseError, VersionError
 from greedy_eig.problems import (
     FORMAT_MAGIC,
@@ -176,11 +176,10 @@ class TestExcitedTrap:
 
     @pytest.mark.parametrize("modes", [3, 4, 5, 6])
     def test_certifies_every_size(self, modes):
-        """mu_02 is the dense minimum and mu_11, on e_1 x e_1, the best
-        rank-one value.  From 5 modes on, random samples and ADM runs all
-        stall at 9.0, so only the coordinate elements certify the trap.
-        The n diagonal terms and one coupling term are the operator built
-        level by level."""
+        """The n diagonal terms and one coupling term are the operator built
+        level by level.  Its dense minimum is mu_02, its value on e_1 x e_1
+        is mu_11, and no ADM initial guess ends below mu_11, the best
+        rank-one value by gen_excited_trap's proof."""
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, modes)
         a, _ = dense_assemble(op, m)
         reference = dense_trap(1.0, 2.0, 17.0, 20.0, modes)
@@ -191,8 +190,7 @@ class TestExcitedTrap:
         e11 = TensorSum.rank_one([e1, e1])
         assert rayleigh(op, m, e11) == pytest.approx(2.0, abs=1e-12)
         for seed in range(3):
-            out = adm_initial_guess(op, m, AdmConfig(),
-                                    np.random.default_rng(seed))
+            out = adm_initial_guess(op, m, np.random.default_rng(seed))
             assert out.objective >= 2.0 - 1e-8
 
     def test_guard_ordering(self):
@@ -228,8 +226,7 @@ class TestExcitedTrap:
         assert abs(rayleigh(op, m, entangled) - mu_02) <= 1e-12 * (1 + mu_20)
         floor = mu_11 - 1e-10 * (1 + M_shift)
         for seed in range(3):
-            out = adm_initial_guess(op, m, AdmConfig(),
-                                    np.random.default_rng(seed))
+            out = adm_initial_guess(op, m, np.random.default_rng(seed))
             assert out.objective >= floor
         rng = np.random.default_rng(0)
         for _ in range(200):
