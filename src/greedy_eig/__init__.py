@@ -50,7 +50,6 @@ from .reference_oracle import (
     dense_assemble,
     dense_reference,
     error_metrics,
-    grad_check_rayleigh,
 )
 from .tensor_core import (
     KroneckerSumOperator,

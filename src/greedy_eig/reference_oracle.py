@@ -1,12 +1,13 @@
-"""Dense ground truth: full assembly, reference eigensolve, error metrics.
+"""Dense ground truth: standard-form assembly, reference eigensolve, errors.
 
-The operator and the metric are assembled as full matrices and the
-reference eigenpairs come from a dense LAPACK solve, an independent check
-on the factored arithmetic of the solvers.  Only the mass is factored per
+The reference eigenpairs come from a dense LAPACK solve, an independent
+check on the factored arithmetic of the solvers.  The mass is factored per
 dimension: M = M_1 x ... x M_d has the Cholesky factor L = L_1 x ... x L_d,
-so the pencil (A, M) is solved in the standard form L^-1 A L^-T, assembled
-from the whitened factors L_j^-1 D L_j^-T, and the eigenvectors are mapped
-back one axis at a time.
+so the pencil (A, M) is solved in the standard form C = L^-1 A L^-T,
+assembled from the whitened factors L_j^-1 D L_j^-T, and the eigenvectors
+are mapped back one axis at a time.  Neither A nor M is assembled: the error
+metrics whiten the iterates instead, u -> L^T u factor by factor, so the
+metric norm becomes the Euclidean one and a(u, v) a product with C.
 
 All BLAS work here runs with the bundled OpenBLAS pools at one thread,
 except the dense eigensolve, which keeps the caller's thread counts: it is
@@ -29,8 +30,6 @@ from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
     TensorSum,
-    a_inner,
-    h_inner,
 )
 
 DENSE_SIZE_LIMIT = 4096
@@ -68,14 +67,17 @@ class DenseReference:
     ``eigenspace`` columns are M-orthonormal and span every eigenvector whose
     eigenvalue lies within the degeneracy tolerance of the minimum; ``gap``
     is the distance to the next eigenvalue (inf when there is none).
-    ``operator`` and ``mass`` are the assembled A and M.
+    ``standard`` is the assembled C = L^-1 A L^-T, ``chols`` holds the lower
+    Cholesky factors L_j of the masses, and ``whitened_eigenspace`` is the
+    orthonormal L^T ``eigenspace``.
     """
 
     mu1: float
     eigenspace: np.ndarray
     gap: float
-    operator: np.ndarray
-    mass: np.ndarray
+    standard: np.ndarray
+    chols: tuple
+    whitened_eigenspace: np.ndarray
 
 
 def _kron_sum(terms) -> np.ndarray:
@@ -112,7 +114,7 @@ def _unwhiten(y: np.ndarray, chols) -> np.ndarray:
 
 
 def dense_reference(op: KroneckerSumOperator, m: MetricSet) -> DenseReference:
-    """Lowest eigenpairs of the assembled pencil, multiplicity-aware.
+    """Lowest eigenpairs of the pencil, multiplicity-aware.
 
     The pencil is solved in standard form, C = L^-1 A L^-T with L the
     Cholesky factor of M.  Only the k lowest eigenpairs are computed: k
@@ -120,9 +122,10 @@ def dense_reference(op: KroneckerSumOperator, m: MetricSet) -> DenseReference:
     degeneracy cut of the minimum, up to the full dimension, so the
     eigenspace and the gap above it are those of a full solve.
     """
+    _check_size(op.sizes)
     with one_blas_thread():
-        a_full, m_full = dense_assemble(op, m)
-        chols = [scipy.linalg.cholesky(mm, lower=True) for mm in m.masses]
+        chols = tuple(scipy.linalg.cholesky(mm, lower=True)
+                      for mm in m.masses)
         c_full = _kron_sum([[_whiten(f, chol) for f, chol in zip(term, chols)]
                             for term in op.terms])
     n = c_full.shape[0]
@@ -140,10 +143,11 @@ def dense_reference(op: KroneckerSumOperator, m: MetricSet) -> DenseReference:
         k = min(2 * k, n)
     mult = int(np.sum(vals <= cut))
     gap = float(vals[mult] - mu1) if mult < k else float("inf")
+    whitened = vecs[:, :mult]
     with one_blas_thread():
         # x = L^-T y is M-orthonormal because y is orthonormal
-        basis = _unwhiten(vecs[:, :mult], chols)
-    return DenseReference(mu1, basis, gap, a_full, m_full)
+        basis = _unwhiten(whitened, chols)
+    return DenseReference(mu1, basis, gap, c_full, chols, whitened)
 
 
 @one_blas_thread()
@@ -156,20 +160,25 @@ def error_metrics(iterates: Sequence[TensorSum], lams, ref: DenseReference,
     eigenspace; err_vec_a is the distance, in the norm of A + nu M, to the
     closest normalized element of that eigenspace (inf when u has no
     component in it).  Pass the shift the iterates were computed with
-    (``GreedyConfig.nu``).  The iterates are stacked as columns, so each
-    quantity costs one product with A and one with M for the whole run.
+    (``GreedyConfig.nu``).  Each iterate is whitened factor by factor,
+    L_j^T F_j, and the whitened iterates are stacked as columns, so the
+    metric norms are Euclidean and the energy costs one product with C for
+    the whole run.
     """
-    a_full, m_full, basis = ref.operator, ref.mass, ref.eigenspace
+    c_full, basis = ref.standard, ref.whitened_eigenspace
     rows = len(iterates)
     lams = np.asarray(lams, dtype=float)
     if lams.shape != (rows,):
         raise ValueError(f"{rows} iterates but lams has shape {lams.shape}")
-    u = np.array([it.to_dense() for it in iterates]).reshape(
-        rows, m_full.shape[0]).T
-    coeffs = basis.T @ (m_full @ u)
+    whitened = [TensorSum(it.sizes, it.coeffs,
+                          [chol.T @ f for chol, f in zip(ref.chols, it.factors)])
+                for it in iterates]
+    u = np.array([it.to_dense() for it in whitened]).reshape(
+        rows, c_full.shape[0]).T
+    coeffs = basis.T @ u
     inside = basis @ coeffs
     split = np.hstack([u - inside, inside])
-    sq = np.einsum("ij,ij->j", split, m_full @ split)
+    sq = np.einsum("ij,ij->j", split, split)
     err_vec_h = np.sqrt(np.maximum(sq[:rows], 0.0))
 
     err_vec_a = np.full(rows, np.inf)
@@ -178,44 +187,11 @@ def error_metrics(iterates: Sequence[TensorSum], lams, ref: DenseReference,
     # quadratic forms of the difference itself: expanding them cancels
     # catastrophically once u is close to w
     diff = np.hstack([u[:, has] - w, u[:, has] + w])
-    val = (np.einsum("ij,ij->j", diff, a_full @ diff)
-           + nu * np.einsum("ij,ij->j", diff, m_full @ diff))
+    val = (np.einsum("ij,ij->j", diff, c_full @ diff)
+           + nu * np.einsum("ij,ij->j", diff, diff))
     err_vec_a[has] = np.sqrt(np.maximum(val, 0.0)).reshape(2, -1).min(axis=0)
     return {
         "err_lambda": np.abs(lams - ref.mu1),
         "err_vec_h": err_vec_h,
         "err_vec_a": err_vec_a,
     }
-
-
-def grad_check_rayleigh(op: KroneckerSumOperator, m: MetricSet, v: TensorSum,
-                        h_step: float = 1e-5, num_dirs: int = 20,
-                        seed: int = 0) -> float:
-    """Finite-difference check of the Rayleigh quotient derivative.
-
-    The derivative of J(v) = a(v,v)/<v,v> in direction w is
-    J'(v)w = 2 (a(v,w) - J(v) <v,w>) / <v,v>; central differences along
-    ``num_dirs`` seeded rank-one directions are compared against it and the
-    maximum relative error is returned.
-    """
-    nrm2 = h_inner(v, v, m)
-    nrm = float(np.sqrt(nrm2))
-    if not (0.5 < nrm < 1.5):
-        raise ValueError(f"base point norm {nrm:.3f} outside (0.5, 1.5)")
-    jv = a_inner(op, v, v) / nrm2
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(num_dirs):
-        w = TensorSum.rank_one([rng.standard_normal(n) for n in op.sizes])
-        wn = float(np.sqrt(h_inner(w, w, m)))
-        w = w.scaled(1.0 / wn)
-        analytic = 2.0 * (a_inner(op, v, w) - jv * h_inner(v, w, m)) / nrm2
-
-        def j_of(t):
-            vt = v.plus(w.scaled(t))
-            return a_inner(op, vt, vt) / h_inner(vt, vt, m)
-
-        fd = (j_of(h_step) - j_of(-h_step)) / (2.0 * h_step)
-        scale = max(1.0, abs(analytic))
-        worst = max(worst, abs(fd - analytic) / scale)
-    return worst

@@ -18,13 +18,10 @@ from greedy_eig.problems import (
     gen_random_kronecker,
     gen_separable,
 )
-from greedy_eig.reference_oracle import (
-    dense_reference,
-    error_metrics,
-    grad_check_rayleigh,
-)
+from greedy_eig.reference_oracle import dense_reference, error_metrics
 from greedy_eig.secular import reduce, solve_secular
 from greedy_eig.tensor_core import MetricSet, TensorSum, normalize
+from rayleigh_check import grad_check_rayleigh
 
 # Frozen two-dimensional random instances (sizes, seed).  Seeds are chosen so
 # that the lowest eigenvalue has a healthy relative spectral gap; the slow

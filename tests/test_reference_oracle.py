@@ -1,5 +1,7 @@
 """Dense assembly, reference solve, error metrics, derivative checks."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,6 @@ from greedy_eig.reference_oracle import (
     dense_assemble,
     dense_reference,
     error_metrics,
-    grad_check_rayleigh,
 )
 from greedy_eig.tensor_core import (
     KroneckerSumOperator,
@@ -24,6 +25,7 @@ from greedy_eig.tensor_core import (
     h_inner,
     normalize,
 )
+from rayleigh_check import grad_check_rayleigh
 
 
 class TestDenseAssemble:
@@ -84,8 +86,39 @@ class TestDenseReference:
     def test_basis_orthonormal(self):
         op, m = gen_degenerate_lowest((6, 6), 2, seed=5)
         ref = dense_reference(op, m)
-        g = ref.eigenspace.T @ ref.mass @ ref.eigenspace
+        _, mm = dense_assemble(op, m)
+        g = ref.eigenspace.T @ mm @ ref.eigenspace
         assert np.allclose(g, np.eye(2), atol=1e-10)
+
+    def test_assembles_only_the_standard_form(self, monkeypatch):
+        """One n x n matrix, C, is assembled per call, and no A or M."""
+        assembled, shapes = [], []
+        kron_sum = reference_oracle._kron_sum
+
+        def spy(terms):
+            total = kron_sum(terms)
+            shapes.append(total.shape)
+            return total
+
+        monkeypatch.setattr(reference_oracle, "dense_assemble",
+                            lambda *args: assembled.append(args))
+        monkeypatch.setattr(reference_oracle, "_kron_sum", spy)
+        for op, m in (random_mass_problem(2), random_mass_problem(3)):
+            dense_reference(op, m)
+        assert assembled == []
+        assert shapes == [(63, 63), (120, 120)]
+
+    def test_size_guard_comes_first(self, monkeypatch):
+        touched = []
+        for owner, name in ((scipy.linalg, "cholesky"),
+                            (reference_oracle, "_whiten"),
+                            (reference_oracle, "_kron_sum")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name, **kw:
+                                touched.append(name))
+        monkeypatch.setenv(ORACLE_LIMIT_ENV, "62")
+        with pytest.raises(TooLargeForOracle):
+            dense_reference(*random_mass_problem())
+        assert touched == []
 
 
 def random_spd(n, rng):
@@ -93,10 +126,11 @@ def random_spd(n, rng):
     return x @ x.T + n * np.eye(n)
 
 
-def random_mass_problem():
-    op, _ = gen_random_kronecker(2, (9, 7), 3, seed=5)
+def random_mass_problem(d=2):
+    sizes = {2: (9, 7), 3: (5, 4, 6)}[d]
+    op, _ = gen_random_kronecker(d, sizes, 3, seed=5)
     rng = np.random.default_rng(11)
-    return op, MetricSet([random_spd(9, rng), random_spd(7, rng)])
+    return op, MetricSet([random_spd(n, rng) for n in sizes])
 
 
 def degenerate_mass_problem_3d(mult):
@@ -192,8 +226,9 @@ class TestSubsetOracle:
 
         monkeypatch.setattr(scipy.linalg, "eigh", spy)
         op, m = gen_random_kronecker(3, (4, 3, 5), 2, seed=23)
-        ref = dense_reference(op, m)
-        assert len(seen) == 1 and np.array_equal(seen[0], ref.operator)
+        dense_reference(op, m)
+        a, _ = dense_assemble(op, m)
+        assert len(seen) == 1 and np.array_equal(seen[0], a)
 
     def test_all_equal_spectrum(self, subset_sizes):
         op = KroneckerSumOperator([[np.eye(2), np.eye(2)]])
@@ -225,9 +260,10 @@ class TestErrorMetrics:
         u = normalize(TensorSum.rank_one(
             [rng.standard_normal(5), rng.standard_normal(5)]), m)
         uv = u.to_dense()
-        p = ref.eigenspace @ (ref.eigenspace.T @ ref.mass @ uv)
+        _, mm = dense_assemble(op, m)
+        p = ref.eigenspace @ (ref.eigenspace.T @ mm @ uv)
         orth = uv - p
-        orth /= np.sqrt(orth @ ref.mass @ orth)
+        orth /= np.sqrt(orth @ mm @ orth)
         uu, ss, vv = np.linalg.svd(orth.reshape(5, 5))
         u_orth = TensorSum((5, 5), np.ones(5), (uu * ss, vv.T))
         errs = error_metrics([u_orth], [0.0], ref, 0.0)
@@ -258,74 +294,124 @@ class TestErrorMetrics:
         assert errs["err_vec_a"][0] == pytest.approx(want_a, rel=1e-12)
 
 
-def block_mass_problem():
-    """Pencil D1 x M2 + M1 x D2 with random SPD masses, whose first-dimension
-    factors are block diagonal (2 + 3) with the lowest level in the first
-    block.  Returns the operator, the metric, a reference built from the
-    factor pencils and its eigenvector as a rank-one element, exactly zero
-    on the second block."""
+def block_mass_problem(d=2):
+    """Pencil sum_j M_1 x .. x D_j x .. x M_d with random SPD masses, whose
+    first-dimension factors are block diagonal (2 + 3) with the lowest level
+    in the first block.  Returns the operator, the metric, a reference built
+    from the factor pencils and its eigenvector as a rank-one element,
+    exactly zero on the second block."""
     rng = np.random.default_rng(31)
     blocks = [random_spd(2, rng), random_spd(3, rng)]
-    m1 = scipy.linalg.block_diag(*blocks)
-    d1 = scipy.linalg.block_diag(random_spd(2, rng),
-                                 random_spd(3, rng) + 40.0 * blocks[1])
-    m2, d2 = random_spd(4, rng), random_spd(4, rng)
-    op = KroneckerSumOperator([[d1, m2], [m1, d2]])
-    m = MetricSet([m1, m2])
-    l1, x1 = scipy.linalg.eigh(d1[:2, :2], m1[:2, :2])
-    l2, x2 = scipy.linalg.eigh(d2, m2)
-    eig = TensorSum.rank_one([np.r_[x1[:, 0], np.zeros(3)], x2[:, 0]])
+    masses = [scipy.linalg.block_diag(*blocks)]
+    factors = [scipy.linalg.block_diag(random_spd(2, rng),
+                                       random_spd(3, rng) + 40.0 * blocks[1])]
+    for _ in range(d - 1):
+        masses.append(random_spd(4, rng))
+        factors.append(random_spd(4, rng))
+    op = KroneckerSumOperator([masses[:j] + [f] + masses[j + 1:]
+                               for j, f in enumerate(factors)])
+    m = MetricSet(masses)
+    pairs = [scipy.linalg.eigh(factors[0][:2, :2], masses[0][:2, :2]),
+             *(scipy.linalg.eigh(f, mm)
+               for f, mm in zip(factors[1:], masses[1:]))]
+    eig = TensorSum.rank_one([np.r_[pairs[0][1][:, 0], np.zeros(3)],
+                              *(x[:, 0] for _, x in pairs[1:])])
     a, mm = dense_assemble(op, m)
     vals = scipy.linalg.eigvalsh(a, mm)
-    basis = eig.to_dense()[:, None]
-    ref = DenseReference(l1[0] + l2[0], basis, vals[1] - vals[0], a, mm)
+    ref = hand_reference(op, m, sum(lev[0] for lev, _ in pairs),
+                         eig.to_dense()[:, None], vals[1] - vals[0])
     return op, m, ref, eig
+
+
+def hand_reference(op, m, mu1, eigenspace, gap):
+    """A DenseReference for the given eigendata, with the standard form and
+    the whitened eigenspace taken from the assembled matrices."""
+    a, _ = dense_assemble(op, m)
+    chols = tuple(np.linalg.cholesky(mm) for mm in m.masses)
+    chol = functools.reduce(np.kron, chols)
+    half = scipy.linalg.solve_triangular(chol, a, lower=True)
+    c = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    return DenseReference(mu1, eigenspace, gap, 0.5 * (c + c.T), chols,
+                          chol.T @ eigenspace)
+
+
+def assert_rows_match_assembled(op, m, ref, iterates, lams, nu,
+                                outside=()):
+    """Each entry of error_metrics against its formula on the assembled A and
+    M, for a simple lowest eigenvalue; the iterates indexed in ``outside``
+    have no component in the eigenspace."""
+    errs = error_metrics(iterates, lams, ref, nu)
+    a, mm = dense_assemble(op, m)
+    w = ref.eigenspace[:, 0]
+    for i, (u, lam) in enumerate(zip(iterates, lams)):
+        uv = u.to_dense()
+        c = w @ mm @ uv
+        rest = uv - w * c
+        assert errs["err_lambda"][i] == pytest.approx(abs(lam - ref.mu1),
+                                                      rel=1e-12)
+        assert errs["err_vec_h"][i] == pytest.approx(
+            np.sqrt(rest @ mm @ rest), rel=1e-12)
+        if i in outside:
+            assert c == 0.0 and errs["err_vec_a"][i] == np.inf
+            continue
+        want_a = min(np.sqrt(e @ a @ e + nu * (e @ mm @ e))
+                     for e in (uv - w, uv + w))
+        assert errs["err_vec_a"][i] == pytest.approx(want_a, rel=1e-12)
+
+
+def block_run(m, eig, rng):
+    """One run: iterates ever closer to the eigenvector, then one supported
+    on the second block of dimension 1, M-orthogonal to the eigenspace with
+    no component in it at all."""
+
+    def rank_one(first):
+        return TensorSum.rank_one(
+            [first, *(rng.standard_normal(4) for _ in eig.sizes[1:])])
+
+    iterates = [normalize(
+        eig.plus(rank_one(rng.standard_normal(5)).scaled(eps)), m)
+        for eps in (10.0, 1.0, 0.1, 1e-2)]
+    iterates.append(normalize(
+        rank_one(np.r_[0.0, 0.0, rng.standard_normal(3)]), m))
+    return iterates, [9.0, 5.0, 4.0, 3.5, 7.0]
 
 
 class TestBatchedErrorMetrics:
     def test_reference_matches_dense_reference(self):
         op, m, ref, _ = block_mass_problem()
         dense = dense_reference(op, m)
+        _, mm = dense_assemble(op, m)
         assert dense.mu1 == pytest.approx(ref.mu1, rel=1e-12)
-        p = ref.eigenspace @ ref.eigenspace.T @ ref.mass
-        q = dense.eigenspace @ dense.eigenspace.T @ dense.mass
+        p = ref.eigenspace @ ref.eigenspace.T @ mm
+        q = dense.eigenspace @ dense.eigenspace.T @ mm
         assert np.abs(p - q).max() <= 1e-10
 
     def test_rows_match_per_row_dense_computation(self):
-        _, m, ref, eig = block_mass_problem()
-        nu = 2.5
-        rng = np.random.default_rng(32)
+        op, m, ref, eig = block_mass_problem()
+        iterates, lams = block_run(m, eig, np.random.default_rng(32))
+        assert_rows_match_assembled(op, m, ref, iterates, lams, 2.5,
+                                    outside=(4,))
 
-        def rank_one(first):
-            return TensorSum.rank_one([first, rng.standard_normal(4)])
+    def test_rows_match_in_three_dimensions(self):
+        op, m, ref, eig = block_mass_problem(3)
+        assert dense_reference(op, m).mu1 == pytest.approx(ref.mu1, rel=1e-12)
+        iterates, lams = block_run(m, eig, np.random.default_rng(33))
+        assert_rows_match_assembled(op, m, ref, iterates, lams, 0.5,
+                                    outside=(4,))
 
-        # one run: iterates ever closer to the eigenvector, then one
-        # supported on the second block of dimension 1, M-orthogonal to
-        # the eigenspace with no component in it at all
-        iterates = [normalize(
-            eig.plus(rank_one(rng.standard_normal(5)).scaled(eps)), m)
-            for eps in (10.0, 1.0, 0.1, 1e-2)]
-        iterates.append(normalize(
-            rank_one(np.r_[0.0, 0.0, rng.standard_normal(3)]), m))
-        lams = [9.0, 5.0, 4.0, 3.5, 7.0]
-        errs = error_metrics(iterates, lams, ref, nu)
-
-        a, mm = ref.operator, ref.mass
-        w = ref.eigenspace[:, 0]
-        for i, (u, lam) in enumerate(zip(iterates, lams)):
-            uv = u.to_dense()
-            c = w @ mm @ uv
-            outside = uv - w * c
-            assert errs["err_lambda"][i] == pytest.approx(abs(lam - ref.mu1),
-                                                          rel=1e-12)
-            assert errs["err_vec_h"][i] == pytest.approx(
-                np.sqrt(outside @ mm @ outside), rel=1e-12)
-            if i == len(iterates) - 1:
-                assert c == 0.0 and errs["err_vec_a"][i] == np.inf
-                continue
-            want_a = min(np.sqrt(e @ a @ e + nu * (e @ mm @ e))
-                         for e in (uv - w, uv + w))
-            assert errs["err_vec_a"][i] == pytest.approx(want_a, rel=1e-12)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dense_reference_rows_match(self, d):
+        """The oracle's own reference on a random-mass pencil."""
+        op, m = random_mass_problem(d)
+        ref = dense_reference(op, m)
+        assert ref.eigenspace.shape[1] == 1
+        rng = np.random.default_rng(34)
+        iterates = [normalize(TensorSum(
+            op.sizes, rng.standard_normal(terms),
+            [rng.standard_normal((n, terms)) for n in op.sizes]), m)
+            for terms in (1, 2, 3)]
+        assert_rows_match_assembled(op, m, ref, iterates, [9.0, 5.0, 4.0],
+                                    1.5)
 
     def test_empty_run(self):
         _, _, ref, _ = block_mass_problem()
@@ -371,14 +457,14 @@ class TestBlasThreads:
     def test_only_the_eigensolve_is_threaded(self, monkeypatch):
         solve, rest = [], []
         self.spy(monkeypatch, scipy.linalg, "eigh", solve)
-        self.spy(monkeypatch, reference_oracle, "dense_assemble", rest)
+        self.spy(monkeypatch, reference_oracle, "_kron_sum", rest)
         self.spy(monkeypatch, scipy.linalg, "cholesky", rest)
         self.spy(monkeypatch, scipy.linalg, "solve_triangular", rest)
         op, m = random_mass_problem()
         dense_reference(op, m)
         pools = len(_openblas_pools())
         assert solve == [[2] * pools]
-        # assembly, two factor Choleskys, 3 terms x 2 factors x 2 solves
+        # assembly of C, two factor Choleskys, 3 terms x 2 factors x 2 solves
         # to whiten and one solve per axis to map back
         assert rest == [[1] * pools] * (1 + 2 + 12 + 2)
         assert _thread_counts() == [2] * pools
