@@ -245,7 +245,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("solver", [
         {"nu": float("nan")}, {"max_iter": 2.5},
+        {"adm": {"tol_sweep": float("nan")}},
+        {"adm": {"restart_attempts": 0}},
         {"rng_seed": -1}, {"rng_seed": 1.5}, {"orthogonal": "false"},
+        {"adm": {"max_sweeps": 60}},
     ])
     def test_invalid_solver_value(self, tmp_path, solver):
         cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": solver})
