@@ -23,6 +23,7 @@ passes, so the greedy driver's seed fixes every draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,8 +66,14 @@ class AdmOutcome:
 
 
 def _balanced(factors) -> TensorSum:
-    """The one-term sum of ``factors``, rebalanced to equal norms."""
-    return TensorSum.rank_one(rebalance(factors) or factors)
+    """The one-term sum of the 1-D float arrays ``factors``, rebalanced to
+    equal norms; a non-finite factor raises StructuralError."""
+    norms = [math.sqrt(f @ f) for f in factors]
+    if not math.isfinite(sum(norms)):
+        raise StructuralError("rank-one factor contains non-finite entries")
+    factors = rebalance(factors, norms) or factors
+    return TensorSum._new(tuple(len(f) for f in factors), np.ones(1),
+                          tuple(f[:, None] for f in factors))
 
 
 def seed_rank_one(sizes, rng) -> TensorSum:

@@ -3,7 +3,10 @@
 Everything here operates on matrices of size at most max_j N_j (direction
 solves) or n+1 (Galerkin bases), so plain LAPACK via numpy/scipy is the right
 tool.  The generalized problems are reduced by Cholesky congruence rather
-than matrix square roots.
+than matrix square roots, and only their smallest eigenpair is computed:
+LAPACK ``dsyevr`` (the MRRR driver; Dhillon & Parlett, Linear Algebra Appl.
+387, 2004) takes a single pair of the tridiagonal form by bisection and
+inverse iteration.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ _getrf = scipy.linalg.lapack.dgetrf
 _getrs = scipy.linalg.lapack.dgetrs
 _potrf = scipy.linalg.lapack.dpotrf
 _syevd = scipy.linalg.lapack.dsyevd
+_syevr = scipy.linalg.lapack.dsyevr
 _trtrs = scipy.linalg.lapack.dtrtrs
 
 
@@ -95,19 +99,21 @@ def tri_solve(L, rhs, transposed: bool = False) -> np.ndarray:
 def gen_sym_eig_smallest(A, B):
     """Smallest eigenpair of A c = tau B c with B SPD; returns (tau, c).
 
-    The eigenvector is normalized so that c^T B c = 1.
+    Only that pair of the congruent matrix is computed (LAPACK ``dsyevr``
+    with il = iu = 1).  The eigenvector is normalized so that c^T B c = 1.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     L = cholesky_spd(B)
     # congruence: L^-1 A L^-T has the same generalized spectrum
     C = tri_solve(L, tri_solve(L, A).T).T
-    dec = sym_eig_full(C)
-    tau = float(dec.values[0])
-    y = dec.vectors[:, 0]
-    c = tri_solve(L, y, transposed=True)
+    vals, vecs, _, _, info = _syevr(_fortran_view(C), compute_v=1, range="I",
+                                    lower=1, il=1, iu=1)
+    if info != 0:
+        raise KernelFailure(f"smallest symmetric eigenpair failed (info={info})")
+    c = tri_solve(L, vecs[:, 0], transposed=True)
     c = c / np.sqrt(c @ B @ c)
-    return tau, c
+    return float(vals[0]), c
 
 
 def spd_solve(S, rhs) -> np.ndarray:

@@ -109,14 +109,19 @@ def _extend_grams(op, m, A, B, members):
     Per dimension, the images of the new factor under every operator
     factor and the mass matrix meet all member factors in one product.
     """
-    rows = np.ones((op.num_terms + 1, len(A) + 1))
+    n = len(A)
+    rows = np.ones((op.num_terms + 1, n + 1))
     for stack, mass, cols in zip(op.stacked, m.masses, members.factors):
         f = cols[:, -1]
         images = np.vstack([(stack @ f).reshape(op.num_terms, -1), mass @ f])
         rows *= images @ cols
-    a_row, b_row = rows[:-1].sum(axis=0), rows[-1]
-    return (np.block([[A, a_row[:-1, None]], [a_row]]),
-            np.block([[B, b_row[:-1, None]], [b_row]]))
+    grown = []
+    for old, row in ((A, rows[:-1].sum(axis=0)), (B, rows[-1])):
+        G = np.empty((n + 1, n + 1))
+        G[:n, :n] = old
+        G[n], G[:n, n] = row, row[:n]
+        grown.append(G)
+    return tuple(grown)
 
 
 def _unit(coef, gram_b):

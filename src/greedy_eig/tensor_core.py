@@ -13,8 +13,8 @@ Iterates are kept in factored form: a ``TensorSum`` is a linear combination
 of rank-one terms, and a rank-one element is the one-term sum
 ``TensorSum.rank_one(factors)``.  All inner products are evaluated dimension
 by dimension through small Gram matrices; something of size prod(N_j) is
-formed only by ``to_dense`` and by ``euclidean_norm`` for tensors of at most
-DENSE_NORM_LIMIT entries.
+formed only by ``to_dense``, and by ``euclidean_norm`` and ``eig_residual``
+for tensors of at most DENSE_NORM_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateDirection, DegenerateIterate, StructuralError
 
 ZERO_NORM_TOL = 1e-14
-DENSE_NORM_LIMIT = 4096   # entries up to which euclidean_norm assembles
+DENSE_NORM_LIMIT = 4096   # entries up to which norms are taken assembled
 SYMMETRY_RTOL = 1e-12     # largest max|A - A^T| / max|A| of a factor
 
 
@@ -123,10 +123,11 @@ class MetricSet(KroneckerSumOperator):
         return cls([np.eye(n) for n in sizes])
 
 
-def rebalance(factors):
+def rebalance(factors, norms=None):
     """Factors of the same outer product with equal norms, or None when a
-    factor is zero.  Works on plain arrays, without validation."""
-    norms = [math.sqrt(f @ f) for f in factors]
+    factor is zero.  Works on plain arrays, without validation; ``norms``
+    are the factors' 2-norms when the caller has them."""
+    norms = norms or [math.sqrt(f @ f) for f in factors]
     if 0.0 in norms:
         return None
     total = math.prod(norms) ** (1.0 / len(norms))
@@ -163,6 +164,14 @@ class TensorSum:
         self.sizes = sizes
 
     @classmethod
+    def _new(cls, sizes: tuple, coeffs: np.ndarray, factors: tuple) -> "TensorSum":
+        """A sum from parts whose shapes and dtypes hold by construction,
+        skipping the checks of ``__init__``."""
+        u = object.__new__(cls)
+        u.coeffs, u.factors, u.sizes = coeffs, factors, sizes
+        return u
+
+    @classmethod
     def rank_one(cls, factors: Sequence[np.ndarray]) -> "TensorSum":
         """The outer product f^(1) x ... x f^(d) as a one-term sum with
         coefficient 1; any zero factor gives the zero element."""
@@ -181,7 +190,7 @@ class TensorSum:
         return self.num_terms == 0
 
     def scaled(self, t: float) -> "TensorSum":
-        return TensorSum(self.sizes, t * self.coeffs, self.factors)
+        return TensorSum._new(self.sizes, t * self.coeffs, self.factors)
 
     def plus(self, other: "TensorSum") -> "TensorSum":
         if other.sizes != self.sizes:
@@ -190,7 +199,7 @@ class TensorSum:
             return self
         if self.is_zero():
             return other
-        return TensorSum(
+        return TensorSum._new(
             self.sizes,
             np.concatenate([self.coeffs, other.coeffs]),
             tuple(
@@ -286,9 +295,23 @@ def apply_operator(op: KroneckerSumOperator, u: TensorSum) -> TensorSum:
 
 
 def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum, lam: float) -> float:
-    """Euclidean norm of A u - lam M u, evaluated without dense assembly."""
-    r = apply_operator(op, u).plus(apply_operator(m, u).scaled(-lam))
-    return euclidean_norm(r)
+    """Euclidean norm of A u - lam M u: up to DENSE_NORM_LIMIT entries on
+    the assembled iterate, exact to rounding; above, through the factored
+    residual's Gram (see ``euclidean_norm``)."""
+    if math.prod(u.sizes) > DENSE_NORM_LIMIT:
+        r = apply_operator(op, u).plus(apply_operator(m, u).scaled(-lam))
+        return euclidean_norm(r)
+    # y[t] is the t-th term's image, the mass's last: per axis, each
+    # term's factor acts on it in one broadcast product
+    y, lead = u.to_dense().reshape(1, 1, -1), 1
+    for j, (nj, stack, mass) in enumerate(zip(u.sizes, op.stacked, m.masses)):
+        f = np.concatenate([stack, mass]).reshape(-1, nj, nj)
+        if j < op.d - 1:
+            y = f[:, None] @ y.reshape(len(y), lead, nj, -1)
+        else:   # symmetric factors act on the last axis from the right
+            y = y.reshape(len(y), -1, nj) @ f
+        lead *= nj
+    return float(np.linalg.norm(y[:-1].sum(axis=0) - lam * y[-1]))
 
 
 class DirectionData(NamedTuple):
@@ -312,8 +335,9 @@ class DirectionWorkspace:
     """Caches context contractions reused across ADM direction updates.
 
     The context (the accumulated greedy iterate) is fixed during an ADM
-    solve, so a(context, context), <context, context> and the per-dimension
-    images D^(k,j) U_j, M_j U_j are computed once.  Per dimension, the K
+    solve, so its images D^(k,j) U_j, M_j U_j are formed once, in one
+    product per dimension, and their per-term Grams U_j^T [images] give
+    a(context, context) and <context, context>.  Per dimension, the K
     operator factors and the mass matrix are stacked into one array, and
     their context images side by side, so contracting a frozen factor
     against all terms takes two matrix products.  The contractions of the
@@ -325,28 +349,35 @@ class DirectionWorkspace:
 
     def __init__(self, op: KroneckerSumOperator, m: MetricSet, context: TensorSum):
         _check_shapes(context, context, op.sizes)
+        if m.sizes != op.sizes:
+            raise StructuralError(
+                f"metric sizes {m.sizes} do not match operator sizes {op.sizes}")
         self.op = op
         self.m = m
-        self.alpha = a_inner(op, context, context)
-        self.beta = h_inner(context, context, m)
-        K, n = op.num_terms, context.num_terms
+        K, n, c = op.num_terms, context.num_terms, context.coeffs
         # per dimension j: rows k*N_j .. (k+1)*N_j - 1 hold D^(k,j), the
         # last block M_j; and the (N_j, (K+1) n) images [D^(k,j) U_j | M_j U_j]
         self._stacks = [np.concatenate([stack, mass])
                         for stack, mass in zip(op.stacked, m.masses)]
         self._terms_flat = [stack.reshape(K, -1) for stack in op.stacked]
-        self._images = self._weighted = None
-        if n:
-            self._images = [
-                np.ascontiguousarray((stack @ context.factors[j])
-                                     .reshape(K + 1, -1, n).transpose(1, 0, 2)
-                                     .reshape(-1, (K + 1) * n))
-                for j, stack in enumerate(self._stacks)
-            ]
-            # the open slot's images carry the context coefficients; split
-            # into the operator terms' columns and the mass's
-            self._weighted = [(w[:, :K * n], w[:, K * n:]) for w in (
-                img * np.tile(context.coeffs, K + 1) for img in self._images)]
+        self._images = [
+            np.ascontiguousarray((stack @ uj).reshape(K + 1, len(uj), n)
+                                 .transpose(1, 0, 2)).reshape(len(uj), -1)
+            for stack, uj in zip(self._stacks, context.factors)]
+        # the per-term Grams U_j^T [images] side by side, multiplied over j
+        # in place; c^T (their product) c per term, the mass's last
+        had = None
+        for uj, img in zip(context.factors, self._images):
+            gram = uj.T @ img
+            had = gram if had is None else np.multiply(had, gram, out=had)
+        forms = (c @ had).reshape(K + 1, n) @ c
+        self.alpha, self.beta = float(forms[:K].sum()), float(forms[K])
+        del had, gram   # (n, (K+1) n) each: freed before more is allocated
+        # the open slot's images carry the context coefficients; split
+        # into the operator terms' columns and the mass's
+        self._weighted = [(w[:, :K * n], w[:, K * n:]) for w in (
+            (img.reshape(len(img), K + 1, n) * c).reshape(len(img), -1)
+            for img in self._images)]
         # per slot, (factor, quad, proj) of the newest and the one before
         self._slots = [((None,) * 3,) * 2] * op.d
 
@@ -363,9 +394,7 @@ class DirectionWorkspace:
             raise DegenerateDirection(f"frozen factor in dimension {l} is zero")
         terms = self.op.num_terms + 1
         quad = (self._stacks[l] @ f).reshape(terms, -1) @ f
-        proj = None
-        if self._images is not None:
-            proj = (f @ self._images[l]).reshape(terms, -1)
+        proj = (f @ self._images[l]).reshape(terms, -1)
         self._slots[l] = ((key, quad, proj), newest)
         return quad, proj
 
@@ -385,11 +414,8 @@ class DirectionWorkspace:
 
         A_j = (w[:K] @ self._terms_flat[j]).reshape(nj, nj)
         Mj_eff = w[K] * self.m.masses[j]
-        if p is None:
-            b_j, m_j = np.zeros(nj), np.zeros(nj)
-        else:
-            img_a, img_m = self._weighted[j]
-            b_j = img_a @ p[:K].ravel()
-            m_j = img_m @ p[K]
+        img_a, img_m = self._weighted[j]
+        b_j = img_a @ p[:K].ravel()
+        m_j = img_m @ p[K]
         return DirectionData(A_j, Mj_eff, b_j, m_j, self.alpha, self.beta)
 

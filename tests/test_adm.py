@@ -27,6 +27,7 @@ from greedy_eig.tensor_core import (
     h_norm,
     normalize,
     rayleigh,
+    rebalance,
 )
 
 RNG = np.random.default_rng(21)
@@ -312,6 +313,36 @@ class TestStart:
             assert np.array_equal(got.z.coeffs, want.z.coeffs)
             for a, b in zip(got.z.factors, want.z.factors):
                 assert np.array_equal(a, b)
+
+
+class TestBoundary:
+    def test_metric_of_other_sizes_rejected(self):
+        """The workspace refuses a metric whose sizes differ from the
+        operator's, so every ADM solver does, before any update."""
+        op, _ = small_problem(seed=2)
+        wrong = MetricSet.identity((4, 5))
+        rng = np.random.default_rng(0)
+        with pytest.raises(StructuralError, match="metric sizes"):
+            adm_initial_guess(op, wrong, rng)
+        u = adm_initial_guess(op, MetricSet.identity(op.sizes), rng).z
+        with pytest.raises(StructuralError, match="metric sizes"):
+            adm_rayleigh_step(op, wrong, u, rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_balanced_rejects_non_finite_factor(self, bad):
+        factor = np.ones(3)
+        factor[1] = bad
+        with pytest.raises(StructuralError, match="non-finite"):
+            adm._balanced([np.ones(4), factor])
+
+    def test_balanced_is_the_rebalanced_rank_one(self):
+        factors = [np.array([3.0, 4.0]), np.array([0.0, 0.5, 0.0]), np.ones(2)]
+        got = adm._balanced(factors)
+        want = TensorSum.rank_one(rebalance(factors))
+        assert got.sizes == want.sizes
+        assert np.array_equal(got.coeffs, want.coeffs)
+        for a, b in zip(got.factors, want.factors):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestSweepLoop:

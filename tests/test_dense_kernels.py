@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from greedy_eig.dense_kernels import (
     cholesky_spd,
@@ -83,6 +84,39 @@ class TestGeneralizedEig:
         tau, c = gen_sym_eig_smallest(a, np.eye(3))
         assert np.isclose(tau, -1.0)
         assert np.isclose(abs(c[1]), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 52, 101])
+    def test_matches_scipy_subset(self, n):
+        """The one computed pair is scipy's smallest generalized pair; the
+        orders reach the Galerkin pencils of a 100-iteration run."""
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n))
+        a, b = g + g.T, spd(n, rng)
+        tau, c = gen_sym_eig_smallest(a, b)
+        vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[0, 0])
+        scale = np.abs(scipy.linalg.eigh(a, b, eigvals_only=True)).max()
+        assert abs(tau - vals[0]) <= 1e-12 * scale
+        assert c @ b @ c == pytest.approx(1.0, rel=1e-13)
+        # the B-normalized vectors agree up to sign
+        ref = vecs[:, 0] * np.sign(vecs[:, 0] @ b @ c)
+        assert np.abs(c - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_repeated_smallest_eigenvalue(self):
+        """On a double smallest eigenvalue any vector of its eigenspace is
+        right: only the value and the B-norm are compared."""
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        a = (q * np.array([-2.0, -2.0, *range(7)])) @ q.T
+        b = spd(9, rng)
+        L = np.linalg.cholesky(b)
+        a = L @ a @ L.T   # the pencil (a, b) has the spectrum of the middle
+        tau, c = gen_sym_eig_smallest(a, b)
+        vals = scipy.linalg.eigh(a, b, subset_by_index=[0, 1],
+                                 eigvals_only=True)
+        assert vals[1] - vals[0] < 1e-10
+        assert tau == pytest.approx(-2.0, abs=1e-12)
+        assert c @ b @ c == pytest.approx(1.0, rel=1e-13)
+        assert np.linalg.norm(a @ c - tau * b @ c) <= 1e-10 * np.linalg.norm(a)
 
 
 class TestSolvers:

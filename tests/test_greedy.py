@@ -224,6 +224,29 @@ class TestRankDeficientGram:
         assert np.allclose(got.u.to_dense(), want.u.to_dense(), atol=1e-10)
 
 
+class TestExtendGrams:
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_grown_grams_equal_the_block_formula(self, n):
+        """The grown Grams are bitwise the bordered matrices that np.block
+        builds from the old Grams and the new row."""
+        op, _ = small_problem(3)
+        rng = np.random.default_rng(n)
+        m = MetricSet([np.eye(7) + 0.1 * np.ones((7, 7)) for _ in range(2)])
+        members = TensorSum((7, 7), rng.standard_normal(n + 1),
+                            [rng.standard_normal((7, n + 1)) for _ in range(2)])
+        g = rng.standard_normal((n, n))
+        A, B = g + g.T, g @ g.T
+        grown_a, grown_b = greedy._extend_grams(op, m, A, B, members)
+        rows = np.ones((op.num_terms + 1, n + 1))
+        for stack, mass, cols in zip(op.stacked, m.masses, members.factors):
+            f = cols[:, -1]
+            rows *= np.vstack([(stack @ f).reshape(op.num_terms, -1),
+                               mass @ f]) @ cols
+        a_row, b_row = rows[:-1].sum(axis=0), rows[-1]
+        assert np.array_equal(grown_a, np.block([[A, a_row[:-1, None]], [a_row]]))
+        assert np.array_equal(grown_b, np.block([[B, b_row[:-1, None]], [b_row]]))
+
+
 class TestTrapStagnation:
     def test_pure_rayleigh_stalls_at_entangled_level(self):
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, 3)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedy_eig.errors import DegenerateIterate, StructuralError
 from greedy_eig.problems import gen_random_kronecker
+from greedy_eig.reference_oracle import dense_assemble
 from greedy_eig.tensor_core import (
     DirectionWorkspace,
     KroneckerSumOperator,
@@ -254,6 +257,19 @@ class TestDirectionReduction:
             assert np.isclose(dd.alpha, c_vec @ a_dense @ c_vec)
             assert np.isclose(dd.beta, c_vec @ m_dense @ c_vec)
 
+    @pytest.mark.parametrize("sizes", [(5, 4), (3, 4, 2), (3, 2, 4, 3)])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_workspace_forms_match_inner_products(self, sizes, n):
+        """alpha and beta, taken from the images' per-term Grams, are
+        a(context, context) and <context, context>."""
+        rng = np.random.default_rng(10 * n + len(sizes))
+        op = random_operator(sizes, 3, rng)
+        m = MetricSet([random_spd(k, rng) for k in sizes])
+        ctx = random_tensor_sum(sizes, n, rng)
+        ws = DirectionWorkspace(op, m, ctx)
+        assert ws.alpha == pytest.approx(a_inner(op, ctx, ctx), rel=1e-13, abs=0.0)
+        assert ws.beta == pytest.approx(h_inner(ctx, ctx, m), rel=1e-13, abs=0.0)
+
     def test_workspace_matches_one_shot(self):
         sizes = (4, 3)
         rng = np.random.default_rng(6)
@@ -285,3 +301,53 @@ class TestDirectionReduction:
             b = DirectionWorkspace(op, m, ctx).reduce(frozen, j)
             for field in ("A_j", "Mj_eff", "b_j", "m_j"):
                 assert np.allclose(getattr(a, field), getattr(b, field))
+
+
+# per dimension count, the largest size: at most 625 entries, so the
+# assembled matrices stay small, all under the dense residual's 4,096
+MAX_SIZE = {2: 24, 3: 8, 4: 5}
+
+
+@st.composite
+def dense_cases(draw):
+    """A random operator with SPD masses, two sums of its sizes, and
+    whether the first is replaced by a sum whose terms cancel."""
+    d = draw(st.integers(2, 4))
+    sizes = tuple(draw(st.lists(st.integers(1, MAX_SIZE[d]), min_size=d,
+                                max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    op = random_operator(sizes, draw(st.integers(1, 3)), rng)
+    m = MetricSet([random_spd(n, rng) for n in sizes])
+    u = random_tensor_sum(sizes, draw(st.integers(1, 4)), rng)
+    v = random_tensor_sum(sizes, draw(st.integers(0, 3)), rng)
+    if draw(st.booleans()):
+        u = u.plus(u.scaled(-1.0 + 1e-9))
+    return op, m, u, v
+
+
+class TestDenseProperties:
+    """Factored operations against the assembled matrices and tensors."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=50)
+    @given(dense_cases())
+    def test_operations_match_assembled(self, case):
+        op, m, u, v = case
+        A, M = dense_assemble(op, m)
+        x, y = u.to_dense(), v.to_dense()
+
+        def size(w):   # sum_i |c_i| prod_j |f_ij|, a bound free of cancellation
+            return np.abs(w.coeffs) @ np.prod(
+                [np.linalg.norm(f, axis=0) for f in w.factors], axis=0)
+
+        a_size = sum(np.prod([np.linalg.norm(f, 2) for f in term])
+                     for term in op.terms)   # at least ||A||_2
+        assert np.abs(u.plus(v).to_dense() - (x + y)).max() <= 1e-15 * (
+            size(u) + size(v))
+        assert abs(euclidean_norm(u) - np.linalg.norm(x)) <= 1e-14 * size(u)
+        assert np.linalg.norm(apply_operator(op, u).to_dense() - A @ x) <= (
+            1e-13 * a_size * size(u))
+        assert abs(a_inner(op, u, v) - x @ A @ y) <= 1e-13 * a_size * size(u) * size(v)
+        lam = (x @ A @ x) / (x @ M @ x)   # makes the residual cancel
+        want = np.linalg.norm(A @ x - lam * (M @ x))
+        bound = 1e-13 * (np.linalg.norm(A @ x) + abs(lam) * np.linalg.norm(M @ x))
+        assert abs(eig_residual(op, m, u, lam) - want) <= bound
