@@ -71,20 +71,18 @@ def _load_json(path: str) -> dict:
 
 def _load_run(args, entry: str, where: str):
     """Read a ``solve`` or ``compare`` config: return its ``entry`` value,
-    problem spec, output path and oracle flag."""
+    problem spec and oracle flag."""
     raw = _load_json(args.config)
-    _reject_unknown(raw, {"problem", entry, "output", "oracle"}, where)
+    _reject_unknown(raw, {"problem", entry, "oracle"}, where)
     if "problem" not in raw or entry not in raw:
         raise InvalidSpec(f"{where} needs 'problem' and '{entry}' entries")
     spec = ProblemSpec.from_dict(raw["problem"])
-    out = args.out or raw.get("output")
-    if not isinstance(out, str):
-        raise InvalidSpec("no output path string (use --out or the 'output' "
-                          f"key), got {out!r}")
+    if args.out is None:
+        raise InvalidSpec("no output path: pass --out")
     oracle = raw.get("oracle", False)
     if not isinstance(oracle, bool):
         raise InvalidSpec(f"'oracle' must be true or false, got {oracle!r}")
-    return raw[entry], spec, out, oracle
+    return raw[entry], spec, oracle
 
 
 def _fmt(x) -> str:
@@ -137,13 +135,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    solver_raw, spec, out, oracle = _load_run(args, "solver", "run config")
+    solver_raw, spec, oracle = _load_run(args, "solver", "run config")
     solver_cfg = parse_solver_config(solver_raw, args.seed)
 
     op, m = spec.build()
     ref = dense_reference(op, m) if oracle else None
     result = run(op, m, solver_cfg)
-    _write_csv(out, TRACE_COLUMNS, _trace_rows(result, ref, solver_cfg.nu))
+    _write_csv(args.out, TRACE_COLUMNS, _trace_rows(result, ref, solver_cfg.nu))
     summary = {
         "reason": result.reason,
         "lambda": result.lam,
@@ -152,7 +150,7 @@ def cmd_solve(args) -> int:
     if ref is not None:
         summary["mu1"] = ref.mu1
         summary["err_lambda"] = abs(result.lam - ref.mu1)
-    with open(out + ".json", "w") as fh:
+    with open(args.out + ".json", "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     print(f"{result.reason}: lambda = {result.lam:.12g} "
@@ -166,7 +164,7 @@ def _variant_label(cfg: GreedyConfig) -> str:
 
 
 def cmd_compare(args) -> int:
-    variants, spec, out, oracle = _load_run(args, "variants", "compare config")
+    variants, spec, oracle = _load_run(args, "variants", "compare config")
     if not isinstance(variants, list) or not variants:
         raise InvalidSpec("'variants' must be a non-empty list")
     cfgs = [parse_solver_config(v_raw, args.seed) for v_raw in variants]
@@ -196,7 +194,7 @@ def cmd_compare(args) -> int:
             continue
         for fields in _trace_rows(result, ref, nu):
             rows.append([label, *fields, result.reason])
-    _write_csv(out, ("variant", *TRACE_COLUMNS, "reason"), rows)
+    _write_csv(args.out, ("variant", *TRACE_COLUMNS, "reason"), rows)
     for label, result, failure, _ in runs:
         status = failure or (f"{result.reason}, lambda = {result.lam:.12g}")
         print(f"{label}: {status}")

@@ -83,14 +83,11 @@ def cholesky_spd(S) -> np.ndarray:
 def tri_solve(L, rhs, transposed: bool = False) -> np.ndarray:
     """Solve L x = rhs, or L^T x = rhs, for a lower-triangular L.
 
-    This is the LAPACK call ``scipy.linalg.solve_triangular`` makes.  L
-    must have a nonzero diagonal, as every Cholesky factor from
-    :func:`cholesky_spd` has.
+    This is the LAPACK call ``scipy.linalg.solve_triangular`` makes.  L is
+    Fortran-ordered, as :func:`cholesky_spd` returns it, and must have a
+    nonzero diagonal, as every Cholesky factor from it has.
     """
-    if L.flags.f_contiguous:
-        x, info = _trtrs(L, rhs, lower=1, trans=1 if transposed else 0)
-    else:
-        x, info = _trtrs(L.T, rhs, lower=0, trans=0 if transposed else 1)
+    x, info = _trtrs(L, rhs, lower=1, trans=1 if transposed else 0)
     if info != 0:
         raise KernelFailure(f"triangular solve failed (info={info})")
     return x

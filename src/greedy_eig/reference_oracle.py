@@ -17,7 +17,7 @@ the one call large enough to gain from threads.
 from __future__ import annotations
 
 import functools
-import os
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,29 +33,17 @@ from .tensor_core import (
 )
 
 DENSE_SIZE_LIMIT = 4096
-ORACLE_LIMIT_ENV = "GREEDY_EIG_ORACLE_LIMIT"
 DEGENERACY_TOL = 1e-8
-
-
-def _size_limit() -> int:
-    raw = os.environ.get(ORACLE_LIMIT_ENV)
-    if raw is None:
-        return DENSE_SIZE_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise TooLargeForOracle(
-            f"{ORACLE_LIMIT_ENV}={raw!r} is not an integer"
-        ) from None
+# a bound on the dense eigensolve's absolute rounding, in eps * ||C||
+ROUNDING_FACTOR = 100
 
 
 def _check_size(sizes) -> int:
     total = int(np.prod(sizes))
-    limit = _size_limit()
-    if total > limit:
+    if total > DENSE_SIZE_LIMIT:
         raise TooLargeForOracle(
-            f"dense assembly of dimension {total} exceeds the guard {limit} "
-            f"(override with {ORACLE_LIMIT_ENV} at your own risk)"
+            f"dense assembly of dimension {total} exceeds the guard "
+            f"{DENSE_SIZE_LIMIT}"
         )
     return total
 
@@ -65,7 +53,8 @@ class DenseReference:
     """Reference eigendata for the smallest eigenvalue of (A, M).
 
     ``eigenspace`` columns are M-orthonormal and span every eigenvector whose
-    eigenvalue lies within the degeneracy tolerance of the minimum; ``gap``
+    eigenvalue lies within the degeneracy cut of the minimum,
+    max(DEGENERACY_TOL |mu1|, ROUNDING_FACTOR eps ||C||); ``gap``
     is the distance to the next eigenvalue (inf when there is none).
     ``standard`` is the assembled C = L^-1 A L^-T, ``chols`` holds the lower
     Cholesky factors L_j of the masses, and ``whitened_eigenspace`` is the
@@ -126,8 +115,13 @@ def dense_reference(op: KroneckerSumOperator, m: MetricSet) -> DenseReference:
     with one_blas_thread():
         chols = tuple(scipy.linalg.cholesky(mm, lower=True)
                       for mm in m.masses)
-        c_full = _kron_sum([[_whiten(f, chol) for f, chol in zip(term, chols)]
-                            for term in op.terms])
+        terms = [[_whiten(f, chol) for f, chol in zip(term, chols)]
+                 for term in op.terms]
+        c_full = _kron_sum(terms)
+        # ||C||_2 <= sum_k prod_j ||C_kj||_2 over the whitened factors C_kj
+        c_norm = sum(math.prod(np.linalg.norm(f, 2) for f in term)
+                     for term in terms)
+    floor = ROUNDING_FACTOR * np.finfo(float).eps * c_norm
     n = c_full.shape[0]
     k = min(2, n)
     while True:
@@ -137,7 +131,7 @@ def dense_reference(op: KroneckerSumOperator, m: MetricSet) -> DenseReference:
             raise KernelFailure(
                 f"dense symmetric eigensolve failed: {exc}") from exc
         mu1 = float(vals[0])
-        cut = mu1 + DEGENERACY_TOL * (1.0 + abs(mu1))
+        cut = mu1 + max(DEGENERACY_TOL * abs(mu1), floor)
         if vals[-1] > cut or k == n:
             break
         k = min(2 * k, n)

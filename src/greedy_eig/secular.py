@@ -31,7 +31,7 @@ class SecularReduction(NamedTuple):
     chol: np.ndarray        # C, the Cholesky factor of the denominator
 
 
-def reduce(A_eff, B_eff, a_lin, b_lin, alpha, beta: float = 1.0) -> SecularReduction:
+def reduce(A_eff, B_eff, a_lin, b_lin, alpha, beta: float) -> SecularReduction:
     """Whiten the quotient into H; ``beta`` is the denominator's constant
     term (1 for a normalized context).  Unless beta > 0 and delta > 1e-14
     beta, the denominator is not positive definite: DegenerateDenominator."""

@@ -240,8 +240,11 @@ class TestSolve:
                      "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
 
     def test_missing_output(self, tmp_path):
-        cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": {}})
-        assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+        for command, entry in (("solve", {"solver": {}}),
+                               ("compare", {"variants": [{}]})):
+            cfg = write_config(tmp_path, {"problem": PROBLEM, **entry})
+            assert main([command, "--config", cfg]) == EXIT_CONFIG
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("solver", [
         {"nu": float("nan")}, {"max_iter": 2.5},
@@ -451,10 +454,9 @@ class TestRefusedBeforeWriting:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
-    def test_oracle_size_guard(self, tmp_path, monkeypatch, command):
+    def test_oracle_size_guard(self, tmp_path, command):
         """A problem too large for the dense oracle is a config refusal,
         not a step failure: no step has run."""
-        monkeypatch.delenv("GREEDY_EIG_ORACLE_LIMIT", raising=False)
         cfg = write_config(tmp_path, {"problem": dict(PROBLEM, sizes=[70, 70]),
                                       **self.RUN_ENTRY[command],
                                       "oracle": True})

@@ -11,7 +11,6 @@ from greedy_eig.dense_kernels import _openblas_pools
 from greedy_eig.errors import KernelFailure, TooLargeForOracle
 from greedy_eig.problems import gen_degenerate_lowest, gen_random_kronecker, gen_separable
 from greedy_eig.reference_oracle import (
-    ORACLE_LIMIT_ENV,
     DenseReference,
     dense_assemble,
     dense_reference,
@@ -56,11 +55,15 @@ class TestDenseAssemble:
         with pytest.raises(TooLargeForOracle):
             dense_assemble(op, MetricSet.identity((80, 80)))
 
-    def test_size_guard_override(self, monkeypatch):
-        monkeypatch.setenv(ORACLE_LIMIT_ENV, "10000")
+    def test_size_guard_ignores_environment(self, monkeypatch):
+        """The guard is a constant: no environment variable moves it."""
+        monkeypatch.setenv("GREEDY_EIG_ORACLE_LIMIT", "10000")
         op = KroneckerSumOperator([[np.eye(80), np.eye(80)]])
-        a, _ = dense_assemble(op, MetricSet.identity((80, 80)))
-        assert a.shape == (6400, 6400)
+        m = MetricSet.identity((80, 80))
+        with pytest.raises(TooLargeForOracle):
+            dense_assemble(op, m)
+        with pytest.raises(TooLargeForOracle):
+            dense_reference(op, m)
 
 
 class TestDenseReference:
@@ -74,6 +77,19 @@ class TestDenseReference:
         op, m = gen_degenerate_lowest((6, 6), 2, seed=3)
         ref = dense_reference(op, m)
         assert ref.eigenspace.shape[1] == 2
+
+    def test_degeneracy_cut_scales_with_the_pencil(self):
+        """Scaling the operator by s scales every eigenvalue by s, so the
+        multiplicity and gap / s of a simple mu1 do not depend on s."""
+        op, m = gen_random_kronecker(2, (10, 10), 2, seed=2000)
+        gaps = []
+        for s in (1.0, 1e-6, 1e-10):
+            scaled = KroneckerSumOperator([[s * t[0], *t[1:]]
+                                           for t in op.terms])
+            ref = dense_reference(scaled, m)
+            assert ref.eigenspace.shape[1] == 1
+            gaps.append(ref.gap / s)
+        assert gaps == pytest.approx([gaps[0]] * 3, rel=1e-10)
 
     def test_self_consistency(self):
         """Spectral reassembly reproduces the dense operator."""
@@ -115,7 +131,7 @@ class TestDenseReference:
                             (reference_oracle, "_kron_sum")):
             monkeypatch.setattr(owner, name, lambda *args, name=name, **kw:
                                 touched.append(name))
-        monkeypatch.setenv(ORACLE_LIMIT_ENV, "62")
+        monkeypatch.setattr(reference_oracle, "DENSE_SIZE_LIMIT", 62)
         with pytest.raises(TooLargeForOracle):
             dense_reference(*random_mass_problem())
         assert touched == []
@@ -494,7 +510,7 @@ class TestBlasThreads:
         with pytest.raises(KernelFailure):
             dense_reference(op, m)
         assert _thread_counts() == [2] * len(_openblas_pools())
-        monkeypatch.setenv(ORACLE_LIMIT_ENV, "10")
+        monkeypatch.setattr(reference_oracle, "DENSE_SIZE_LIMIT", 10)
         with pytest.raises(TooLargeForOracle):
             dense_reference(op, m)
         assert _thread_counts() == [2] * len(_openblas_pools())
