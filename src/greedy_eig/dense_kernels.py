@@ -61,9 +61,9 @@ def sym_eig_full(S) -> EigenDecomposition:
 def cholesky_spd(S) -> np.ndarray:
     """Lower Cholesky factor; raises IllConditionedGram when S is not SPD.
 
-    A pivot fails when its square is at most PIVOT_RTOL times the largest
-    diagonal entry; the error carries the index of the first that fails.
-    Only one triangle of S is read.
+    S fails when the factorization stops or when the square of its smallest
+    pivot is at most PIVOT_RTOL times the largest diagonal entry.  Only one
+    triangle of S is read.
     """
     S = _fortran_view(S)
     L, info = _potrf(S, lower=1, clean=1)
@@ -71,12 +71,8 @@ def cholesky_spd(S) -> np.ndarray:
     # S_ii is the largest |S_ii|; Python's min and max are the cheaper here
     if info != 0 or (min(L.diagonal().tolist()) ** 2
                      <= PIVOT_RTOL * max(S.diagonal().tolist())):
-        diag_scale = np.abs(S.diagonal()).max()
-        # potrf stops at pivot info - 1; an earlier one may be too small
-        done = L.diagonal()[:info - 1] if info > 0 else L.diagonal()
-        small = np.flatnonzero(done ** 2 <= PIVOT_RTOL * diag_scale)
-        pivot = int(small[0]) if small.size else info - 1
-        raise IllConditionedGram(f"Cholesky pivot {pivot} too small", pivot)
+        raise IllConditionedGram("Cholesky pivot below tolerance; "
+                                 "matrix is not positive definite")
     return L
 
 

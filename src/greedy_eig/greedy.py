@@ -5,6 +5,7 @@ minimization, explicit correction equation), each in a pure flavor, where the
 new iterate is the normalized sum of the previous iterate and the correction,
 and an orthogonal flavor, where all coefficients over the collected basis
 (u_0, z_1, ..., z_n) are re-optimized through a small generalized eigenproblem.
+A correction that adds nothing to the span of the basis leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class TraceRow:
 @dataclass
 class GreedyState:
     n: int
-    u: TensorSum         # its terms are the basis u_0, z_1, ..., z_n
+    u: TensorSum         # its terms are the basis: u_0 and the kept z_i
     lam: float
     trace: list          # TraceRow per executed iteration
     gram_a: np.ndarray   # basis Gram of the operator form
@@ -182,17 +183,13 @@ def _galerkin_update(prev, pure, gram_a, gram_b):
     """The smallest generalized eigenvector of the basis Grams, signed to
     agree with the previous iterate.
 
-    On a rank-deficient Gram the basis member at the failing Cholesky pivot
-    keeps coefficient 0 and the solve is retried once without it.
+    None when the metric Gram fails the SPD test: the new member then lies
+    in the span of the others, and the Galerkin problem has not changed.
     """
-    coef = np.zeros(len(prev))
-    active = list(range(len(prev)))
     try:
-        coef[:] = _smallest_coefficients(gram_a, gram_b)
-    except IllConditionedGram as exc:
-        del active[exc.pivot]
-        idx = np.ix_(active, active)
-        coef[active] = _smallest_coefficients(gram_a[idx], gram_b[idx])
+        coef = _smallest_coefficients(gram_a, gram_b)
+    except IllConditionedGram:
+        return None
     coef, _ = _unit(coef, gram_b)
     return coef if prev @ gram_b @ coef > 0 else -coef
 
@@ -204,7 +201,9 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
     coefficients and every recorded scalar except the eigenpair residual is
     a quadratic form of the basis Grams.  The normalized pure update u + z
     is formed under either update: the trace records its value and its
-    stationarity residual.  The draws come from a copy of ``state.rng``.
+    stationarity residual.  When the update returns None, z is not added
+    and the iterate, its Grams and lambda stay.  The draws come from a copy
+    of ``state.rng``.
     """
     t0 = time.perf_counter()
     rng = np.random.Generator(copy.copy(state.rng.bit_generator))
@@ -216,7 +215,6 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
     pure, alpha = _unit(plus, B)
     lam_pure = float(pure @ A @ pure)
     coef = update_coefficients(prev, pure, A, B)
-    lam_new = float(coef @ A @ coef)
     # a(z, .) and <z, .> over the basis
     a_z, b_z = A[-1], B[-1]
     if cfg.variant is Variant.RAYLEIGH:
@@ -226,7 +224,11 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
         euler = (a_z @ plus + shift * (b_z @ plus)
                  - (state.lam + shift) * (b_z @ prev))
     z_norm_a = float(np.sqrt(max(a_z[-1] + cfg.nu * b_z[-1], 0.0)))
-    u_new = TensorSum(members.sizes, coef, members.factors)
+    if coef is None:
+        u_new, lam_new, A, B = state.u, state.lam, state.gram_a, state.gram_b
+    else:
+        u_new = TensorSum(members.sizes, coef, members.factors)
+        lam_new = float(coef @ A @ coef)
     res = eig_residual(op, m, u_new, lam_new)
     row = TraceRow(state.n + 1, lam_new, state.lam - lam_new, z_norm_a,
                    float(abs(euler)), res, alpha, time.perf_counter() - t0,
@@ -243,7 +245,8 @@ def step(state: GreedyState, op: KroneckerSumOperator, m: MetricSet,
 def orthogonal_update(state: GreedyState, op: KroneckerSumOperator,
                       m: MetricSet, cfg: GreedyConfig) -> GreedyState:
     """One orthogonal iteration: all coefficients over (u_0, z_1, ..., z_n)
-    are re-optimized through the smallest eigenpair of the basis Grams."""
+    are re-optimized through the smallest eigenpair of the basis Grams.  A
+    z in the span of the basis is not added, and the iterate stays."""
     return _step(state, op, m, cfg, _galerkin_update)
 
 

@@ -26,7 +26,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDirection, DegenerateIterate, StructuralError
+from .dense_kernels import cholesky_spd
+from .errors import (DegenerateDirection, DegenerateIterate,
+                     IllConditionedGram, StructuralError)
 
 ZERO_NORM_TOL = 1e-14
 DENSE_NORM_LIMIT = 4096   # entries up to which norms are taken assembled
@@ -103,15 +105,17 @@ class MetricSet(KroneckerSumOperator):
     """Per-dimension SPD mass matrices, the one-term form M_1 x ... x M_d.
 
     Defines <u, v> = u^T (M_1 x ... x M_d) v.  The residual rule's shift nu
-    is a solver setting (``GreedyConfig.nu``), not part of the metric.
+    is a solver setting (``GreedyConfig.nu``), not part of the metric.  A
+    mass that fails ``cholesky_spd``, the SPD test the solver applies, is
+    refused.
     """
 
     def __init__(self, masses: Sequence[np.ndarray]):
         super().__init__([masses])
         for mass in self.masses:
             try:
-                np.linalg.cholesky(mass)
-            except np.linalg.LinAlgError:
+                cholesky_spd(mass)
+            except IllConditionedGram:
                 raise StructuralError("mass matrix is not positive definite") from None
 
     @property

@@ -281,7 +281,8 @@ class TestSolve:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("corrupt", ["nan_factor", "version_1",
-                                         "trailing_bytes", "asymmetric_factor"])
+                                         "trailing_bytes", "asymmetric_factor",
+                                         "ill_conditioned_mass"])
     def test_corrupt_operator_file(self, tmp_path, corrupt):
         op, m = gen_random_kronecker(2, (4, 3), 2, seed=0)
         path = tmp_path / "op.geig"
@@ -294,6 +295,12 @@ class TestSolve:
             # entry (0, 1) of the first 4 x 4 factor
             (entry,) = struct.unpack("<d", data[32:40])
             data[32:40] = struct.pack("<d", entry + 1.0)
+        elif corrupt == "ill_conditioned_mass":
+            # the first 4 x 4 mass follows both terms' 4 x 4 and 3 x 3 factors;
+            # it factors, but its last pivot fails the solver's SPD test
+            start = 24 + 8 * 2 * (16 + 9)
+            mass = np.diag([1.0, 1.0, 1.0, 1e-13]).astype("<f8")
+            data[start:start + 128] = mass.tobytes()
         elif corrupt == "version_1":
             # version 1 stored a shift nu after the masses
             data[4:8] = struct.pack("<I", 1)

@@ -7,8 +7,7 @@ import pytest
 
 from greedy_eig import greedy
 from greedy_eig.dense_kernels import _openblas_pools
-from greedy_eig.dense_kernels import cholesky_spd
-from greedy_eig.errors import IllConditionedGram, StructuralError
+from greedy_eig.errors import StructuralError
 from greedy_eig.greedy import (
     GreedyConfig,
     Variant,
@@ -201,27 +200,42 @@ class TestOrthogonalDominance:
 
 
 class TestRankDeficientGram:
-    def test_duplicated_member_is_dropped(self):
-        """With u_0 twice in the basis, the orthogonal step gives the copy
-        at the failing Cholesky pivot coefficient 0 and matches the step
-        without it."""
+    def test_correction_in_the_span_keeps_the_iterate(self, monkeypatch):
+        """A correction equal to the basis member u_0 adds nothing to the
+        span: the orthogonal step keeps the iterate, its Grams and lambda,
+        and records a zero decrease."""
         op, m = small_problem(seed=6)
         cfg = GreedyConfig(variant=Variant.RAYLEIGH, orthogonal=True, rng_seed=3)
         state = initialize(op, m, cfg)
-        twice = state.u.plus(state.u.scaled(0.0))
-        gram_a, gram_b = greedy._extend_grams(op, m, state.gram_a, state.gram_b,
-                                              twice)
-        with pytest.raises(IllConditionedGram) as info:
-            cholesky_spd(gram_b)
-        assert info.value.pivot == 1
-        dup = dataclasses.replace(state, u=twice, gram_a=gram_a, gram_b=gram_b)
-        got = orthogonal_update(dup, op, m, cfg)
-        want = orthogonal_update(state, op, m, cfg)
-        assert got.u.num_terms == 3
-        assert got.u.coeffs[1] == 0.0
-        assert want.u.num_terms == 2
-        assert got.lam == pytest.approx(want.lam, rel=1e-12)
-        assert np.allclose(got.u.to_dense(), want.u.to_dense(), atol=1e-10)
+        for _ in range(2):
+            state = orthogonal_update(state, op, m, cfg)
+        u = state.u
+        u0 = TensorSum(u.sizes, [1.0], [f[:, :1] for f in u.factors])
+        monkeypatch.setattr(greedy, "_compute_correction", lambda *args: u0)
+        got = orthogonal_update(state, op, m, cfg)
+        assert got.n == state.n + 1
+        assert got.u.num_terms == u.num_terms == 3
+        assert np.array_equal(got.u.coeffs, u.coeffs)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.u.factors, u.factors))
+        assert np.array_equal(got.gram_a, state.gram_a)
+        assert np.array_equal(got.gram_b, state.gram_b)
+        assert got.lam == state.lam
+        assert got.trace[-1].lambda_decrease == 0.0
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_small_problems_converge(self, variant):
+        """On 9-dimensional problems the basis spans the space within a few
+        steps; later corrections add nothing, and every orthogonal run stops
+        by the stall test at mu1 instead of failing."""
+        cfg = GreedyConfig(variant=variant, orthogonal=True, max_iter=30,
+                           tol_lambda=1e-13, tol_residual=1e-15, rng_seed=1)
+        for seed in range(5):
+            op, m = gen_random_kronecker(2, (3, 3), 2, seed=seed)
+            mu1 = dense_reference(op, m).mu1
+            res = run(op, m, cfg)
+            assert res.reason == "converged_lambda"
+            assert abs(res.lam - mu1) <= 1e-13 * abs(mu1)
 
 
 class TestExtendGrams:

@@ -4,8 +4,8 @@ all six rules.
 The paper's convergence results hold for any d and any SPD pencil; they
 start from the monotone decrease of the eigenvalue estimate and from the
 Galerkin optimality of the orthogonal flavour, so those are checked here
-together with the bookkeeping of the trace.  Each example draws one problem
-and one rule.
+together with the bookkeeping of the trace and that no run ends in a step
+failure.  Each example draws one problem and one rule.
 """
 
 from dataclasses import replace
@@ -58,6 +58,7 @@ def test_run_invariants(variant, orthogonal, problem):
                        max_iter=10, tol_lambda=1e-13, tol_residual=1e-15,
                        rng_seed=seed)
     result = run(op, m, cfg)
+    assert not result.reason.startswith("step_failure"), result.reason
     mu1 = dense_reference(op, m).mu1
     tol = 1e-10 * (1.0 + abs(mu1))
     rows = result.trace

@@ -101,6 +101,14 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             MetricSet([np.diag([1.0, -1.0]), np.eye(2)])
 
+    def test_metric_rejects_mass_below_pivot_tolerance(self):
+        """The mass test is the solver's: a mass that factors but whose
+        smallest pivot fails ``cholesky_spd`` is refused."""
+        mass = np.diag([1.0, 1.0, 1.0, 1e-13])
+        np.linalg.cholesky(mass)
+        with pytest.raises(StructuralError):
+            MetricSet([mass, np.eye(2)])
+
     def test_rank_one_is_a_one_term_sum(self):
         f, g = np.arange(1.0, 3.0), np.arange(1.0, 4.0)
         z = TensorSum.rank_one([f, g])
