@@ -11,13 +11,18 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 The first three minimize an objective, which every direction update reports
 as a byproduct of the contracted data, so sweep convergence costs nothing
 extra; the explicit sweep has no objective and stops once its iterate
-settles.  From its third sweep on, a minimizing sweep first moves factors
-1..d-1 along the previous sweep's change, by s^(1/3) at sweep s (Bro's line
-search for alternating least squares), and keeps the direction-0 update from
-there only if it lowers the objective: the objective never rises, and a trial
-draws nothing.  Factors are rebalanced to equal norms whenever an update
-leaves their norms far apart, and on return; the objectives are invariant
-under that rescaling.  Seeds and reseeds draw from the generator the caller
+settles.  The initial guess sweeps until its objective settles to TOL_SWEEP
+relative.  A greedy step needs a good correction, not the best one, so the
+Rayleigh and residual sweeps stop at the first of two tests: that one, or a
+sweep that changes the objective by at most DECREASE_RTOL of the
+correction's decrease below the objective of the zero correction.  From its
+third sweep on, a minimizing sweep first moves factors 1..d-1 along the
+previous sweep's change, by s^(1/3) at sweep s (Bro's line search for
+alternating least squares), and keeps the direction-0 update from there only
+if it lowers the objective: the objective never rises, and a trial draws
+nothing.  Factors are rebalanced to equal norms whenever an update leaves
+their norms far apart, and on return; the objectives are invariant under
+that rescaling.  Seeds and reseeds draw from the generator the caller
 passes, so the greedy driver's seed fixes every draw.
 """
 
@@ -32,10 +37,12 @@ from . import secular
 from .dense_kernels import gen_sym_eig_smallest, spd_solve, sym_indefinite_solve
 from .errors import (
     AdmFailure,
+    DegenerateDenominator,
     DegenerateDirection,
     ExplicitStepFailure,
     IllConditionedGram,
     NuTooSmall,
+    PoleCollision,
     SingularSystem,
     StructuralError,
 )
@@ -54,6 +61,7 @@ from .tensor_core import (
 REBALANCE_RATIO = 1e3
 MAX_SWEEPS = 50          # sweeps per start before giving up on convergence
 TOL_SWEEP = 1e-10        # relative change a settled sweep stays within
+DECREASE_RTOL = 3e-2     # share of the correction's decrease, likewise
 RESTART_ATTEMPTS = 3     # starts, the first included, before AdmFailure
 
 
@@ -85,6 +93,16 @@ def _objective_settled(prev_factors, prev_obj, factors, obj) -> bool:
     return abs(obj - prev_obj) <= TOL_SWEEP * (1.0 + abs(prev_obj))
 
 
+def _decrease_settled(ref):
+    """The stop test of a correction whose zero has objective ``ref``: the
+    objective settled to TOL_SWEEP, or the sweep changed it by at most
+    DECREASE_RTOL of its decrease below ``ref``."""
+    def settled(prev_factors, prev_obj, factors, obj):
+        return (_objective_settled(prev_factors, prev_obj, factors, obj)
+                or abs(obj - prev_obj) <= DECREASE_RTOL * max(ref - obj, 0.0))
+    return settled
+
+
 def _sweep_change(prev_factors, factors) -> TensorSum:
     """cur - prev for the rank-one elements of two factor lists, written as
     the d terms prev_<l x (cur_l - prev_l) x cur_>l, no two of which cancel,
@@ -98,11 +116,13 @@ def _sweep_change(prev_factors, factors) -> TensorSum:
 
 def _extrapolated(update_direction, before, after, obj, step):
     """Factors 1..d-1 at ``before + step (after - before)``, factor 0 solved
-    from them, and their objective; None unless it is below ``obj``."""
+    from them, and their objective; None unless it is below ``obj``, and
+    None if the update fails there: the plain update runs next anyway."""
     trial = [after[0], *(b + step * (a - b) for b, a in zip(before[1:], after[1:]))]
     try:
         trial[0], trial_obj = update_direction(trial, 0)
-    except DegenerateDirection:
+    except (DegenerateDirection, PoleCollision, DegenerateDenominator,
+            IllConditionedGram, NuTooSmall):
         return None
     return (trial, trial_obj) if trial_obj < obj else None
 
@@ -208,7 +228,8 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         rho, y = secular.solve_secular(red)
         return secular.recover_minimizer(red, y), rho
 
-    return _sweep_loop(op, rng, update, start=start)
+    return _sweep_loop(op, rng, update, start=start,
+                       settled=_decrease_settled(ws.alpha / ws.beta))
 
 
 def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
@@ -237,7 +258,9 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         # at the solution of (A_j + nu M_j) s = rhs is:
         return s, 0.5 * (dd.alpha + nu * dd.beta - float(rhs @ s))
 
-    return _sweep_loop(op, rng, update, start=start)
+    zero_obj = 0.5 * (ws.alpha + nu * ws.beta)
+    return _sweep_loop(op, rng, update, start=start,
+                       settled=_decrease_settled(zero_obj))
 
 
 def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,15 @@ from greedy_eig.adm import (
     adm_rayleigh_step,
     adm_residual_step,
 )
-from greedy_eig.errors import ExplicitStepFailure, StructuralError
+from greedy_eig.errors import (
+    DegenerateDenominator,
+    DegenerateDirection,
+    ExplicitStepFailure,
+    IllConditionedGram,
+    NuTooSmall,
+    PoleCollision,
+    StructuralError,
+)
 from greedy_eig.greedy import GreedyConfig, Variant
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.tensor_core import (
@@ -401,10 +410,13 @@ class TestExtrapolation:
     """From the third sweep on, a sweep first tries factors extrapolated
     along the previous sweep's change, for every rule with an objective."""
 
+    # an instance per rule whose solve both keeps and rejects a trial
+    PROBLEM_SEED = {"initial": 1, "rayleigh": 11, "residual": 1}
+
     @pytest.mark.parametrize("rule", ["initial", "rayleigh", "residual"])
     def test_objective_never_rises(self, rule, kept_objectives):
         kept, trials = kept_objectives
-        op, m = spd_mass_problem(1)
+        op, m = spd_mass_problem(self.PROBLEM_SEED[rule])
         u = adm_initial_guess(op, m, np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
         kept.clear()
@@ -426,11 +438,14 @@ class TestExtrapolation:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("rule", ["rayleigh", "residual"])
     def test_converged_outcome_is_stationary(self, rule, seed, monkeypatch):
-        """One more plain sweep from a converged outcome moves the
-        objective by at most the sweep tolerance."""
+        """One more plain sweep from a converged outcome lowers the
+        objective by at most the stop test's bound: the sweep tolerance or
+        DECREASE_RTOL of the decrease below the zero correction's value."""
         op, m = spd_mass_problem(seed)
         u = adm_initial_guess(op, m, np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
+        ref = lam if rule == "rayleigh" else 0.5 * (
+            a_inner(op, u, u) + NU * h_inner(u, u, m))
 
         def solve(start=None):
             rng = np.random.default_rng(1)
@@ -442,8 +457,23 @@ class TestExtrapolation:
         assert out.converged
         monkeypatch.setattr(adm, "MAX_SWEEPS", 1)
         again = solve(start=out.z)
-        assert abs(again.objective - out.objective) <= (
-            adm.TOL_SWEEP * (1.0 + abs(out.objective)))
+        assert again.objective <= out.objective + 1e-13 * abs(out.objective)
+        assert out.objective - again.objective <= max(
+            adm.TOL_SWEEP * (1.0 + abs(out.objective)),
+            adm.DECREASE_RTOL * (ref - out.objective))
+
+    @pytest.mark.parametrize("error", [
+        PoleCollision, DegenerateDenominator, IllConditionedGram, NuTooSmall,
+        DegenerateDirection])
+    def test_failed_trial_is_rejected(self, error):
+        """A trial whose update fails is rejected like one that does not
+        lower the objective; the plain update runs next."""
+        def update(factors, j):
+            raise error("the trial's update failed")
+
+        before = [np.ones(3), np.ones(4)]
+        after = [np.ones(3), np.full(4, 2.0)]
+        assert adm._extrapolated(update, before, after, 1.0, 2.0) is None
 
     # mean sweeps per call of the runs below with plain sweeps only (the
     # sweep loop before extrapolation): 725/60 and 781/60
@@ -467,3 +497,79 @@ class TestExtrapolation:
                 tol_lambda=1e-300, rng_seed=seed))
         assert np.mean(sweeps) <= 0.85 * self.PLAIN_SWEEPS[variant]
 
+
+
+class TestDecreaseStop:
+    """A Rayleigh or residual solve also stops once a sweep changes the
+    objective by at most DECREASE_RTOL of its decrease below the zero
+    correction's objective."""
+
+    @pytest.mark.parametrize("rule", ["rayleigh", "residual"])
+    def test_large_decrease_stops_by_the_relative_test(self, rule,
+                                                       monkeypatch):
+        op, m = tensor4d_type()
+        u = adm_initial_guess(op, m, np.random.default_rng(0)).z
+        lam = rayleigh(op, m, u)
+        zero_obj = lam if rule == "rayleigh" else 0.5 * (
+            a_inner(op, u, u) + NU * h_inner(u, u, m))
+        checks, decrease_settled = [], adm._decrease_settled
+
+        def recorded(ref):
+            settled = decrease_settled(ref)
+
+            def check(prev_factors, prev_obj, factors, obj):
+                checks.append((ref, prev_obj, obj))
+                return settled(prev_factors, prev_obj, factors, obj)
+            return check
+
+        def solve():
+            rng = np.random.default_rng(1)
+            if rule == "rayleigh":
+                return adm_rayleigh_step(op, m, u, rng)
+            return adm_residual_step(op, m, u, lam, NU, rng)
+
+        monkeypatch.setattr(adm, "_decrease_settled", recorded)
+        out = solve()
+        ref, prev_obj, obj = checks[-1]
+        assert ref == pytest.approx(zero_obj, rel=1e-12)
+        assert out.converged and obj == out.objective
+        assert ref - obj > 1e-4 * abs(ref)
+        assert abs(obj - prev_obj) > adm.TOL_SWEEP * (1.0 + abs(prev_obj))
+        assert abs(obj - prev_obj) <= adm.DECREASE_RTOL * (ref - obj)
+
+        monkeypatch.setattr(adm, "DECREASE_RTOL", 0.0)
+        floor = solve()
+        assert floor.converged and floor.sweeps_used > out.sweeps_used
+        assert floor.objective <= out.objective
+
+    def test_no_decrease_leaves_only_the_sweep_tolerance(self):
+        settled = adm._decrease_settled(1.0)
+        for obj in (1.0, 1.5):
+            assert not settled(None, obj + 1e-6, None, obj)
+            assert settled(None, obj + 1e-12, None, obj)
+        # the same change settles a sweep well below the zero correction
+        assert settled(None, 0.5 + 1e-6, None, 0.5)
+
+    def test_explicit_runs_and_initial_guess_do_not_read_it(self,
+                                                            monkeypatch):
+        op, m = spd_mass_problem(0)
+
+        def terms_bytes(z):
+            return [z.coeffs.tobytes(), *(f.tobytes() for f in z.factors)]
+
+        def outcomes():
+            got = []
+            for orthogonal in (False, True):
+                res = greedy.run(op, m, GreedyConfig(
+                    variant=Variant.EXPLICIT, orthogonal=orthogonal,
+                    max_iter=8, rng_seed=3))
+                got += [res.lam, res.reason, res.iterations,
+                        [replace(row, wall_time=0.0) for row in res.trace],
+                        *terms_bytes(res.u)]
+            guess = adm_initial_guess(op, m, np.random.default_rng(0))
+            return got + [guess.sweeps_used, guess.converged,
+                          guess.objective, *terms_bytes(guess.z)]
+
+        before = outcomes()
+        monkeypatch.setattr(adm, "DECREASE_RTOL", 0.0)
+        assert outcomes() == before
