@@ -15,15 +15,11 @@ settles.  The initial guess sweeps until its objective settles to TOL_SWEEP
 relative.  A greedy step needs a good correction, not the best one, so the
 Rayleigh and residual sweeps stop at the first of two tests: that one, or a
 sweep that changes the objective by at most DECREASE_RTOL of the
-correction's decrease below the objective of the zero correction.  From its
-third sweep on, a minimizing sweep first moves factors 1..d-1 along the
-previous sweep's change, by s^(1/3) at sweep s (Bro's line search for
-alternating least squares), and keeps the direction-0 update from there only
-if it lowers the objective: the objective never rises, and a trial draws
-nothing.  Factors are rebalanced to equal norms whenever an update leaves
-their norms far apart, and on return; the objectives are invariant under
-that rescaling.  Seeds and reseeds draw from the generator the caller
-passes, so the greedy driver's seed fixes every draw.
+correction's decrease below the objective of the zero correction.  Factors
+are rebalanced to equal norms whenever an update leaves their norms far
+apart, and on return; the objectives are invariant under that rescaling.
+Seeds and reseeds draw from the generator the caller passes, so the greedy
+driver's seed fixes every draw.
 """
 
 from __future__ import annotations
@@ -37,12 +33,10 @@ from . import secular
 from .dense_kernels import gen_sym_eig_smallest, spd_solve, sym_indefinite_solve
 from .errors import (
     AdmFailure,
-    DegenerateDenominator,
     DegenerateDirection,
     ExplicitStepFailure,
     IllConditionedGram,
     NuTooSmall,
-    PoleCollision,
     SingularSystem,
     StructuralError,
 )
@@ -114,19 +108,6 @@ def _sweep_change(prev_factors, factors) -> TensorSum:
         for j, (p, c) in enumerate(zip(prev_factors, factors))])
 
 
-def _extrapolated(update_direction, before, after, obj, step):
-    """Factors 1..d-1 at ``before + step (after - before)``, factor 0 solved
-    from them, and their objective; None unless it is below ``obj``, and
-    None if the update fails there: the plain update runs next anyway."""
-    trial = [after[0], *(b + step * (a - b) for b, a in zip(before[1:], after[1:]))]
-    try:
-        trial[0], trial_obj = update_direction(trial, 0)
-    except (DegenerateDirection, PoleCollision, DegenerateDenominator,
-            IllConditionedGram, NuTooSmall):
-        return None
-    return (trial, trial_obj) if trial_obj < obj else None
-
-
 def _sweep_loop(op, rng, update_direction, start=None,
                 settled=_objective_settled) -> AdmOutcome:
     """Generic ADM driver: cyclic direction updates with reseeding on collapse.
@@ -140,9 +121,6 @@ def _sweep_loop(op, rng, update_direction, start=None,
     one term and ``op``'s sizes.
     A sweep solves direction 0 first, from the others, so a start's first
     factor and its coefficient are never read.
-
-    When the updates report an objective, sweeps from the third on try the
-    extrapolated factors first (see the module docstring).
     """
     if start is not None and (start.num_terms != 1 or start.sizes != op.sizes):
         raise StructuralError(f"ADM start must be one rank-one term of sizes "
@@ -154,21 +132,12 @@ def _sweep_loop(op, rng, update_direction, start=None,
         sq_norms = [f @ f for f in factors]
         obj = np.inf
         converged = False
-        before = None   # the factors at the start of the previous sweep
         try:
             for sweep in range(1, MAX_SWEEPS + 1):
                 prev_factors, prev_obj = list(factors), obj
                 for j in range(op.d):
-                    trial = None
-                    if j == 0 and before is not None and obj is not None:
-                        trial = _extrapolated(update_direction, before, factors,
-                                              obj, sweep ** (1.0 / 3.0))
-                    if trial is None:
-                        factors[j], obj = update_direction(factors, j)
-                        sq_norms[j] = factors[j] @ factors[j]
-                    else:
-                        factors, obj = trial
-                        sq_norms = [f @ f for f in factors]
+                    factors[j], obj = update_direction(factors, j)
+                    sq_norms[j] = factors[j] @ factors[j]
                     # rebalancing makes new factors, which the workspaces
                     # must contract again, so it waits for the norms to
                     # drift apart
@@ -178,9 +147,6 @@ def _sweep_loop(op, rng, update_direction, start=None,
                 if sweep > 1 and settled(prev_factors, prev_obj, factors, obj):
                     converged = True
                     break
-                # the first sweep's change starts from a random seed, so
-                # extrapolating it is no use
-                before = prev_factors if sweep > 1 else None
             return AdmOutcome(_balanced(factors), sweep, converged, obj)
         except DegenerateDirection as exc:
             last_error = exc

@@ -58,6 +58,8 @@ class GreedyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise ValueError(f"variant must be a Variant, got {self.variant!r}")
         if not isinstance(self.orthogonal, bool):
             raise ValueError(f"orthogonal must be true or false, "
                              f"got {self.orthogonal!r}")

@@ -344,10 +344,9 @@ class DirectionWorkspace:
     a(context, context) and <context, context>.  Per dimension, the K
     operator factors and the mass matrix are stacked into one array, and
     their context images side by side, so contracting a frozen factor
-    against all terms takes two matrix products.  The contractions of the
-    last two factors seen in each slot are kept, so a sweep that changes
-    one factor per update recomputes one slot per update, and going back
-    from a rejected ADM trial recomputes none; frozen factors must
+    against all terms takes two matrix products.  The contraction of the
+    last factor seen in each slot is kept, so a sweep that changes one
+    factor per update recomputes one slot per update; frozen factors must
     therefore not be modified in place between calls.
     """
 
@@ -382,24 +381,22 @@ class DirectionWorkspace:
         self._weighted = [(w[:, :K * n], w[:, K * n:]) for w in (
             (img.reshape(len(img), K + 1, n) * c).reshape(len(img), -1)
             for img in self._images)]
-        # per slot, (factor, quad, proj) of the newest and the one before
-        self._slots = [((None,) * 3,) * 2] * op.d
+        # per slot, (factor, quad, proj) of the last factor contracted
+        self._slots = [(None,) * 3] * op.d
 
     def _contract(self, l: int, f):
         """(f^T D^(k,l) f over k and the mass, f^T [images] per term) for
         the frozen factor ``f`` in slot ``l``."""
-        newest, older = self._slots[l]
-        if newest[0] is f:
-            return newest[1], newest[2]
-        if older[0] is f:
-            return older[1], older[2]
+        key, quad, proj = self._slots[l]
+        if key is f:
+            return quad, proj
         key, f = f, np.asarray(f, dtype=float)
         if f @ f < ZERO_NORM_TOL ** 2:
             raise DegenerateDirection(f"frozen factor in dimension {l} is zero")
         terms = self.op.num_terms + 1
         quad = (self._stacks[l] @ f).reshape(terms, -1) @ f
         proj = (f @ self._images[l]).reshape(terms, -1)
-        self._slots[l] = ((key, quad, proj), newest)
+        self._slots[l] = (key, quad, proj)
         return quad, proj
 
     def reduce(self, frozen: Sequence, j: int) -> DirectionData:

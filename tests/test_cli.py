@@ -265,14 +265,6 @@ class TestSolve:
                      str(tmp_path / "t.csv"), "--seed", "-3"]) == EXIT_CONFIG
         assert not (tmp_path / "t.csv").exists()
 
-    def test_adm_seed_is_unknown_key(self, tmp_path):
-        """The solver seed is set once, at the top of the solver config: an
-        ``adm`` entry is an unknown key, whatever it holds."""
-        cfg = write_config(tmp_path, {"problem": PROBLEM,
-                                      "solver": {"adm": {"rng_seed": 1}}})
-        assert main(["solve", "--config", cfg,
-                     "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
-
     def test_non_boolean_oracle(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": {},
                                       "oracle": "false"})

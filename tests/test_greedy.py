@@ -305,6 +305,13 @@ class TestConfigAndShift:
         assert GreedyConfig(max_iter=np.int64(3)).max_iter == 3
         assert GreedyConfig(rng_seed=np.uint32(0)).rng_seed == 0
 
+    @pytest.mark.parametrize("variant", ["rayleigh", "nonsense", 3, None])
+    def test_variant_must_be_a_member(self, variant):
+        """A variant that is not a ``Variant`` member, its name included,
+        is refused rather than run as the explicit rule."""
+        with pytest.raises(ValueError, match="variant"):
+            GreedyConfig(variant=variant, max_iter=5, rng_seed=3)
+
     def test_nu_warning(self):
         d = np.diag([-5.0, 1.0])
         op = KroneckerSumOperator([[d, np.eye(2)], [np.eye(2), d]])
