@@ -25,7 +25,7 @@ driver's seed fixes every draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .tensor_core import (
     MetricSet,
     TensorSum,
     h_norm,
-    normalize,
     rebalance,
 )
 
@@ -161,7 +160,7 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet,
     """Minimize the Rayleigh quotient over rank-one elements.
 
     Each direction update is the smallest eigenpair of the contracted pencil
-    (A_j, Mj_eff); the returned element is H-normalized.
+    (A_j, Mj_eff) with s^T Mj_eff s = 1, so the element is H-normalized.
     """
     ws = DirectionWorkspace(op, m, TensorSum(op.sizes))
 
@@ -170,32 +169,33 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet,
         tau, s = gen_sym_eig_smallest(dd.A_j, dd.Mj_eff)
         return s, tau
 
-    out = _sweep_loop(op, rng, update)
-    z = normalize(out.z, m)
-    first, *rest = (f[:, 0] for f in z.factors)
-    return replace(out, z=_balanced([first * z.coeffs[0], *rest]))
+    return _sweep_loop(op, rng, update)
 
 
 def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      rng, start: TensorSum | None = None) -> AdmOutcome:
+                      lambda_prev: float, rng,
+                      start: TensorSum | None = None) -> AdmOutcome:
     """Minimize the Rayleigh quotient of u_prev + z over rank-one z.
 
-    Each direction problem is solved exactly as the smallest eigenpair of
-    its bordered matrix (see ``secular``), so each update is a global
-    minimizer over its slot and the reported objective is the quotient
-    value itself.  An update whose infimum is not attained raises
-    PoleCollision.  A start supplies factors 1..d-1.
+    u_prev must have unit metric norm and Rayleigh quotient lambda_prev, as
+    the greedy iterate has: they are the bordered quotient's constants
+    a(u_prev, u_prev) and <u_prev, u_prev>.  Each direction problem is
+    solved exactly as the smallest eigenpair of its bordered matrix (see
+    ``secular``), so each update is a global minimizer over its slot and
+    the reported objective is the quotient value itself.  An update whose
+    infimum is not attained raises PoleCollision.  A start supplies factors
+    1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
 
     def update(factors, j):
         dd = ws.reduce(factors, j)
-        red = secular.reduce(dd.A_j, dd.Mj_eff, dd.b_j, dd.m_j, dd.alpha, dd.beta)
+        red = secular.reduce(dd.A_j, dd.Mj_eff, dd.b_j, dd.m_j, lambda_prev, 1.0)
         rho, y = secular.solve_secular(red)
         return secular.recover_minimizer(red, y), rho
 
     return _sweep_loop(op, rng, update, start=start,
-                       settled=_decrease_settled(ws.alpha / ws.beta))
+                       settled=_decrease_settled(lambda_prev))
 
 
 def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
@@ -204,11 +204,15 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     """Minimize 0.5*||u_prev + z||_a^2 - (lambda_prev + nu) <u_prev, z>,
     where ||v||_a^2 = a(v, v) + nu <v, v> with the residual rule's shift nu.
 
-    Each direction is a single SPD solve of the shifted contracted system
-    (A_j + nu Mj_eff) s = lambda_prev m_j - b_j; the quadratic objective
-    follows from the same contracted data.  A start supplies factors 1..d-1.
+    u_prev must have unit metric norm and Rayleigh quotient lambda_prev, as
+    the greedy iterate has, so the zero correction's objective is
+    0.5 (lambda_prev + nu).  Each direction is a single SPD solve of the
+    shifted contracted system (A_j + nu Mj_eff) s = lambda_prev m_j - b_j;
+    the quadratic objective follows from the same contracted data.  A start
+    supplies factors 1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
+    zero_obj = 0.5 * (lambda_prev + nu)
 
     def update(factors, j):
         dd = ws.reduce(factors, j)
@@ -220,11 +224,10 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
             raise NuTooSmall(
                 f"shifted direction system not SPD (nu={nu}): {exc}"
             ) from exc
-        # 0.5 s^T (A_j + nu M_j) s - rhs^T s + 0.5 (alpha + nu beta), which
-        # at the solution of (A_j + nu M_j) s = rhs is:
-        return s, 0.5 * (dd.alpha + nu * dd.beta - float(rhs @ s))
+        # 0.5 s^T (A_j + nu M_j) s - rhs^T s + zero_obj, which at the
+        # solution of (A_j + nu M_j) s = rhs is:
+        return s, zero_obj - 0.5 * float(rhs @ s)
 
-    zero_obj = 0.5 * (ws.alpha + nu * ws.beta)
     return _sweep_loop(op, rng, update, start=start,
                        settled=_decrease_settled(zero_obj))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -65,11 +66,14 @@ class GreedyConfig:
                              f"got {self.orthogonal!r}")
         require_count("max_iter", self.max_iter)
         require_count("rng_seed", self.rng_seed, least=0)
-        if not (0 < self.tol_lambda < math.inf
-                and 0 < self.tol_residual < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if not 0 <= self.nu < math.inf:
-            raise ValueError("nu must be non-negative and finite")
+        for name, sign in (("nu", "non-negative"), ("tol_lambda", "positive"),
+                           ("tol_residual", "positive")):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 <= value < math.inf
+                    or value == 0 and sign == "positive"):
+                raise ValueError(f"{name} must be a {sign} finite number, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,7 @@ def initialize(op: KroneckerSumOperator, m: MetricSet,
 
 def _compute_correction(op, m, state, cfg, rng) -> TensorSum:
     if cfg.variant is Variant.RAYLEIGH:
-        return adm_rayleigh_step(op, m, state.u, rng).z
+        return adm_rayleigh_step(op, m, state.u, state.lam, rng).z
     if cfg.variant is Variant.RESIDUAL:
         return adm_residual_step(op, m, state.u, state.lam, cfg.nu, rng).z
     return adm_explicit_step(op, m, state.u, state.lam, rng).z

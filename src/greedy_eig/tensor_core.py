@@ -323,16 +323,13 @@ class DirectionData(NamedTuple):
 
     Writing z(s) for the frozen rank-one element with s in the open slot:
     a(z(s), z(t)) = s^T A_j t, <z(s), z(t)> = s^T Mj_eff t,
-    a(context, z(s)) = b_j^T s, <context, z(s)> = m_j^T s,
-    alpha = a(context, context), beta = <context, context>.
+    a(context, z(s)) = b_j^T s, <context, z(s)> = m_j^T s.
     """
 
     A_j: np.ndarray
     Mj_eff: np.ndarray
     b_j: np.ndarray
     m_j: np.ndarray
-    alpha: float
-    beta: float
 
 
 class DirectionWorkspace:
@@ -340,14 +337,14 @@ class DirectionWorkspace:
 
     The context (the accumulated greedy iterate) is fixed during an ADM
     solve, so its images D^(k,j) U_j, M_j U_j are formed once, in one
-    product per dimension, and their per-term Grams U_j^T [images] give
-    a(context, context) and <context, context>.  Per dimension, the K
-    operator factors and the mass matrix are stacked into one array, and
-    their context images side by side, so contracting a frozen factor
-    against all terms takes two matrix products.  The contraction of the
-    last factor seen in each slot is kept, so a sweep that changes one
-    factor per update recomputes one slot per update; frozen factors must
-    therefore not be modified in place between calls.
+    product per dimension.  Per dimension, the K operator factors and the
+    mass matrix are stacked into one array, and their context images side
+    by side, so contracting a frozen factor against all terms takes two
+    matrix products.  The contraction of the last factor seen in each slot
+    is kept, so a sweep that changes one factor per update recomputes one
+    slot per update; frozen factors must therefore not be modified in place
+    between calls.  a(context, context) and <context, context> are not
+    formed: the ADM solvers take them from the greedy state.
     """
 
     def __init__(self, op: KroneckerSumOperator, m: MetricSet, context: TensorSum):
@@ -367,15 +364,6 @@ class DirectionWorkspace:
             np.ascontiguousarray((stack @ uj).reshape(K + 1, len(uj), n)
                                  .transpose(1, 0, 2)).reshape(len(uj), -1)
             for stack, uj in zip(self._stacks, context.factors)]
-        # the per-term Grams U_j^T [images] side by side, multiplied over j
-        # in place; c^T (their product) c per term, the mass's last
-        had = None
-        for uj, img in zip(context.factors, self._images):
-            gram = uj.T @ img
-            had = gram if had is None else np.multiply(had, gram, out=had)
-        forms = (c @ had).reshape(K + 1, n) @ c
-        self.alpha, self.beta = float(forms[:K].sum()), float(forms[K])
-        del had, gram   # (n, (K+1) n) each: freed before more is allocated
         # the open slot's images carry the context coefficients; split
         # into the operator terms' columns and the mass's
         self._weighted = [(w[:, :K * n], w[:, K * n:]) for w in (
@@ -418,5 +406,5 @@ class DirectionWorkspace:
         img_a, img_m = self._weighted[j]
         b_j = img_a @ p[:K].ravel()
         m_j = img_m @ p[K]
-        return DirectionData(A_j, Mj_eff, b_j, m_j, self.alpha, self.beta)
+        return DirectionData(A_j, Mj_eff, b_j, m_j)
 

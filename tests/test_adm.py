@@ -78,6 +78,16 @@ def spd_mass_problem(seed, sizes=(5, 4, 3), K=3):
     return op, MetricSet([random_spd(n, rng) for n in sizes])
 
 
+def unit_iterate(op, m, seed=33):
+    """A two-term iterate of unit metric norm near the rank-one minimizer,
+    and its Rayleigh quotient: the form of the greedy iterate."""
+    rng = np.random.default_rng(seed)
+    base = adm_initial_guess(op, m, np.random.default_rng(0)).z
+    u = normalize(base.plus(TensorSum.rank_one(
+        [0.05 * rng.standard_normal(n) for n in op.sizes])), m)
+    return u, rayleigh(op, m, u)
+
+
 class TestInitialGuess:
     def test_attains_brute_force_rank_one_minimum(self):
         """Exhaustive alternating solve from many starts agrees with ADM."""
@@ -94,10 +104,10 @@ class TestInitialGuess:
         assert val <= best + 1e-9
 
     def test_unit_norm(self):
-        op, m = small_problem(seed=4)
-        out = adm_initial_guess(op, m, np.random.default_rng(0))
-        u = out.z
-        assert h_inner(u, u, m) == pytest.approx(1.0)
+        for op, m in (small_problem(seed=4), spd_mass_problem(4)):
+            out = adm_initial_guess(op, m, np.random.default_rng(0))
+            u = out.z
+            assert h_inner(u, u, m) == pytest.approx(1.0, rel=1e-13)
 
     def test_objective_matches_iterate(self):
         op, m = small_problem(seed=5)
@@ -110,7 +120,8 @@ class TestRayleighStep:
     def test_decreases_quotient_and_beats_random_directions(self):
         op, m = small_problem(seed=6)
         u = adm_initial_guess(op, m, np.random.default_rng(0)).z
-        out = adm_rayleigh_step(op, m, u, np.random.default_rng(1))
+        out = adm_rayleigh_step(op, m, u, rayleigh(op, m, u),
+                                np.random.default_rng(1))
         val = rayleigh(op, m, u.plus(out.z))
         assert val <= rayleigh(op, m, u) + 1e-12
         assert val == pytest.approx(out.objective, rel=1e-8)
@@ -123,13 +134,24 @@ class TestRayleighStep:
         """At the step's stationary point, a(u_new, z) = J(u_new) <u_new, z>."""
         op, m = small_problem(seed=7)
         u = adm_initial_guess(op, m, np.random.default_rng(0)).z
-        out = adm_rayleigh_step(op, m, u, np.random.default_rng(1))
+        out = adm_rayleigh_step(op, m, u, rayleigh(op, m, u),
+                                np.random.default_rng(1))
         z = out.z
         u_new = u.plus(z)
         lam = rayleigh(op, m, u_new)
         lhs = a_inner(op, u_new, z)
         rhs = lam * h_inner(u_new, z, m)
         assert lhs == pytest.approx(rhs, abs=1e-8 * max(1, abs(lhs)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_objective_is_the_quotient_under_a_mass(self, seed):
+        """Under SPD masses, the objective read from the iterate's lambda and
+        unit norm is the Rayleigh quotient of u + z."""
+        op, m = spd_mass_problem(seed)
+        u, lam = unit_iterate(op, m)
+        out = adm_rayleigh_step(op, m, u, lam, np.random.default_rng(1))
+        assert out.objective == pytest.approx(
+            rayleigh(op, m, u.plus(out.z)), rel=1e-12)
 
 
 class TestResidualStep:
@@ -180,6 +202,19 @@ class TestResidualStep:
         for _ in range(500):
             z = TensorSum.rank_one([0.3 * rng.standard_normal(n) for n in op.sizes])
             assert dist2(z.to_dense()) >= base - 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_objective_under_a_mass(self, seed):
+        """Under SPD masses and a shift, the objective read from the
+        iterate's lambda and unit norm is the shifted quadratic of z."""
+        op, m = spd_mass_problem(seed)
+        u, lam = unit_iterate(op, m)
+        nu = 0.5
+        out = adm_residual_step(op, m, u, lam, nu, np.random.default_rng(1))
+        up = u.plus(out.z)
+        want = (0.5 * (a_inner(op, up, up) + nu * h_inner(up, up, m))
+                - (lam + nu) * h_inner(u, out.z, m))
+        assert out.objective == pytest.approx(want, rel=1e-12)
 
 
 class TestExplicitStep:
@@ -252,14 +287,10 @@ class TestStart:
     @pytest.fixture
     def solve(self, request):
         op, m = small_problem(seed=10)
-        rng = np.random.default_rng(33)
-        base = adm_initial_guess(op, m, np.random.default_rng(0)).z
-        u = normalize(base.plus(TensorSum.rank_one(
-            [0.05 * rng.standard_normal(n) for n in op.sizes])), m)
-        lam = rayleigh(op, m, u)
+        u, lam = unit_iterate(op, m)
         solvers = {
             "rayleigh": lambda start: adm_rayleigh_step(
-                op, m, u, np.random.default_rng(1), start=start),
+                op, m, u, lam, np.random.default_rng(1), start=start),
             "residual": lambda start: adm_residual_step(
                 op, m, u, lam, 1.0, np.random.default_rng(1), start=start),
             "explicit": lambda start: adm_explicit_step(
@@ -325,9 +356,9 @@ class TestBoundary:
         rng = np.random.default_rng(0)
         with pytest.raises(StructuralError, match="metric sizes"):
             adm_initial_guess(op, wrong, rng)
-        u = adm_initial_guess(op, MetricSet.identity(op.sizes), rng).z
+        guess = adm_initial_guess(op, MetricSet.identity(op.sizes), rng)
         with pytest.raises(StructuralError, match="metric sizes"):
-            adm_rayleigh_step(op, wrong, u, rng)
+            adm_rayleigh_step(op, wrong, guess.z, guess.objective, rng)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_balanced_rejects_non_finite_factor(self, bad):
@@ -395,7 +426,7 @@ class TestSweepLoop:
             "initial": lambda: adm_initial_guess(
                 op, m, np.random.default_rng(0)),
             "rayleigh": lambda: adm_rayleigh_step(
-                op, m, u, np.random.default_rng(1)),
+                op, m, u, lam, np.random.default_rng(1)),
             "residual": lambda: adm_residual_step(
                 op, m, u, lam, 1.0, np.random.default_rng(1)),
         }[rule]()
@@ -425,7 +456,7 @@ class TestDecreaseStop:
         def solve(start=None):
             rng = np.random.default_rng(1)
             if rule == "rayleigh":
-                return adm_rayleigh_step(op, m, u, rng, start=start)
+                return adm_rayleigh_step(op, m, u, lam, rng, start=start)
             return adm_residual_step(op, m, u, lam, NU, rng, start=start)
 
         out = solve()
@@ -458,7 +489,7 @@ class TestDecreaseStop:
         def solve():
             rng = np.random.default_rng(1)
             if rule == "rayleigh":
-                return adm_rayleigh_step(op, m, u, rng)
+                return adm_rayleigh_step(op, m, u, lam, rng)
             return adm_residual_step(op, m, u, lam, NU, rng)
 
         monkeypatch.setattr(adm, "_decrease_settled", recorded)

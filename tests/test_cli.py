@@ -247,11 +247,15 @@ class TestSolve:
             assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("solver", [
-        {"nu": float("nan")}, {"max_iter": 2.5},
-        {"adm": {"tol_sweep": float("nan")}},
-        {"adm": {"restart_attempts": 0}},
-        {"rng_seed": -1}, {"rng_seed": 1.5}, {"orthogonal": "false"},
-        {"adm": {"max_sweeps": 60}},
+        pytest.param({"nu": float("nan")}, id="nu_nan"),
+        pytest.param({"nu": True}, id="nu_bool"),
+        pytest.param({"tol_lambda": True}, id="tol_lambda_bool"),
+        pytest.param({"tol_residual": True}, id="tol_residual_bool"),
+        pytest.param({"max_iter": 2.5}, id="max_iter_fractional"),
+        pytest.param({"rng_seed": -1}, id="rng_seed_negative"),
+        pytest.param({"rng_seed": 1.5}, id="rng_seed_fractional"),
+        pytest.param({"orthogonal": "false"}, id="orthogonal_string"),
+        pytest.param({"adm": {"max_sweeps": 60}}, id="adm_key_unknown"),
     ])
     def test_invalid_solver_value(self, tmp_path, solver):
         cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": solver})

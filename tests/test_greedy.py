@@ -305,6 +305,14 @@ class TestConfigAndShift:
         assert GreedyConfig(max_iter=np.int64(3)).max_iter == 3
         assert GreedyConfig(rng_seed=np.uint32(0)).rng_seed == 0
 
+    @pytest.mark.parametrize("field", ["nu", "tol_lambda", "tol_residual"])
+    def test_shift_and_tolerances_must_be_numbers(self, field):
+        """A boolean is refused rather than run as 1.0, and so is a string,
+        with a message naming the field."""
+        for bad in (True, "1"):
+            with pytest.raises(ValueError, match=field):
+                GreedyConfig(**{field: bad})
+
     @pytest.mark.parametrize("variant", ["rayleigh", "nonsense", 3, None])
     def test_variant_must_be_a_member(self, variant):
         """A variant that is not a ``Variant`` member, its name included,

@@ -262,21 +262,6 @@ class TestDirectionReduction:
                 assert np.isclose(s @ dd.Mj_eff @ s, z @ m_dense @ z)
                 assert np.isclose(dd.b_j @ s, c_vec @ a_dense @ z)
                 assert np.isclose(dd.m_j @ s, c_vec @ m_dense @ z)
-            assert np.isclose(dd.alpha, c_vec @ a_dense @ c_vec)
-            assert np.isclose(dd.beta, c_vec @ m_dense @ c_vec)
-
-    @pytest.mark.parametrize("sizes", [(5, 4), (3, 4, 2), (3, 2, 4, 3)])
-    @pytest.mark.parametrize("n", [0, 1, 7])
-    def test_workspace_forms_match_inner_products(self, sizes, n):
-        """alpha and beta, taken from the images' per-term Grams, are
-        a(context, context) and <context, context>."""
-        rng = np.random.default_rng(10 * n + len(sizes))
-        op = random_operator(sizes, 3, rng)
-        m = MetricSet([random_spd(k, rng) for k in sizes])
-        ctx = random_tensor_sum(sizes, n, rng)
-        ws = DirectionWorkspace(op, m, ctx)
-        assert ws.alpha == pytest.approx(a_inner(op, ctx, ctx), rel=1e-13, abs=0.0)
-        assert ws.beta == pytest.approx(h_inner(ctx, ctx, m), rel=1e-13, abs=0.0)
 
     def test_workspace_matches_one_shot(self):
         sizes = (4, 3)
