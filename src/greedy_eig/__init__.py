@@ -56,13 +56,8 @@ from .tensor_core import (
     MetricSet,
     TensorSum,
     a_inner,
-    apply_operator,
     eig_residual,
-    euclidean_norm,
-    h_inner,
     h_norm,
-    normalize,
-    rayleigh,
 )
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from .errors import (
     ExplicitStepFailure,
     IllConditionedGram,
     NuTooSmall,
+    PoleCollision,
     SingularSystem,
     StructuralError,
 )
@@ -109,7 +110,9 @@ def _sweep_change(prev_factors, factors) -> TensorSum:
 
 def _sweep_loop(op, rng, update_direction, start=None,
                 settled=_objective_settled) -> AdmOutcome:
-    """Generic ADM driver: cyclic direction updates with reseeding on collapse.
+    """Generic ADM driver: cyclic direction updates, reseeded when a start
+    collapses (DegenerateDirection) or breaks a direction update
+    (PoleCollision, ExplicitStepFailure).
 
     ``update_direction(factors, j)`` returns ``(new_factor, objective)``.
     The sweep stops once ``settled(prev_factors, prev_obj, factors, obj)``
@@ -147,12 +150,10 @@ def _sweep_loop(op, rng, update_direction, start=None,
                     converged = True
                     break
             return AdmOutcome(_balanced(factors), sweep, converged, obj)
-        except DegenerateDirection as exc:
+        except (DegenerateDirection, PoleCollision, ExplicitStepFailure) as exc:
             last_error = exc
-            continue
-    raise AdmFailure(
-        f"ADM failed after {RESTART_ATTEMPTS} reseeds: {last_error}"
-    )
+    raise AdmFailure(f"ADM failed in all {RESTART_ATTEMPTS} starts: "
+                     f"{last_error}") from last_error
 
 
 def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet,
@@ -183,8 +184,8 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     solved exactly as the smallest eigenpair of its bordered matrix (see
     ``secular``), so each update is a global minimizer over its slot and
     the reported objective is the quotient value itself.  An update whose
-    infimum is not attained raises PoleCollision.  A start supplies factors
-    1..d-1.
+    infimum is not attained (PoleCollision) reseeds the solve.  A start
+    supplies factors 1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
 

@@ -6,15 +6,14 @@ is a sum of K Kronecker products of per-dimension symmetric factors,
     A = sum_k  D^(k,1) x D^(k,2) x ... x D^(k,d).
 
 The metric is the one-term case, M = M_1 x ... x M_d: ``MetricSet`` is a
-``KroneckerSumOperator`` with a single term, so <u, v> is ``a_inner(m, u, v)``
-and M u is ``apply_operator(m, u)``.
+``KroneckerSumOperator`` with a single term, so <u, v> is ``a_inner(m, u, v)``.
 
 Iterates are kept in factored form: a ``TensorSum`` is a linear combination
 of rank-one terms, and a rank-one element is the one-term sum
 ``TensorSum.rank_one(factors)``.  All inner products are evaluated dimension
 by dimension through small Gram matrices; something of size prod(N_j) is
-formed only by ``to_dense``, and by ``euclidean_norm`` and ``eig_residual``
-for tensors of at most DENSE_NORM_LIMIT entries.
+formed only by ``to_dense``, and by ``eig_residual`` for tensors of at most
+DENSE_NORM_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dense_kernels import cholesky_spd
-from .errors import (DegenerateDirection, DegenerateIterate,
-                     IllConditionedGram, StructuralError)
+from .errors import DegenerateDirection, IllConditionedGram, StructuralError
 
 ZERO_NORM_TOL = 1e-14
-DENSE_NORM_LIMIT = 4096   # entries up to which norms are taken assembled
+DENSE_NORM_LIMIT = 4096   # entries up to which the residual is assembled
 SYMMETRY_RTOL = 1e-12     # largest max|A - A^T| / max|A| of a factor
 
 
@@ -241,75 +239,35 @@ def a_inner(op: KroneckerSumOperator, u: TensorSum, v: TensorSum) -> float:
     return float(u.coeffs @ had.sum(axis=0) @ v.coeffs)
 
 
-def h_inner(u: TensorSum, v: TensorSum, m: MetricSet) -> float:
-    """<u, v> under the product mass metric, the one-term form m."""
-    return a_inner(m, u, v)
-
-
 def h_norm(u: TensorSum, m: MetricSet) -> float:
-    return float(np.sqrt(max(h_inner(u, u, m), 0.0)))
-
-
-def euclidean_norm(u: TensorSum) -> float:
-    """Plain 2-norm of the flattened coefficient tensor.
-
-    A tensor of at most DENSE_NORM_LIMIT entries is assembled, which gives
-    the norm to rounding.  A larger one is measured through the factored
-    Gram, which squares the norm: a sum whose terms cancel to below about
-    1e-8 of their own norms, such as an eigenpair residual, is not resolved.
-    """
-    if u.is_zero():
-        return 0.0
-    if math.prod(u.sizes) <= DENSE_NORM_LIMIT:
-        return float(np.linalg.norm(u.to_dense()))
-    had = None
-    for uj in u.factors:
-        g = uj.T @ uj
-        had = g if had is None else had * g
-    return float(np.sqrt(max(u.coeffs @ had @ u.coeffs, 0.0)))
-
-
-def rayleigh(op: KroneckerSumOperator, m: MetricSet, u: TensorSum) -> float:
-    """Rayleigh quotient a(u,u)/<u,u>; +inf for the zero element."""
-    denom = h_inner(u, u, m)
-    if denom == 0.0:
-        return float("inf")
-    return a_inner(op, u, u) / denom
-
-
-def normalize(u: TensorSum, m: MetricSet) -> TensorSum:
-    """Rescale u to unit H-norm; direction is preserved."""
-    nrm = h_norm(u, m)
-    if nrm < ZERO_NORM_TOL:
-        raise DegenerateIterate(f"cannot normalize: H-norm {nrm:.3e}")
-    return u.scaled(1.0 / nrm)
-
-
-def apply_operator(op: KroneckerSumOperator, u: TensorSum) -> TensorSum:
-    """A u in factored form; the result has K * num_terms rank-one terms."""
-    if u.is_zero():
-        return u
-    K, n = op.num_terms, u.num_terms
-    return TensorSum(
-        u.sizes,
-        np.tile(u.coeffs, K),
-        tuple((stack @ fj).reshape(K, -1, n).transpose(1, 0, 2).reshape(-1, K * n)
-              for stack, fj in zip(op.stacked, u.factors)),
-    )
+    return float(np.sqrt(max(a_inner(m, u, u), 0.0)))
 
 
 def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum, lam: float) -> float:
-    """Euclidean norm of A u - lam M u: up to DENSE_NORM_LIMIT entries on
-    the assembled iterate, exact to rounding; above, through the factored
-    residual's Gram (see ``euclidean_norm``)."""
+    """Euclidean norm of A u - lam M u, from one stacked array
+    [D^(1,j); ...; D^(K,j); M_j] per axis.  Up to DENSE_NORM_LIMIT entries
+    the iterate is assembled, exact to rounding.  Above, the norm is taken
+    through the factored residual's Gram, which squares it: a residual whose
+    terms cancel below about sqrt(eps) = 1e-8 of their own norms, as an
+    eigenpair's do, is not resolved."""
+    stacks = [np.concatenate([stack, mass])
+              for stack, mass in zip(op.stacked, m.masses)]
     if math.prod(u.sizes) > DENSE_NORM_LIMIT:
-        r = apply_operator(op, u).plus(apply_operator(m, u).scaled(-lam))
-        return euclidean_norm(r)
+        # per axis the images, columns (term, i) with the mass's last
+        K, n, c = op.num_terms, u.num_terms, u.coeffs
+        had = None
+        for stack, uj in zip(stacks, u.factors):
+            y = ((stack @ uj).reshape(K + 1, len(uj), n).transpose(1, 0, 2)
+                 .reshape(len(uj), -1))
+            g = y.T @ y
+            had = g if had is None else had * g
+        coeffs = np.concatenate([np.tile(c, K), -lam * c])
+        return float(np.sqrt(max(coeffs @ had @ coeffs, 0.0)))
     # y[t] is the t-th term's image, the mass's last: per axis, each
     # term's factor acts on it in one broadcast product
     y, lead = u.to_dense().reshape(1, 1, -1), 1
-    for j, (nj, stack, mass) in enumerate(zip(u.sizes, op.stacked, m.masses)):
-        f = np.concatenate([stack, mass]).reshape(-1, nj, nj)
+    for j, (nj, stack) in enumerate(zip(u.sizes, stacks)):
+        f = stack.reshape(-1, nj, nj)
         if j < op.d - 1:
             y = f[:, None] @ y.reshape(len(y), lead, nj, -1)
         else:   # symmetric factors act on the last axis from the right

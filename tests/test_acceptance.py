@@ -20,8 +20,8 @@ from greedy_eig.problems import (
 )
 from greedy_eig.reference_oracle import dense_reference, error_metrics
 from greedy_eig.secular import reduce, solve_secular
-from greedy_eig.tensor_core import MetricSet, TensorSum, normalize
-from rayleigh_check import grad_check_rayleigh
+from greedy_eig.tensor_core import MetricSet, TensorSum
+from rayleigh_check import grad_check_rayleigh, normalize
 
 # Frozen two-dimensional random instances (sizes, seed).  Seeds are chosen so
 # that the lowest eigenvalue has a healthy relative spectral gap; the slow

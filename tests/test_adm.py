@@ -15,7 +15,7 @@ from greedy_eig.adm import (
     adm_rayleigh_step,
     adm_residual_step,
 )
-from greedy_eig.errors import ExplicitStepFailure, StructuralError
+from greedy_eig.errors import AdmFailure, ExplicitStepFailure, StructuralError
 from greedy_eig.greedy import GreedyConfig, Variant
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.tensor_core import (
@@ -24,12 +24,10 @@ from greedy_eig.tensor_core import (
     MetricSet,
     TensorSum,
     a_inner,
-    h_inner,
     h_norm,
-    normalize,
-    rayleigh,
     rebalance,
 )
+from rayleigh_check import normalize, rayleigh
 
 RNG = np.random.default_rng(21)
 NU = 0.0   # the residual rule's shift in these tests
@@ -107,7 +105,7 @@ class TestInitialGuess:
         for op, m in (small_problem(seed=4), spd_mass_problem(4)):
             out = adm_initial_guess(op, m, np.random.default_rng(0))
             u = out.z
-            assert h_inner(u, u, m) == pytest.approx(1.0, rel=1e-13)
+            assert a_inner(m, u, u) == pytest.approx(1.0, rel=1e-13)
 
     def test_objective_matches_iterate(self):
         op, m = small_problem(seed=5)
@@ -140,7 +138,7 @@ class TestRayleighStep:
         u_new = u.plus(z)
         lam = rayleigh(op, m, u_new)
         lhs = a_inner(op, u_new, z)
-        rhs = lam * h_inner(u_new, z, m)
+        rhs = lam * a_inner(m, u_new, z)
         assert lhs == pytest.approx(rhs, abs=1e-8 * max(1, abs(lhs)))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -163,8 +161,8 @@ class TestResidualStep:
 
         def objective(z):
             up = u.plus(z)
-            shifted = a_inner(op, up, up) + NU * h_inner(up, up, m)
-            return 0.5 * shifted - lam * h_inner(u, z, m)
+            shifted = a_inner(op, up, up) + NU * a_inner(m, up, up)
+            return 0.5 * shifted - lam * a_inner(m, u, z)
 
         val = objective(out.z)
         assert val == pytest.approx(out.objective, rel=1e-8)
@@ -212,8 +210,8 @@ class TestResidualStep:
         nu = 0.5
         out = adm_residual_step(op, m, u, lam, nu, np.random.default_rng(1))
         up = u.plus(out.z)
-        want = (0.5 * (a_inner(op, up, up) + nu * h_inner(up, up, m))
-                - (lam + nu) * h_inner(u, out.z, m))
+        want = (0.5 * (a_inner(op, up, up) + nu * a_inner(m, up, up))
+                - (lam + nu) * a_inner(m, u, out.z))
         assert out.objective == pytest.approx(want, rel=1e-12)
 
 
@@ -240,7 +238,7 @@ class TestExplicitStep:
         u_plus = u.plus(z)
         # stationarity tested against the correction itself
         lhs = a_inner(op, u_plus, z)
-        rhs = lam * h_inner(u_plus, z, m)
+        rhs = lam * a_inner(m, u_plus, z)
         assert lhs == pytest.approx(rhs, abs=1e-7 * max(1, abs(lhs)))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -267,17 +265,19 @@ class TestExplicitStep:
 
     @pytest.mark.filterwarnings("error")
     def test_singular_shift_raises(self, monkeypatch):
-        """Shifting exactly onto a contracted eigenvalue breaks the solve."""
+        """Shifting exactly onto a contracted eigenvalue breaks the solve;
+        once every start has broken, AdmFailure carries the cause."""
         d1 = np.diag([1.0, 2.0])
         op = KroneckerSumOperator([[d1, np.eye(2)], [np.eye(2), d1]])
         m = MetricSet.identity((2, 2))
         u = TensorSum.rank_one([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
         # A_j for frozen e1 is diag(1,2) + I; shift with an exact eigenvalue
         monkeypatch.setattr(adm, "RESTART_ATTEMPTS", 1)
-        with pytest.raises(ExplicitStepFailure):
+        with pytest.raises(AdmFailure) as failure:
             adm_explicit_step(op, m, u, 2.0, np.random.default_rng(0),
                               start=TensorSum.rank_one([np.array([1.0, 0.0]),
                                                         np.array([1.0, 0.0])]))
+        assert isinstance(failure.value.__cause__, ExplicitStepFailure)
 
 
 class TestStart:
@@ -451,7 +451,7 @@ class TestDecreaseStop:
         u = adm_initial_guess(op, m, np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
         ref = lam if rule == "rayleigh" else 0.5 * (
-            a_inner(op, u, u) + NU * h_inner(u, u, m))
+            a_inner(op, u, u) + NU * a_inner(m, u, u))
 
         def solve(start=None):
             rng = np.random.default_rng(1)
@@ -475,7 +475,7 @@ class TestDecreaseStop:
         u = adm_initial_guess(op, m, np.random.default_rng(0)).z
         lam = rayleigh(op, m, u)
         zero_obj = lam if rule == "rayleigh" else 0.5 * (
-            a_inner(op, u, u) + NU * h_inner(u, u, m))
+            a_inner(op, u, u) + NU * a_inner(m, u, u))
         checks, decrease_settled = [], adm._decrease_settled
 
         def recorded(ref):

@@ -28,7 +28,6 @@ from greedy_eig.tensor_core import (
     MetricSet,
     TensorSum,
     a_inner,
-    h_inner,
     h_norm,
 )
 
@@ -182,7 +181,7 @@ class TestResidualDecreaseIdentity:
             z_t = TensorSum(u.sizes, u.coeffs[-1:],
                             tuple(f[:, -1:] for f in u.factors))
             bound = (a_inner(op, z_t, z_t)
-                     + (cfg.nu + lam_prev) * h_inner(z_t, z_t, m))
+                     + (cfg.nu + lam_prev) * a_inner(m, z_t, z_t))
             decrease = lam_prev - row.lambda_n
             assert decrease >= bound * (1 - 1e-6) - 1e-12
             assert decrease == pytest.approx(bound, rel=1e-5, abs=1e-11)
@@ -261,7 +260,34 @@ class TestExtendGrams:
         assert np.array_equal(grown_b, np.block([[B, b_row[:-1, None]], [b_row]]))
 
 
+# (modes per dimension, rule, orthogonal, solver seeds) of trap runs at
+# max_iter 30 that once ended in a step failure at their first or second
+# step: PoleCollision under the Rayleigh rule, ExplicitStepFailure (a
+# singular direction system) under the explicit rule
+TRAP_BREAKS = [
+    (3, Variant.RAYLEIGH, False, (2, 14)), (3, Variant.RAYLEIGH, True, (2, 14)),
+    (4, Variant.RAYLEIGH, False, (9,)), (4, Variant.RAYLEIGH, True, (9,)),
+    (5, Variant.EXPLICIT, False, (0, 4, 5, 14, 17)),
+    (5, Variant.EXPLICIT, True, (0, 4, 5, 14, 17)),
+    (6, Variant.EXPLICIT, False, (0, 2, 4, 9, 18)),
+    (6, Variant.EXPLICIT, True, (0, 2)),
+]
+
+
 class TestTrapStagnation:
+    @pytest.mark.parametrize("modes, variant, ortho, seeds", TRAP_BREAKS, ids=[
+        f"{n}-{'orthogonal-' * o}{v.value}" for n, v, o, _ in TRAP_BREAKS])
+    def test_broken_direction_update_reseeds(self, modes, variant, ortho, seeds):
+        """A direction update that breaks reseeds its ADM solve rather
+        than ending a solvable run."""
+        op, m = gen_excited_trap(modes_per_dim=modes)
+        for seed in seeds:
+            cfg = GreedyConfig(variant=variant, orthogonal=ortho, max_iter=30,
+                               rng_seed=seed)
+            res = run(op, m, cfg)
+            assert not res.reason.startswith("step_failure"), (seed, res.reason)
+            assert res.lam >= 1.0 - 1e-9   # mu_02, the dense minimum
+
     def test_pure_rayleigh_stalls_at_entangled_level(self):
         op, m = gen_excited_trap(1.0, 2.0, 17.0, 20.0, 3)
         cfg = GreedyConfig(variant=Variant.RAYLEIGH, max_iter=40,

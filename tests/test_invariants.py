@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from greedy_eig.greedy import GreedyConfig, Variant, run
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.reference_oracle import dense_reference
-from greedy_eig.tensor_core import MetricSet, rayleigh
+from greedy_eig.tensor_core import MetricSet
+from rayleigh_check import rayleigh
 
 
 def spd_mass(n, cond, rng):

@@ -22,7 +22,8 @@ from greedy_eig.problems import (
     save_operator,
 )
 from greedy_eig.reference_oracle import dense_assemble, dense_reference
-from greedy_eig.tensor_core import MetricSet, TensorSum, rayleigh
+from greedy_eig.tensor_core import MetricSet, TensorSum
+from rayleigh_check import rayleigh
 
 
 class TestRandomKronecker:

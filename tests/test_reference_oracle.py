@@ -21,10 +21,8 @@ from greedy_eig.tensor_core import (
     MetricSet,
     TensorSum,
     a_inner,
-    h_inner,
-    normalize,
 )
-from rayleigh_check import grad_check_rayleigh
+from rayleigh_check import grad_check_rayleigh, normalize
 
 
 class TestDenseAssemble:
@@ -530,11 +528,11 @@ class TestGradCheck:
         op = gen_separable([np.diag([1.0, 3.0]), np.diag([1.0, 3.0])])
         m = MetricSet.identity((2, 2))
         v = TensorSum.rank_one([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
-        jv = a_inner(op, v, v) / h_inner(v, v, m)
+        jv = a_inner(op, v, v) / a_inner(m, v, v)
         rng = np.random.default_rng(3)
         for _ in range(10):
             w = TensorSum.rank_one([rng.standard_normal(2), rng.standard_normal(2)])
-            deriv = 2.0 * (a_inner(op, v, w) - jv * h_inner(v, w, m))
+            deriv = 2.0 * (a_inner(op, v, w) - jv * a_inner(m, v, w))
             assert abs(deriv) <= 1e-10
 
     def test_radial_direction_annihilated(self):
@@ -543,8 +541,8 @@ class TestGradCheck:
         rng = np.random.default_rng(4)
         v = normalize(TensorSum.rank_one(
             [rng.standard_normal(5), rng.standard_normal(5)]), m)
-        jv = a_inner(op, v, v) / h_inner(v, v, m)
-        deriv = 2.0 * (a_inner(op, v, v) - jv * h_inner(v, v, m))
+        jv = a_inner(op, v, v) / a_inner(m, v, v)
+        deriv = 2.0 * (a_inner(op, v, v) - jv * a_inner(m, v, v))
         assert abs(deriv) <= 1e-10
 
     def test_norm_window_enforced(self):

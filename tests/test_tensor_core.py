@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedy_eig.errors import DegenerateIterate, StructuralError
+from greedy_eig import tensor_core
+from greedy_eig.errors import StructuralError
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.reference_oracle import dense_assemble
 from greedy_eig.tensor_core import (
@@ -14,13 +15,8 @@ from greedy_eig.tensor_core import (
     MetricSet,
     TensorSum,
     a_inner,
-    apply_operator,
     eig_residual,
-    euclidean_norm,
-    h_inner,
     h_norm,
-    normalize,
-    rayleigh,
     rebalance,
 )
 
@@ -137,14 +133,6 @@ class TestConstruction:
 
 
 class TestInnerProducts:
-    def test_h_inner_matches_dense(self):
-        sizes = (3, 4)
-        m = MetricSet([random_spd(n) for n in sizes])
-        u = random_tensor_sum(sizes, 3)
-        v = random_tensor_sum(sizes, 2)
-        dense = u.to_dense() @ dense_metric(m) @ v.to_dense()
-        assert np.isclose(h_inner(u, v, m), dense)
-
     def test_metric_is_a_one_term_form(self):
         """a_inner with the metric as the form is <u, v> = u^T M v."""
         rng = np.random.default_rng(12)
@@ -164,51 +152,23 @@ class TestInnerProducts:
         dense = u.to_dense() @ dense_op(op) @ v.to_dense()
         assert np.isclose(a_inner(op, u, v), dense)
 
-    def test_euclidean_norm_matches_dense(self):
-        u = random_tensor_sum((4, 3), 4)
-        assert np.isclose(euclidean_norm(u), np.linalg.norm(u.to_dense()))
-
-    def test_zero_tensor_norms(self):
+    def test_zero_tensor_norms(self, monkeypatch):
         sizes = (3, 3)
         m = MetricSet.identity(sizes)
+        op = random_operator(sizes, 2, np.random.default_rng(4))
         z = TensorSum(sizes)
         assert h_norm(z, m) == 0.0
-        assert euclidean_norm(z) == 0.0
-        assert rayleigh(random_operator(sizes, 1), m, z) == np.inf
-
-    def test_normalize_unit_norm(self):
-        sizes = (3, 4)
-        m = MetricSet([random_spd(n) for n in sizes])
-        u = normalize(random_tensor_sum(sizes, 3), m)
-        assert np.isclose(h_norm(u, m), 1.0)
-
-    def test_normalize_zero_raises(self):
-        m = MetricSet.identity((3, 3))
-        with pytest.raises(DegenerateIterate):
-            normalize(TensorSum((3, 3)), m)
+        assert eig_residual(op, m, z, 1.5) == 0.0
+        monkeypatch.setattr(tensor_core, "DENSE_NORM_LIMIT", 0)
+        assert eig_residual(op, m, z, 1.5) == 0.0
 
     def test_shape_mismatch_raises(self):
         m = MetricSet.identity((3, 3))
         with pytest.raises(StructuralError):
-            h_inner(random_tensor_sum((3, 3), 1), random_tensor_sum((3, 4), 1), m)
+            a_inner(m, random_tensor_sum((3, 3), 1), random_tensor_sum((3, 4), 1))
 
 
 class TestOperatorApplication:
-    def test_apply_operator_matches_dense(self):
-        sizes = (3, 4)
-        op = random_operator(sizes, 3)
-        u = random_tensor_sum(sizes, 2)
-        assert np.allclose(apply_operator(op, u).to_dense(),
-                           dense_op(op) @ u.to_dense())
-
-    def test_apply_metric_matches_dense(self):
-        """M u is the metric applied as a one-term operator."""
-        for sizes in ((3, 4), (2, 3, 4)):
-            m = MetricSet([random_spd(n) for n in sizes])
-            u = random_tensor_sum(sizes, 2)
-            assert np.allclose(apply_operator(m, u).to_dense(),
-                               dense_metric(m) @ u.to_dense())
-
     def test_to_dense_matches_kron(self):
         sizes = (3, 2, 4)
         u = random_tensor_sum(sizes, 3)
@@ -237,6 +197,20 @@ class TestOperatorApplication:
             dense_op(op) @ u.to_dense() - lam * dense_metric(m) @ u.to_dense()
         )
         assert np.isclose(eig_residual(op, m, u, lam), dense)
+
+    def test_factored_residual_matches_dense_branch(self, monkeypatch):
+        """Above DENSE_NORM_LIMIT the factored residual agrees with the
+        assembled one, taken with the limit raised, to its sqrt(eps) floor."""
+        sizes = (17, 17, 17)   # 4,913 entries
+        rng = np.random.default_rng(11)
+        op = random_operator(sizes, 2, rng)
+        m = MetricSet([random_spd(n, rng) for n in sizes])
+        u = random_tensor_sum(sizes, 3, rng)
+        lam = a_inner(op, u, u) / a_inner(m, u, u)
+        factored = eig_residual(op, m, u, lam)
+        monkeypatch.setattr(tensor_core, "DENSE_NORM_LIMIT", 17 ** 3)
+        dense = eig_residual(op, m, u, lam)
+        assert abs(factored - dense) <= 1e-7 * residual_scale(op, m, u, lam)
 
 
 class TestDirectionReduction:
@@ -296,6 +270,23 @@ class TestDirectionReduction:
                 assert np.allclose(getattr(a, field), getattr(b, field))
 
 
+def size(w):
+    """sum_i |c_i| prod_j |f_ij|, a bound on |w| free of cancellation."""
+    return np.abs(w.coeffs) @ np.prod(
+        [np.linalg.norm(f, axis=0) for f in w.factors], axis=0)
+
+
+def op_size(op):
+    """sum_k prod_j ||D^(k,j)||_2, at least ||A||_2."""
+    return sum(np.prod([np.linalg.norm(f, 2) for f in term])
+               for term in op.terms)
+
+
+def residual_scale(op, m, u, lam):
+    """A bound on ||A u|| + |lam| ||M u|| free of cancellation."""
+    return (op_size(op) + abs(lam) * op_size(m)) * size(u)
+
+
 # per dimension count, the largest size: at most 625 entries, so the
 # assembled matrices stay small, all under the dense residual's 4,096
 MAX_SIZE = {2: 24, 3: 8, 4: 5}
@@ -327,20 +318,26 @@ class TestDenseProperties:
         op, m, u, v = case
         A, M = dense_assemble(op, m)
         x, y = u.to_dense(), v.to_dense()
-
-        def size(w):   # sum_i |c_i| prod_j |f_ij|, a bound free of cancellation
-            return np.abs(w.coeffs) @ np.prod(
-                [np.linalg.norm(f, axis=0) for f in w.factors], axis=0)
-
-        a_size = sum(np.prod([np.linalg.norm(f, 2) for f in term])
-                     for term in op.terms)   # at least ||A||_2
         assert np.abs(u.plus(v).to_dense() - (x + y)).max() <= 1e-15 * (
             size(u) + size(v))
-        assert abs(euclidean_norm(u) - np.linalg.norm(x)) <= 1e-14 * size(u)
-        assert np.linalg.norm(apply_operator(op, u).to_dense() - A @ x) <= (
-            1e-13 * a_size * size(u))
-        assert abs(a_inner(op, u, v) - x @ A @ y) <= 1e-13 * a_size * size(u) * size(v)
+        assert abs(a_inner(op, u, v) - x @ A @ y) <= (
+            1e-13 * op_size(op) * size(u) * size(v))
         lam = (x @ A @ x) / (x @ M @ x)   # makes the residual cancel
         want = np.linalg.norm(A @ x - lam * (M @ x))
         bound = 1e-13 * (np.linalg.norm(A @ x) + abs(lam) * np.linalg.norm(M @ x))
         assert abs(eig_residual(op, m, u, lam) - want) <= bound
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=50)
+    @given(dense_cases())
+    def test_factored_residual_matches_assembled(self, case):
+        """The factored branch, forced at every size, measures A x - lam M x
+        to its sqrt(eps) floor, on cancelling sums too."""
+        op, m, u, _ = case
+        A, M = dense_assemble(op, m)
+        x = u.to_dense()
+        lam = (x @ A @ x) / (x @ M @ x)
+        want = np.linalg.norm(A @ x - lam * (M @ x))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor_core, "DENSE_NORM_LIMIT", 0)
+            got = eig_residual(op, m, u, lam)
+        assert abs(got - want) <= 1e-7 * residual_scale(op, m, u, lam)
