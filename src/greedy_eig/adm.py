@@ -10,12 +10,15 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 
 The first three minimize an objective, which every direction update reports
 as a byproduct of the contracted data, so sweep convergence costs nothing
-extra; the explicit sweep has no objective and stops once its iterate
-settles.  The initial guess sweeps until its objective settles to TOL_SWEEP
-relative.  A greedy step needs a good correction, not the best one, so the
-Rayleigh and residual sweeps stop at the first of two tests: that one, or a
-sweep that changes the objective by at most DECREASE_RTOL of the
-correction's decrease below the objective of the zero correction.  Factors
+extra.  The explicit sweep has no objective: it is a fixed-point iteration,
+accelerated by type-II Anderson mixing of factors 1..d-1 between sweeps, and
+it stops once a plain sweep moves its rank-one iterate by at most TOL_SWEEP
+relative, a change taken in closed form from one 3 x 3 Gram per axis.  The
+initial guess sweeps until its objective settles to TOL_SWEEP relative.  A
+greedy step needs a good correction, not the best one, so the Rayleigh and
+residual sweeps stop at the first of two tests: that one, or a sweep that
+changes the objective by at most DECREASE_RTOL of the correction's decrease
+below the objective of the zero correction.  Factors
 are rebalanced to equal norms whenever an update leaves their norms far
 apart, and on return; the objectives are invariant under that rescaling.
 Seeds and reseeds draw from the generator the caller passes, so the greedy
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import secular
-from .dense_kernels import gen_sym_eig_smallest, spd_solve, sym_indefinite_solve
+from .dense_kernels import (cholesky_spd, gen_sym_eig_smallest, spd_solve,
+                            sym_indefinite_solve, tri_solve)
 from .errors import (
     AdmFailure,
     DegenerateDirection,
@@ -46,7 +50,6 @@ from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
     TensorSum,
-    h_norm,
     rebalance,
 )
 
@@ -57,6 +60,7 @@ MAX_SWEEPS = 50          # sweeps per start before giving up on convergence
 TOL_SWEEP = 1e-10        # relative change a settled sweep stays within
 DECREASE_RTOL = 3e-2     # share of the correction's decrease, likewise
 RESTART_ATTEMPTS = 3     # starts, the first included, before AdmFailure
+MIX_MEMORY = 3           # sweeps the explicit rule's Anderson mixing recalls
 
 
 @dataclass(frozen=True)
@@ -97,19 +101,78 @@ def _decrease_settled(ref):
     return settled
 
 
-def _sweep_change(prev_factors, factors) -> TensorSum:
-    """cur - prev for the rank-one elements of two factor lists, written as
-    the d terms prev_<l x (cur_l - prev_l) x cur_>l, no two of which cancel,
-    where the Gram of the two-term cur - prev cancels to rounding of cur."""
-    d = len(factors)
-    return TensorSum([len(f) for f in factors], np.ones(d), [
-        np.column_stack([p if j < l else c if j > l else c - p
-                         for l in range(d)])
-        for j, (p, c) in enumerate(zip(prev_factors, factors))])
+def _change_and_norm(prev_factors, factors, masses):
+    """(||z - z_prev||_M, ||z||_M) for the rank-one elements z_prev and z of
+    two factor lists, in closed form.  From the last axis back, the tail's
+    change is D_j = (cur_j - prev_j) x cur_>j + prev_j x D_j+1: it telescopes
+    into d terms, no two of which cancel, where the two-term difference's
+    Gram cancels to rounding of z.  The M-Grams of D_j and of the tail of z
+    follow from one 3 x 3 M_j-Gram of (prev, cur, cur - prev) per axis."""
+    cc, dc, dd = 1.0, 0.0, 0.0   # <tail, tail>, <D, tail>, <D, D>
+    for p, c, mass in zip(prev_factors[::-1], factors[::-1], masses[::-1]):
+        v = np.array([p, c, c - p])
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = (v @ mass @ v.T).tolist()
+        cc, dc, dd = (g11 * cc, g12 * cc + g01 * dc,
+                      g22 * cc + 2.0 * g02 * dc + g00 * dd)
+    return math.sqrt(max(dd, 0.0)), math.sqrt(max(cc, 0.0))
+
+
+def _anderson_mixing():
+    """A fresh memory of type-II Anderson mixing (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011) for the sweep map on factors 1..d-1.
+
+    The map is homogeneous in each factor, so its fixed points come in
+    scaled families: the mixing takes each factor at unit norm, with its
+    sign matched to the sweep's input, and hands the mixed factors back at
+    the plain output's norms and signs.  ``mix(prev_factors, factors)``
+    takes a sweep's input and plain output and returns the next sweep's
+    input.  The memory holds the last MIX_MEMORY differences.  It restarts
+    when the plain sweep's change g - x, at unit norms, grows, or when the
+    least-squares problem is ill-conditioned, and the sweep then goes on
+    from its plain output.
+    """
+    x = last = None   # the sweep's input at unit norms; the last (r, g)
+    dr, dg = [], []
+
+    def mix(prev_factors, factors):
+        nonlocal x, last, dr, dg
+        if x is None:
+            x = [f / math.sqrt(f @ f) for f in prev_factors[1:]]
+        # the plain output g at unit norms and matched signs, and its change
+        scale = [math.copysign(math.sqrt(f @ f), f @ xl)
+                 for f, xl in zip(factors[1:], x)]
+        parts = [f / s for f, s in zip(factors[1:], scale)]
+        g = np.concatenate(parts)
+        r = g - np.concatenate(x)
+        if last is not None and r @ r > last[0] @ last[0]:
+            dr, dg, last = [], [], None
+        if last is not None:
+            dr = (dr + [r - last[0]])[-MIX_MEMORY:]
+            dg = (dg + [g - last[1]])[-MIX_MEMORY:]
+        last, x = (r, g), parts
+        if dr:
+            # the least-squares problem min |r - dr gamma| by its normal
+            # equations, whose Gram must pass the SPD pivot test
+            diffs = np.array(dr)
+            try:
+                chol = cholesky_spd(diffs @ diffs.T)
+            except IllConditionedGram:
+                dr, dg = [], []
+                return factors
+            gamma = tri_solve(chol, tri_solve(chol, diffs @ r),
+                              transposed=True)
+            mixed, x = g - gamma @ np.array(dg), []
+            for part in parts:
+                seg, mixed = mixed[:len(part)], mixed[len(part):]
+                x.append(seg / math.sqrt(seg @ seg))
+            return factors[:1] + [s * f for s, f in zip(scale, x)]
+        return factors
+
+    return mix
 
 
 def _sweep_loop(op, rng, update_direction, start=None,
-                settled=_objective_settled) -> AdmOutcome:
+                settled=_objective_settled, mixing=None) -> AdmOutcome:
     """Generic ADM driver: cyclic direction updates, reseeded when a start
     collapses (DegenerateDirection) or breaks a direction update
     (PoleCollision, ExplicitStepFailure).
@@ -119,6 +182,9 @@ def _sweep_loop(op, rng, update_direction, start=None,
     holds for the factors and objective before and after a sweep, or,
     unconverged, after MAX_SWEEPS sweeps.  The first sweep has nothing
     before it to compare with, so convergence takes at least two sweeps.
+    ``mixing()``, when given, makes each start's step
+    ``mix(prev_factors, factors)``, which turns the input and output of a
+    sweep that has not settled into the next sweep's input.
     Seeds and reseeds draw from ``rng``.  A ``start`` must have exactly
     one term and ``op``'s sizes.
     A sweep solves direction 0 first, from the others, so a start's first
@@ -134,6 +200,7 @@ def _sweep_loop(op, rng, update_direction, start=None,
         sq_norms = [f @ f for f in factors]
         obj = np.inf
         converged = False
+        mix = mixing() if mixing else None
         try:
             for sweep in range(1, MAX_SWEEPS + 1):
                 prev_factors, prev_obj = list(factors), obj
@@ -149,6 +216,9 @@ def _sweep_loop(op, rng, update_direction, start=None,
                 if sweep > 1 and settled(prev_factors, prev_obj, factors, obj):
                     converged = True
                     break
+                if mix and sweep < MAX_SWEEPS:
+                    factors = mix(prev_factors, factors)
+                    sq_norms = [f @ f for f in factors]
             return AdmOutcome(_balanced(factors), sweep, converged, obj)
         except (DegenerateDirection, PoleCollision, ExplicitStepFailure) as exc:
             last_error = exc
@@ -242,9 +312,15 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     (A_j - lambda_prev Mj_eff) s = lambda_prev m_j - b_j, the residual
     rule's system at nu = -lambda_prev.  That shifted form is indefinite,
     so there is no objective to minimize: the sweep is a fixed-point
-    iteration that converges once a sweep moves the iterate by at most
-    TOL_SWEEP (1 + ||z||_H) in the metric norm.  The reported objective is
-    None.  A start supplies factors 1..d-1.
+    iteration.  Between sweeps, type-II Anderson mixing over the last
+    MIX_MEMORY sweeps moves factors 1..d-1 (``_anderson_mixing``).  Its
+    safeguard restarts the memory when the plain sweep's change grows or
+    its least-squares problem is ill-conditioned, and every reseed starts
+    with an empty memory.  The solve converges once a plain sweep moves the
+    iterate from its input, which may be a mixed point, by at most
+    TOL_SWEEP (1 + ||z||_H) in the metric norm, and returns that sweep's
+    plain output.  The reported objective is None.  A start supplies
+    factors 1..d-1.
     """
     ws = DirectionWorkspace(op, m, u_prev)
 
@@ -260,7 +336,8 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
             ) from exc
 
     def settled(prev_factors, prev_obj, factors, obj):
-        return (h_norm(_sweep_change(prev_factors, factors), m)
-                <= TOL_SWEEP * (1.0 + h_norm(TensorSum.rank_one(factors), m)))
+        change, norm = _change_and_norm(prev_factors, factors, m.masses)
+        return change <= TOL_SWEEP * (1.0 + norm)
 
-    return _sweep_loop(op, rng, update, start=start, settled=settled)
+    return _sweep_loop(op, rng, update, start=start, settled=settled,
+                       mixing=_anderson_mixing)

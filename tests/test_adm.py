@@ -24,7 +24,6 @@ from greedy_eig.tensor_core import (
     MetricSet,
     TensorSum,
     a_inner,
-    h_norm,
     rebalance,
 )
 from rayleigh_check import normalize, rayleigh
@@ -241,12 +240,53 @@ class TestExplicitStep:
         rhs = lam * a_inner(m, u_plus, z)
         assert lhs == pytest.approx(rhs, abs=1e-7 * max(1, abs(lhs)))
 
+    @pytest.mark.parametrize("problem", [spd_mass_problem, tensor4d_type],
+                             ids=["d3", "d4"])
+    def test_mixed_solve_solves_every_direction_system(self, problem):
+        """At d = 3 and 4, the factors a converged Anderson-mixed solve
+        returns solve each contracted system
+        (A_j - lambda M_j) s_j = lambda m_j - b_j, frozen at the others."""
+        op, m = problem(seed=0)
+        u, lam = unit_iterate(op, m)
+        out = adm_explicit_step(op, m, u, lam, np.random.default_rng(1))
+        assert out.converged
+        factors = [f[:, 0] for f in out.z.factors]
+        ws = DirectionWorkspace(op, m, u)
+        for j, s in enumerate(factors):
+            dd = ws.reduce(factors, j)
+            rhs = lam * dd.m_j - dd.b_j
+            residual = (dd.A_j - lam * dd.Mj_eff) @ s - rhs
+            assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+    def test_converges_on_the_cli_oracle_operator(self, monkeypatch):
+        """Every explicit ADM solve of five-iteration runs on the benchmark's
+        cli_oracle operator converges, in under 15 sweeps on average.  Plain
+        fixed-point sweeps stopped unconverged at MAX_SWEEPS on 11 of these
+        120 solves and took about 28 sweeps each."""
+        op, m = gen_random_kronecker(2, (30, 24), 2, seed=1)
+        outcomes, step = [], greedy.adm_explicit_step
+
+        def recorded(*args, **kwargs):
+            outcomes.append(step(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(greedy, "adm_explicit_step", recorded)
+        for seed in range(1000, 1012):
+            for orthogonal in (False, True):
+                greedy.run(op, m, GreedyConfig(
+                    variant=Variant.EXPLICIT, orthogonal=orthogonal,
+                    max_iter=5, rng_seed=seed))
+        assert len(outcomes) == 120
+        assert all(out.converged for out in outcomes)
+        assert np.mean([out.sweeps_used for out in outcomes]) < 15
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("rel", [1e-6, 1e-8, 1e-10, 1e-12])
     def test_sweep_change_reads_the_change_not_rounding(self, d, rel):
-        """The stop test's norm of z - z_prev matches the difference of the
-        assembled elements, taken exactly in rationals, down to relative
-        changes of 1e-12, far below the two-term Gram's rounding of z."""
+        """The stop test's closed-form norm of z - z_prev matches the
+        difference of the assembled elements, taken exactly in rationals,
+        down to relative changes of 1e-12, far below the two-term Gram's
+        rounding of z; its norm of z matches too."""
         rng = np.random.default_rng(d)
         sizes = (3, 4, 2, 3)[:d]
         prev = [rng.standard_normal(n) for n in sizes]
@@ -256,12 +296,16 @@ class TestExplicitStep:
         def exact(factors, idx):
             return math.prod(Fraction(float(f[i])) for f, i in zip(factors, idx))
 
+        indices = list(itertools.product(*map(range, sizes)))
         square = sum(
             exact(masses, idx) * (exact(cur, idx) - exact(prev, idx)) ** 2
-            for idx in itertools.product(*map(range, sizes)))
-        m = MetricSet([np.diag(w) for w in masses])
-        change = h_norm(adm._sweep_change(prev, cur), m)
+            for idx in indices)
+        cur_square = sum(exact(masses, idx) * exact(cur, idx) ** 2
+                         for idx in indices)
+        change, norm = adm._change_and_norm(prev, cur,
+                                            [np.diag(w) for w in masses])
         assert change == pytest.approx(math.sqrt(square), rel=1e-10)
+        assert norm == pytest.approx(math.sqrt(cur_square), rel=1e-10)
 
     @pytest.mark.filterwarnings("error")
     def test_singular_shift_raises(self, monkeypatch):
