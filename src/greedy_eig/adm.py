@@ -126,16 +126,15 @@ def _anderson_mixing():
     sign matched to the sweep's input, and hands the mixed factors back at
     the plain output's norms and signs.  ``mix(prev_factors, factors)``
     takes a sweep's input and plain output and returns the next sweep's
-    input.  The memory holds the last MIX_MEMORY differences.  It restarts
-    when the plain sweep's change g - x, at unit norms, grows, or when the
-    least-squares problem is ill-conditioned, and the sweep then goes on
-    from its plain output.
+    input.  It keeps x and the last MIX_MEMORY + 1 pairs (r, g) of the plain
+    output g and its change r = g - x, at unit norms.  When r grows, or the
+    least squares on their differences is ill-conditioned, the memory keeps
+    only the newest pair, and the sweep goes on from its plain output.
     """
-    x = last = None   # the sweep's input at unit norms; the last (r, g)
-    dr, dg = [], []
+    x, pairs = None, []   # the sweep's input at unit norms; the last (r, g) pairs
 
     def mix(prev_factors, factors):
-        nonlocal x, last, dr, dg
+        nonlocal x, pairs
         if x is None:
             x = [f / math.sqrt(f @ f) for f in prev_factors[1:]]
         # the plain output g at unit norms and matched signs, and its change
@@ -144,24 +143,20 @@ def _anderson_mixing():
         parts = [f / s for f, s in zip(factors[1:], scale)]
         g = np.concatenate(parts)
         r = g - np.concatenate(x)
-        if last is not None and r @ r > last[0] @ last[0]:
-            dr, dg, last = [], [], None
-        if last is not None:
-            dr = (dr + [r - last[0]])[-MIX_MEMORY:]
-            dg = (dg + [g - last[1]])[-MIX_MEMORY:]
-        last, x = (r, g), parts
-        if dr:
+        if pairs and r @ r > pairs[-1][0] @ pairs[-1][0]:
+            pairs = []
+        pairs, x = (pairs + [(r, g)])[-MIX_MEMORY - 1:], parts
+        if len(pairs) > 1:
             # the least-squares problem min |r - dr gamma| by its normal
             # equations, whose Gram must pass the SPD pivot test
-            diffs = np.array(dr)
+            dr, dg = np.diff(np.array(pairs), axis=0).transpose(1, 0, 2)
             try:
-                chol = cholesky_spd(diffs @ diffs.T)
+                chol = cholesky_spd(dr @ dr.T)
             except IllConditionedGram:
-                dr, dg = [], []
+                pairs = pairs[-1:]
                 return factors
-            gamma = tri_solve(chol, tri_solve(chol, diffs @ r),
-                              transposed=True)
-            mixed, x = g - gamma @ np.array(dg), []
+            gamma = tri_solve(chol, tri_solve(chol, dr @ r), transposed=True)
+            mixed, x = g - gamma @ dg, []
             for part in parts:
                 seg, mixed = mixed[:len(part)], mixed[len(part):]
                 x.append(seg / math.sqrt(seg @ seg))

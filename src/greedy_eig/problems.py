@@ -23,10 +23,19 @@ from .tensor_core import KroneckerSumOperator, MetricSet
 
 FORMAT_MAGIC = b"GEIG"
 FORMAT_VERSION = 2
+# float64 entries a generator may allocate, 256 MiB: a small host holds it,
+# and the tests, demos and benchmark generate under 10^4 (51 per axis at most)
+MAX_GEN_ENTRIES = 2 ** 25
 
 
 # ---------------------------------------------------------------------------
 # generators
+
+def _bound_entries(entries: int) -> None:
+    if entries > MAX_GEN_ENTRIES:
+        raise InvalidSpec(f"problem needs {entries:,} float64 entries, above "
+                          f"the generators' bound of {MAX_GEN_ENTRIES:,}")
+
 
 def _random_spd(n: int, rng) -> np.ndarray:
     """Q diag(lam) Q^T with lam uniform in [0.5, 10] and Q a random rotation."""
@@ -42,6 +51,7 @@ def gen_random_kronecker(d: int, sizes, K: int, seed: int):
     sizes = tuple(require_count("each size", n, least=2) for n in sizes)
     if len(sizes) != d:
         raise InvalidSpec(f"expected {d} sizes, got {len(sizes)}")
+    _bound_entries((K + 1) * sum(n * n for n in sizes))
     rng = np.random.default_rng(require_count("seed", seed, least=0))
     terms = [[_random_spd(n, rng) for n in sizes] for _ in range(K)]
     return KroneckerSumOperator(terms), MetricSet.identity(sizes)
@@ -69,8 +79,9 @@ def gen_separable(one_body) -> KroneckerSumOperator:
 def _random_separable(sizes, seed=0):
     """Separable operator whose one-body terms are seeded symmetric Gaussian
     matrices plus diag(1, ..., n), with the identity metric."""
-    rng = np.random.default_rng(require_count("seed", seed, least=0))
     sizes = [require_count("each size", n) for n in sizes]
+    _bound_entries((len(sizes) + 1) * sum(n * n for n in sizes))
+    rng = np.random.default_rng(require_count("seed", seed, least=0))
     gs = [rng.standard_normal((n, n)) for n in sizes]
     op = gen_separable([0.5 * (g + g.T) + np.diag(np.arange(1.0, len(g) + 1))
                         for g in gs])
@@ -132,6 +143,7 @@ def gen_degenerate_lowest(sizes, multiplicity: int = 2, seed: int = 0):
         raise InvalidSpec(
             f"multiplicity {mult} incompatible with sizes {sizes} (need 1..4, < {dim})"
         )
+    _bound_entries(dim * dim)
     rng = np.random.default_rng(require_count("seed", seed, least=0))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     vals = np.sort(rng.uniform(3.0, 9.0, size=dim))
@@ -199,6 +211,7 @@ def gen_excited_trap(mu_02: float = 1.0, mu_11: float = 2.0,
             f"need mu_20 > mu_02 + 2*mu_11, got {mu_20} <= {mu_02 + 2 * mu_11}"
         )
     n = require_count("modes_per_dim", modes_per_dim, least=3)
+    _bound_entries(2 * (n + 2) * n * n)
 
     def band(k, l):
         width = (1 + k * k) * (1 + l * l)

@@ -291,18 +291,18 @@ class DirectionData(NamedTuple):
 
 
 class DirectionWorkspace:
-    """Caches context contractions reused across ADM direction updates.
+    """Caches what ADM direction updates against one context reuse.
 
     The context (the accumulated greedy iterate) is fixed during an ADM
-    solve, so its images D^(k,j) U_j, M_j U_j are formed once, in one
-    product per dimension.  Per dimension, the K operator factors and the
-    mass matrix are stacked into one array, and their context images side
-    by side, so contracting a frozen factor against all terms takes two
-    matrix products.  The contraction of the last factor seen in each slot
-    is kept, so a sweep that changes one factor per update recomputes one
-    slot per update; frozen factors must therefore not be modified in place
-    between calls.  a(context, context) and <context, context> are not
-    formed: the ADM solvers take them from the greedy state.
+    solve.  Per dimension, the K operator factors and the mass matrix are
+    stacked into one array, so one product gives a frozen factor's images
+    under all of them; those images meet the factor and the context factors
+    for the slot's weights and projections, and no image of the context is
+    formed.  The contraction of the last factor seen in each slot is kept,
+    so a sweep that changes one factor per update recomputes one slot per
+    update; frozen factors must therefore not be modified in place between
+    calls.  a(context, context) and <context, context> are not formed: the
+    ADM solvers take them from the greedy state.
     """
 
     def __init__(self, op: KroneckerSumOperator, m: MetricSet, context: TensorSum):
@@ -312,26 +312,17 @@ class DirectionWorkspace:
                 f"metric sizes {m.sizes} do not match operator sizes {op.sizes}")
         self.op = op
         self.m = m
-        K, n, c = op.num_terms, context.num_terms, context.coeffs
-        # per dimension j: rows k*N_j .. (k+1)*N_j - 1 hold D^(k,j), the
-        # last block M_j; and the (N_j, (K+1) n) images [D^(k,j) U_j | M_j U_j]
+        # per dimension j: rows k*N_j .. (k+1)*N_j - 1 hold D^(k,j), the last
+        # block M_j; and U_j, plain and scaled by the context coefficients
         self._stacks = [np.concatenate([stack, mass])
                         for stack, mass in zip(op.stacked, m.masses)]
-        self._terms_flat = [stack.reshape(K, -1) for stack in op.stacked]
-        self._images = [
-            np.ascontiguousarray((stack @ uj).reshape(K + 1, len(uj), n)
-                                 .transpose(1, 0, 2)).reshape(len(uj), -1)
-            for stack, uj in zip(self._stacks, context.factors)]
-        # the open slot's images carry the context coefficients; split
-        # into the operator terms' columns and the mass's
-        self._weighted = [(w[:, :K * n], w[:, K * n:]) for w in (
-            (img.reshape(len(img), K + 1, n) * c).reshape(len(img), -1)
-            for img in self._images)]
+        self._context = context.factors
+        self._weighted = [uj * context.coeffs for uj in context.factors]
         # per slot, (factor, quad, proj) of the last factor contracted
         self._slots = [(None,) * 3] * op.d
 
     def _contract(self, l: int, f):
-        """(f^T D^(k,l) f over k and the mass, f^T [images] per term) for
+        """(f^T D^(k,l) f, f^T D^(k,l) U_l) over k and then the mass, for
         the frozen factor ``f`` in slot ``l``."""
         key, quad, proj = self._slots[l]
         if key is f:
@@ -339,9 +330,9 @@ class DirectionWorkspace:
         key, f = f, np.asarray(f, dtype=float)
         if f @ f < ZERO_NORM_TOL ** 2:
             raise DegenerateDirection(f"frozen factor in dimension {l} is zero")
-        terms = self.op.num_terms + 1
-        quad = (self._stacks[l] @ f).reshape(terms, -1) @ f
-        proj = (f @ self._images[l]).reshape(terms, -1)
+        # the factors are symmetric, so row t of y is f^T D^(t,l)
+        y = (self._stacks[l] @ f).reshape(self.op.num_terms + 1, -1)
+        quad, proj = y @ f, y @ self._context[l]
         self._slots[l] = (key, quad, proj)
         return quad, proj
 
@@ -359,10 +350,10 @@ class DirectionWorkspace:
                 w = quad if w is None else w * quad
                 p = proj if p is None else p * proj
 
-        A_j = (w[:K] @ self._terms_flat[j]).reshape(nj, nj)
+        A_j = (w[:K] @ op.stacked[j].reshape(K, -1)).reshape(nj, nj)
         Mj_eff = w[K] * self.m.masses[j]
-        img_a, img_m = self._weighted[j]
-        b_j = img_a @ p[:K].ravel()
-        m_j = img_m @ p[K]
+        # v[k] = sum_i c_i p[k, i] U_j[:, i]; b_j = sum_k D^(k,j) v[k]
+        v = p @ self._weighted[j].T
+        b_j = op.stacked[j].T @ v[:K].ravel()
+        m_j = self.m.masses[j] @ v[K]
         return DirectionData(A_j, Mj_eff, b_j, m_j)
-

@@ -324,6 +324,58 @@ class TestExplicitStep:
         assert isinstance(failure.value.__cause__, ExplicitStepFailure)
 
 
+class TestAndersonMixing:
+    """The mixing step driven by hand, one sweep's input and plain output
+    at a time, through each branch of its safeguard."""
+
+    TARGET = [np.array([1.0, 2.0, 2.0]), np.array([3.0, -4.0])]
+
+    def sweep(self, factors, rate):
+        """A plain output that moves factors 1..d-1 toward TARGET, its
+        change scaled by ``rate`` from the input's."""
+        return factors[:1] + [t + rate * (f - t)
+                              for f, t in zip(factors[1:], self.TARGET)]
+
+    def start(self):
+        return [np.ones(4), np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0])]
+
+    def test_first_step_returns_the_plain_output(self):
+        mix, x = adm._anderson_mixing(), self.start()
+        out = self.sweep(x, 0.5)
+        assert mix(x, out) is out
+
+    def test_shrinking_change_mixes(self):
+        mix, x = adm._anderson_mixing(), self.start()
+        x = mix(x, self.sweep(x, 0.5))
+        out = self.sweep(x, 0.5)
+        mixed = mix(x, out)
+        assert mixed is not out and mixed[0] is out[0]
+        for f, g in zip(mixed[1:], out[1:]):
+            assert not np.allclose(f, g)
+            # handed back at the plain output's norm
+            assert np.linalg.norm(f) == pytest.approx(np.linalg.norm(g))
+
+    def test_growing_change_restarts_then_mixes_again(self):
+        mix, x = adm._anderson_mixing(), self.start()
+        x = mix(x, self.sweep(x, 0.9))
+        out = self.sweep(x, 3.0)
+        assert mix(x, out) is out
+        x = out
+        out = self.sweep(x, 0.2)
+        assert mix(x, out) is not out
+
+    def test_ill_conditioned_gram_returns_the_plain_output(self):
+        """Length-1 factors 1..d-1 are +-1 at unit norm with matched signs,
+        so the change is zero and the Gram of its differences fails the
+        pivot test."""
+        mix = adm._anderson_mixing()
+        x = [np.ones(3), np.array([2.0]), np.array([-0.5])]
+        out = [np.ones(3), np.array([3.0]), np.array([-0.25])]
+        assert mix(x, out) is out
+        again = [np.ones(3), np.array([4.0]), np.array([-0.125])]
+        assert mix(out, again) is again
+
+
 class TestStart:
     """A start is one rank-one term that supplies factors 1..d-1, for every
     solver that takes a start."""

@@ -8,7 +8,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from greedy_eig import KroneckerSumOperator, gen_random_kronecker, save_operator
+from greedy_eig import (KroneckerSumOperator, gen_random_kronecker, problems,
+                        save_operator)
 from greedy_eig.cli import (
     EXIT_CONFIG,
     EXIT_ITER_CAP,
@@ -126,6 +127,30 @@ class TestGen:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not out.exists()
         assert not (tmp_path / "x.geig.json").exists()
+
+    @pytest.mark.parametrize("spec", [
+        dict(PROBLEM, sizes=[200000, 2], K=1, seed=0),
+        {"kind": "Separable", "sizes": [200000, 2]},
+        {"kind": "DegenerateLowest", "sizes": [200, 200]},
+        {"kind": "ExcitedTrap", "modes_per_dim": 100000},
+    ], ids=["random_kronecker", "separable", "degenerate_lowest", "trap"])
+    def test_oversized_problem_is_refused_before_allocating(
+            self, tmp_path, capsys, monkeypatch, spec):
+        """A generator whose arrays would exceed MAX_GEN_ENTRIES exits 2
+        and writes nothing.  Every numpy call in the generators fails
+        here, so a problem that got past the bound could not allocate."""
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"a generator reached np.{name}")
+
+        monkeypatch.setattr(problems, "np", NoNumpy())
+        cfg = write_config(tmp_path, spec)
+        out = tmp_path / "x.geig"
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "float64 entries" in err[0], err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestSolve:

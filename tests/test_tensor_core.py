@@ -341,3 +341,43 @@ class TestDenseProperties:
             patch.setattr(tensor_core, "DENSE_NORM_LIMIT", 0)
             got = eig_residual(op, m, u, lam)
         assert abs(got - want) <= 1e-7 * residual_scale(op, m, u, lam)
+
+
+@st.composite
+def reduce_cases(draw):
+    """An operator of 1-3 terms at d = 2-4 with SPD masses, a context of
+    0-4 terms (the empty one is the initial guess's) and a generator for
+    the factors."""
+    d = draw(st.integers(2, 4))
+    sizes = tuple(draw(st.lists(st.integers(1, {2: 6, 3: 4, 4: 3}[d]),
+                                min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    op = random_operator(sizes, draw(st.integers(1, 3)), rng)
+    m = MetricSet([random_spd(n, rng) for n in sizes])
+    return op, m, random_tensor_sum(sizes, draw(st.integers(0, 4)), rng), rng
+
+
+class TestReduceProperties:
+    @settings(database=None, derandomize=True, deadline=None, max_examples=50)
+    @given(reduce_cases())
+    def test_reused_workspace_matches_assembled(self, case):
+        """Two sweeps over every slot of one workspace, each update
+        replacing its factor: the contracted forms at a fresh s equal the
+        assembled a(z, z), <z, z>, a(context, z) and <context, z>."""
+        op, m, ctx, rng = case
+        A, M = dense_assemble(op, m)
+        c = ctx.to_dense()
+        ws = DirectionWorkspace(op, m, ctx)
+        factors = [rng.standard_normal(n) for n in op.sizes]
+        for _ in range(2):
+            for j, nj in enumerate(op.sizes):
+                dd = ws.reduce(factors, j)
+                factors[j] = rng.standard_normal(nj)
+                s, z = factors[j], TensorSum.rank_one(factors)
+                x, zz, cz = z.to_dense(), size(z) ** 2, size(ctx) * size(z)
+                for got, want, scale in (
+                        (s @ dd.A_j @ s, x @ A @ x, op_size(op) * zz),
+                        (s @ dd.Mj_eff @ s, x @ M @ x, op_size(m) * zz),
+                        (dd.b_j @ s, c @ A @ x, op_size(op) * cz),
+                        (dd.m_j @ s, c @ M @ x, op_size(m) * cz)):
+                    assert abs(got - want) <= 1e-14 * scale
