@@ -33,7 +33,11 @@ from .tensor_core import (
     KroneckerSumOperator,
     MetricSet,
     TensorSum,
+    bordered,
     eig_residual,
+    grow_residual_grams,
+    residual_by_grams,
+    residual_grams,
 )
 
 ITERATE_COLLAPSE_TOL = 1e-12
@@ -91,6 +95,11 @@ class TraceRow:
 
 @dataclass
 class GreedyState:
+    """The iterate, its basis Grams and the run's stream.  Above
+    DENSE_NORM_LIMIT entries it also carries the cache of
+    ``residual_grams``, grown with the basis, from which the eigenpair
+    residual is read in O(n^2); below, both cache fields are None."""
+
     n: int
     u: TensorSum         # its terms are the basis: u_0 and the kept z_i
     lam: float
@@ -98,6 +107,8 @@ class GreedyState:
     gram_a: np.ndarray   # basis Gram of the operator form
     gram_b: np.ndarray   # basis Gram of the metric
     rng: np.random.Generator   # the run's stream; a step draws from a copy
+    images: tuple | None      # per axis, every member's K + 1 images
+    residual_grams: np.ndarray | None   # <P z_a, Q z_b>, P, Q in (A, M)
 
 
 @dataclass(frozen=True)
@@ -110,25 +121,25 @@ class GreedyResult:
     iterates: tuple       # the normalized iterate of each trace row
 
 
-def _extend_grams(op, m, A, B, members):
+def _new_images(op, m, members):
+    """Per dimension, the images [D^(1,j) f; ...; D^(K,j) f; M_j f] of the
+    last of ``members``'s factors f."""
+    return [np.vstack([(stack @ cols[:, -1]).reshape(op.num_terms, -1),
+                       mass @ cols[:, -1]])
+            for stack, mass, cols in zip(op.stacked, m.masses, members.factors)]
+
+
+def _extend_grams(op, m, A, B, members, images=None):
     """Grow the basis Grams by one row/column for the last of ``members``.
 
-    Per dimension, the images of the new factor under every operator
-    factor and the mass matrix meet all member factors in one product.
+    Per dimension, the new member's ``images`` (``_new_images``, formed
+    when not given) meet all member factors in one product.
     """
-    n = len(A)
-    rows = np.ones((op.num_terms + 1, n + 1))
-    for stack, mass, cols in zip(op.stacked, m.masses, members.factors):
-        f = cols[:, -1]
-        images = np.vstack([(stack @ f).reshape(op.num_terms, -1), mass @ f])
-        rows *= images @ cols
-    grown = []
-    for old, row in ((A, rows[:-1].sum(axis=0)), (B, rows[-1])):
-        G = np.empty((n + 1, n + 1))
-        G[:n, :n] = old
-        G[n], G[:n, n] = row, row[:n]
-        grown.append(G)
-    return tuple(grown)
+    rows = np.ones((op.num_terms + 1, len(A) + 1))
+    for y, cols in zip(images or _new_images(op, m, members), members.factors):
+        rows *= y @ cols
+    a_row, b_row = rows[:-1].sum(axis=0), rows[-1]
+    return bordered(A, a_row, a_row), bordered(B, b_row, b_row)
 
 
 def _unit(coef, gram_b):
@@ -160,9 +171,10 @@ def initialize(op: KroneckerSumOperator, m: MetricSet,
     if cfg.variant is Variant.RESIDUAL and lam0 + cfg.nu <= 0:
         warnings.warn(f"shift nu={cfg.nu} may be too small: the starting "
                       f"rank-one Rayleigh value is {lam0:.3e}", stacklevel=2)
-    res0 = eig_residual(op, m, u0, lam0)
+    cache = residual_grams(op, m, u0) if residual_by_grams(u0.sizes) else (None,) * 2
+    res0 = eig_residual(op, m, u0, lam0, cache[1])
     row = TraceRow(0, lam0, 0.0, 0.0, 0.0, res0, 1.0, 0.0, lam0)
-    return GreedyState(0, u0, lam0, [row], gram_a, gram_b, rng)
+    return GreedyState(0, u0, lam0, [row], gram_a, gram_b, rng, *cache)
 
 
 def _compute_correction(op, m, state, cfg, rng) -> TensorSum:
@@ -215,7 +227,8 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
     rng = np.random.Generator(copy.copy(state.rng.bit_generator))
     z = _compute_correction(op, m, state, cfg, rng)
     members = state.u.plus(z)
-    A, B = _extend_grams(op, m, state.gram_a, state.gram_b, members)
+    new = _new_images(op, m, members)
+    A, B = _extend_grams(op, m, state.gram_a, state.gram_b, members, new)
     prev = np.append(state.u.coeffs, 0.0)   # u over the new basis
     plus = members.coeffs                    # u + z
     pure, alpha = _unit(plus, B)
@@ -230,16 +243,20 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
         euler = (a_z @ plus + shift * (b_z @ plus)
                  - (state.lam + shift) * (b_z @ prev))
     z_norm_a = float(np.sqrt(max(a_z[-1] + cfg.nu * b_z[-1], 0.0)))
+    images, grams = state.images, state.residual_grams
     if coef is None:
         u_new, lam_new, A, B = state.u, state.lam, state.gram_a, state.gram_b
     else:
         u_new = TensorSum(members.sizes, coef, members.factors)
         lam_new = float(coef @ A @ coef)
-    res = eig_residual(op, m, u_new, lam_new)
+        if images is not None:
+            images, grams = grow_residual_grams(op, images, grams, new)
+    res = eig_residual(op, m, u_new, lam_new, grams)
     row = TraceRow(state.n + 1, lam_new, state.lam - lam_new, z_norm_a,
                    float(abs(euler)), res, alpha, time.perf_counter() - t0,
                    lam_pure)
-    return GreedyState(row.n, u_new, lam_new, state.trace + [row], A, B, rng)
+    return GreedyState(row.n, u_new, lam_new, state.trace + [row], A, B, rng,
+                       images, grams)
 
 
 def step(state: GreedyState, op: KroneckerSumOperator, m: MetricSet,

@@ -13,7 +13,10 @@ of rank-one terms, and a rank-one element is the one-term sum
 ``TensorSum.rank_one(factors)``.  All inner products are evaluated dimension
 by dimension through small Gram matrices; something of size prod(N_j) is
 formed only by ``to_dense``, and by ``eig_residual`` for tensors of at most
-DENSE_NORM_LIMIT entries.
+DENSE_NORM_LIMIT entries.  Above that limit the eigenpair residual is read
+from the Euclidean Grams of the members' images under A and M
+(``residual_grams``), which the greedy state grows by one row per step
+(``grow_residual_grams``).
 """
 
 from __future__ import annotations
@@ -243,26 +246,77 @@ def h_norm(u: TensorSum, m: MetricSet) -> float:
     return float(np.sqrt(max(a_inner(m, u, u), 0.0)))
 
 
-def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum, lam: float) -> float:
-    """Euclidean norm of A u - lam M u, from one stacked array
-    [D^(1,j); ...; D^(K,j); M_j] per axis.  Up to DENSE_NORM_LIMIT entries
-    the iterate is assembled, exact to rounding.  Above, the norm is taken
-    through the factored residual's Gram, which squares it: a residual whose
-    terms cancel below about sqrt(eps) = 1e-8 of their own norms, as an
+def residual_by_grams(sizes) -> bool:
+    """Whether ``eig_residual`` reads these sizes from the residual Grams:
+    above DENSE_NORM_LIMIT entries, read at call time."""
+    return math.prod(sizes) > DENSE_NORM_LIMIT
+
+
+def bordered(old: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """``old`` grown by a last row and column over its last two axes."""
+    n = old.shape[-1]
+    G = np.empty(old.shape[:-2] + (n + 1, n + 1))
+    G[..., :n, :n], G[..., n, :], G[..., :n, n] = old, row, col[..., :n]
+    return G
+
+
+def _gram_blocks(K: int, rows, images) -> np.ndarray:
+    """X[p, q, a, b] = <P z_a, Q z_b> for P, Q in (A, M), where per axis the
+    rows of ``rows`` hold the K + 1 images of each z_a and the columns of
+    ``images`` those of each z_b: the Hadamard product over the axes of
+    their Euclidean Grams, summed over the operator terms."""
+    had = None
+    for r, y in zip(rows, images):
+        g = r @ y
+        had = g if had is None else had * g
+    sel = np.zeros((2, K + 1))   # sums the operator terms, keeps the mass
+    sel[0, :K] = sel[1, K] = 1.0
+    n_rows, n_cols = (k // (K + 1) for k in had.shape)
+    x = sel @ had.reshape(n_rows, K + 1, n_cols * (K + 1))
+    return (x.reshape(n_rows, 2, n_cols, K + 1) @ sel.T).transpose(1, 3, 0, 2)
+
+
+def residual_grams(op: KroneckerSumOperator, m: MetricSet, u: TensorSum) -> tuple:
+    """The residual cache of u's members z_a, built from scratch: per axis
+    the images [D^(1,j) f; ...; D^(K,j) f; M_j f] of each member's factor
+    as the columns of an (N_j, n (K + 1)) array, and the Grams
+    G[p, q, a, b] = <P z_a, Q z_b> for P, Q in (A, M)."""
+    K, n = op.num_terms, u.num_terms
+    images = tuple(
+        np.concatenate([(stack @ f).reshape(K, len(f), n), (mass @ f)[None]])
+        .transpose(1, 2, 0).reshape(len(f), -1)
+        for stack, mass, f in zip(op.stacked, m.masses, u.factors))
+    return images, _gram_blocks(K, [y.T for y in images], images)
+
+
+def grow_residual_grams(op: KroneckerSumOperator, images: tuple,
+                        grams: np.ndarray, new: Sequence[np.ndarray]) -> tuple:
+    """The residual cache grown by a member whose per-axis images are the
+    rows of ``new``: one product per axis with every member's images gives
+    the new row and column of each Gram, O(K^2 n sum_j N_j)."""
+    images = tuple(np.concatenate([y, f.T], axis=1) for y, f in zip(images, new))
+    x = _gram_blocks(op.num_terms, new, images)[:, :, 0]
+    return images, bordered(grams, x, x.transpose(1, 0, 2))
+
+
+def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum,
+                 lam: float, grams: np.ndarray | None = None) -> float:
+    """Euclidean norm of A u - lam M u.
+
+    Up to DENSE_NORM_LIMIT entries the iterate is assembled and taken
+    through one stacked array [D^(1,j); ...; D^(K,j); M_j] per axis, exact
+    to rounding.  Above, with c the coefficients of u's members,
+    ||r||^2 = c^T G_AA c - 2 lam c^T G_AM c + lam^2 c^T G_MM c, read from
+    ``grams`` (the greedy state grows them with its basis) or from
+    ``residual_grams``.  This squares the norm: a residual whose terms
+    cancel below about sqrt(eps) = 1e-8 of their own norms, as an
     eigenpair's do, is not resolved."""
+    if residual_by_grams(u.sizes):
+        grams = residual_grams(op, m, u)[1] if grams is None else grams
+        w = np.array([1.0, -lam])
+        return float(np.sqrt(max(w @ (grams @ u.coeffs @ u.coeffs) @ w, 0.0)))
     stacks = [np.concatenate([stack, mass])
               for stack, mass in zip(op.stacked, m.masses)]
-    if math.prod(u.sizes) > DENSE_NORM_LIMIT:
-        # per axis the images, columns (term, i) with the mass's last
-        K, n, c = op.num_terms, u.num_terms, u.coeffs
-        had = None
-        for stack, uj in zip(stacks, u.factors):
-            y = ((stack @ uj).reshape(K + 1, len(uj), n).transpose(1, 0, 2)
-                 .reshape(len(uj), -1))
-            g = y.T @ y
-            had = g if had is None else had * g
-        coeffs = np.concatenate([np.tile(c, K), -lam * c])
-        return float(np.sqrt(max(coeffs @ had @ coeffs, 0.0)))
     # y[t] is the t-th term's image, the mass's last: per axis, each
     # term's factor acts on it in one broadcast product
     y, lead = u.to_dense().reshape(1, 1, -1), 1
@@ -352,6 +406,8 @@ class DirectionWorkspace:
 
         A_j = (w[:K] @ op.stacked[j].reshape(K, -1)).reshape(nj, nj)
         Mj_eff = w[K] * self.m.masses[j]
+        if not p.size:   # an empty context projects to zero
+            return DirectionData(A_j, Mj_eff, np.zeros(nj), np.zeros(nj))
         # v[k] = sum_i c_i p[k, i] U_j[:, i]; b_j = sum_k D^(k,j) v[k]
         v = p @ self._weighted[j].T
         b_j = op.stacked[j].T @ v[:K].ravel()

@@ -1,11 +1,12 @@
 """Outer greedy drivers: monotonicity, termination, update identities."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from greedy_eig import greedy
+from greedy_eig import greedy, tensor_core
 from greedy_eig.dense_kernels import _openblas_pools
 from greedy_eig.errors import StructuralError
 from greedy_eig.greedy import (
@@ -28,6 +29,7 @@ from greedy_eig.tensor_core import (
     MetricSet,
     TensorSum,
     a_inner,
+    eig_residual,
     h_norm,
 )
 
@@ -259,6 +261,84 @@ class TestExtendGrams:
         assert np.array_equal(grown_a, np.block([[A, a_row[:-1, None]], [a_row]]))
         assert np.array_equal(grown_b, np.block([[B, b_row[:-1, None]], [b_row]]))
 
+
+
+def large_problem():
+    """(17, 16, 16), 4,352 entries, above DENSE_NORM_LIMIT: K = 2 random
+    SPD terms and random SPD masses."""
+    op, _ = gen_random_kronecker(3, (17, 16, 16), 2, seed=1)
+    rng = np.random.default_rng(5)
+    masses = []
+    for n in op.sizes:
+        g = rng.standard_normal((n, n))
+        masses.append(g @ g.T / n + np.eye(n))
+    return op, MetricSet(masses)
+
+
+def cache_copy(state):
+    return [y.copy() for y in state.images], state.residual_grams.copy()
+
+
+def same_cache(state, cache):
+    images, grams = cache
+    return (len(state.images) == len(images)
+            and all(np.array_equal(a, b) for a, b in zip(state.images, images))
+            and np.array_equal(state.residual_grams, grams))
+
+
+class TestAboveDenseLimit:
+    """Runs whose iterate has more than DENSE_NORM_LIMIT entries read the
+    eigenpair residual from Grams grown with the basis."""
+
+    @pytest.mark.parametrize("variant,ortho", ALL_VARIANTS)
+    def test_recorded_residual_matches_a_fresh_build(self, variant, ortho):
+        """Every row's eig_residual_h equals eig_residual of the row's
+        iterate without Grams, to 1e-9 of the residual's scale."""
+        op, m = large_problem()
+        assert math.prod(op.sizes) > tensor_core.DENSE_NORM_LIMIT
+        cfg = GreedyConfig(variant=variant, orthogonal=ortho, max_iter=12,
+                           tol_lambda=1e-300, tol_residual=1e-300, rng_seed=2)
+        res = run(op, m, cfg)
+        assert res.reason == "max_iter" and len(res.trace) == 13
+        op_norm = sum(np.prod([np.linalg.norm(f, 2) for f in term])
+                      for term in op.terms)
+        m_norm = np.prod([np.linalg.norm(f, 2) for f in m.masses])
+        for row, u in zip(res.trace, res.iterates):
+            size = np.abs(u.coeffs) @ np.prod(
+                [np.linalg.norm(f, axis=0) for f in u.factors], axis=0)
+            scale = (op_norm + abs(row.lambda_n) * m_norm) * size
+            fresh = eig_residual(op, m, u, row.lambda_n)
+            assert abs(row.eig_residual_h - fresh) <= 1e-9 * scale
+
+    def test_correction_in_the_span_keeps_the_cache(self, monkeypatch):
+        """A correction equal to the basis member u_0 leaves the images
+        and the residual Grams as they were, bitwise."""
+        op, m = large_problem()
+        cfg = GreedyConfig(variant=Variant.RAYLEIGH, orthogonal=True, rng_seed=3)
+        state = initialize(op, m, cfg)
+        for _ in range(2):
+            state = orthogonal_update(state, op, m, cfg)
+        assert state.residual_grams.shape == (2, 2, 3, 3)
+        before = cache_copy(state)
+        u = state.u
+        u0 = TensorSum(u.sizes, [1.0], [f[:, :1] for f in u.factors])
+        monkeypatch.setattr(greedy, "_compute_correction", lambda *args: u0)
+        got = orthogonal_update(state, op, m, cfg)
+        assert got.u.num_terms == 3 and got.lam == state.lam
+        assert same_cache(got, before) and same_cache(state, before)
+
+    @pytest.mark.parametrize("advance", [step, orthogonal_update])
+    def test_stepping_a_state_twice_leaves_its_cache(self, advance):
+        """Growing the cache copies it: the state stepped keeps its images
+        and Grams, and both steps grow the same ones."""
+        op, m = large_problem()
+        cfg = GreedyConfig(max_iter=5, rng_seed=2)
+        state = advance(initialize(op, m, cfg), op, m, cfg)
+        before = cache_copy(state)
+        first, second = (advance(state, op, m, cfg) for _ in range(2))
+        assert same_cache(state, before)
+        assert same_cache(second, cache_copy(first))
+        assert first.residual_grams.shape == (2, 2, 3, 3)
 
 # (modes per dimension, rule, orthogonal, solver seeds) of trap runs at
 # max_iter 30 that once ended in a step failure at their first or second

@@ -381,3 +381,62 @@ class TestReduceProperties:
                         (dd.b_j @ s, c @ A @ x, op_size(op) * cz),
                         (dd.m_j @ s, c @ M @ x, op_size(m) * cz)):
                     assert abs(got - want) <= 1e-14 * scale
+
+
+@st.composite
+def gram_cases(draw):
+    """An operator of 1-3 terms at d = 3-4 with SPD masses, and a sum of
+    1-6 members."""
+    d = draw(st.integers(3, 4))
+    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    op = random_operator(sizes, draw(st.integers(1, 3)), rng)
+    m = MetricSet([random_spd(n, rng) for n in sizes])
+    return op, m, random_tensor_sum(sizes, draw(st.integers(1, 6)), rng)
+
+
+def image_norms(op, m, u):
+    """Per member z_a, sum_k prod_j ||D^(k,j) f_aj|| and prod_j ||M_j f_aj||:
+    bounds on ||A z_a|| and ||M z_a|| free of cancellation."""
+    def norms(term):
+        return np.prod([np.linalg.norm(f @ uj, axis=0)
+                        for f, uj in zip(term, u.factors)], axis=0)
+    return sum(norms(term) for term in op.terms), norms(m.masses)
+
+
+class TestResidualGrams:
+    @settings(database=None, derandomize=True, deadline=None, max_examples=50)
+    @given(gram_cases())
+    def test_grown_grams_match_a_fresh_build(self, case):
+        """Grown one member at a time from the empty cache, the residual
+        Grams <P z_a, Q z_b> (P, Q in A, M) equal a fresh build to 1e-12 of
+        their cancellation-free scale, and the residual read from either
+        agrees, on sums of 0-6 members."""
+        op, m, u = case
+        K = op.num_terms
+        empty = TensorSum(u.sizes)
+        images, grams = tensor_core.residual_grams(op, m, empty)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor_core, "DENSE_NORM_LIMIT", 0)
+            assert eig_residual(op, m, empty, 1.5, grams) == 0.0
+            assert eig_residual(op, m, empty, 1.5) == 0.0
+        for n in range(1, u.num_terms + 1):
+            head = TensorSum(u.sizes, u.coeffs[:n], [f[:, :n] for f in u.factors])
+            new = [np.vstack([(stack @ f[:, -1]).reshape(K, -1), mass @ f[:, -1]])
+                   for stack, mass, f in zip(op.stacked, m.masses, head.factors)]
+            images, grams = tensor_core.grow_residual_grams(op, images, grams, new)
+            fresh_images, fresh = tensor_core.residual_grams(op, m, head)
+            assert grams.shape == fresh.shape == (2, 2, n, n)
+            assert [y.shape for y in images] == [y.shape for y in fresh_images]
+            a, mm = image_norms(op, m, head)
+            norms = np.array([a, mm])   # G[p, q, a, b] = <P z_a, Q z_b>
+            scale = norms[:, None, :, None] * norms[None, :, None, :]
+            assert np.all(np.abs(grams - fresh) <= 1e-12 * scale)
+            lam = a_inner(op, head, head) / a_inner(m, head, head)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tensor_core, "DENSE_NORM_LIMIT", 0)
+                grown = eig_residual(op, m, head, lam, grams)
+                built = eig_residual(op, m, head, lam)
+            c = np.abs(head.coeffs)
+            assert abs(grown ** 2 - built ** 2) <= 1e-12 * (
+                c @ a + abs(lam) * (c @ mm)) ** 2
