@@ -8,21 +8,21 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 * ``adm_residual_step``  - SPD linear solve of the shifted quadratic,
 * ``adm_explicit_step``  - the residual rule's solve at shift -lambda_prev.
 
-The first three minimize an objective, which every direction update reports
-as a byproduct of the contracted data, so sweep convergence costs nothing
-extra.  The explicit sweep has no objective: it is a fixed-point iteration,
-accelerated by type-II Anderson mixing of factors 1..d-1 between sweeps, and
-it stops once a plain sweep moves its rank-one iterate by at most TOL_SWEEP
-relative, a change taken in closed form from one 3 x 3 Gram per axis.  The
-initial guess sweeps until its objective settles to TOL_SWEEP relative.  A
-greedy step needs a good correction, not the best one, so the Rayleigh and
-residual sweeps stop at the first of two tests: that one, or a sweep that
-changes the objective by at most DECREASE_RTOL of the correction's decrease
-below the objective of the zero correction.  Factors
-are rebalanced to equal norms whenever an update leaves their norms far
-apart, and on return; the objectives are invariant under that rescaling.
-Seeds and reseeds draw from the generator the caller passes, so the greedy
-driver's seed fixes every draw.
+One driver, ``_sweep_loop``, owns the direction workspace, the seeds and
+reseeds, the rebalancing and the sweeps; each rule supplies only its
+direction solve and its stop test.  The first three rules minimize an
+objective, which every direction solve reports as a byproduct of the
+contracted data, and stop at the first of two tests: a sweep changed the
+objective by at most TOL_SWEEP relative, or by at most DECREASE_RTOL of the
+correction's decrease below the zero correction's objective (none for the
+initial guess).  The explicit sweep has no objective: it is a fixed-point
+iteration, accelerated by type-II Anderson mixing of factors 1..d-1 between
+sweeps, and it stops once a plain sweep moves its rank-one iterate by at
+most TOL_SWEEP relative, a change taken in closed form from one 3 x 3 Gram
+per axis.  Factors are rebalanced to equal norms whenever an update leaves
+their norms far apart, and on return; the objectives are invariant under
+that rescaling.  Seeds and reseeds draw from the generator the caller
+passes, so the greedy driver's seed fixes every draw.
 """
 
 from __future__ import annotations
@@ -86,18 +86,16 @@ def seed_rank_one(sizes, rng) -> TensorSum:
     return _balanced([rng.standard_normal(n) for n in sizes])
 
 
-def _objective_settled(prev_factors, prev_obj, factors, obj) -> bool:
-    """The objective changed by at most TOL_SWEEP relative over the sweep."""
-    return abs(obj - prev_obj) <= TOL_SWEEP * (1.0 + abs(prev_obj))
-
-
 def _decrease_settled(ref):
     """The stop test of a correction whose zero has objective ``ref``: the
-    objective settled to TOL_SWEEP, or the sweep changed it by at most
-    DECREASE_RTOL of its decrease below ``ref``."""
+    objective changed by at most TOL_SWEEP relative over the sweep, or by at
+    most DECREASE_RTOL of its decrease below ``ref``.  At ``ref = -inf``,
+    the initial guess's, the second test reads |change| <= 0, which the
+    first implies."""
     def settled(prev_factors, prev_obj, factors, obj):
-        return (_objective_settled(prev_factors, prev_obj, factors, obj)
-                or abs(obj - prev_obj) <= DECREASE_RTOL * max(ref - obj, 0.0))
+        change = abs(obj - prev_obj)
+        return (change <= TOL_SWEEP * (1.0 + abs(prev_obj))
+                or change <= DECREASE_RTOL * max(ref - obj, 0.0))
     return settled
 
 
@@ -166,32 +164,26 @@ def _anderson_mixing():
     return mix
 
 
-def _sweep_loop(op, rng, update_direction, start=None,
-                settled=_objective_settled, mixing=None) -> AdmOutcome:
-    """Generic ADM driver: cyclic direction updates, reseeded when a start
-    collapses (DegenerateDirection) or breaks a direction update
-    (PoleCollision, ExplicitStepFailure).
+def _sweep_loop(op, m, context, rng, solve, settled,
+                mixing=None) -> AdmOutcome:
+    """The one ADM driver: cyclic direction updates against ``context``,
+    reseeded when a start collapses (DegenerateDirection) or breaks a
+    direction update (PoleCollision, ExplicitStepFailure).  Starts are
+    ``seed_rank_one`` draws from ``rng``; every start reuses one
+    ``DirectionWorkspace(op, m, context)``.
 
-    ``update_direction(factors, j)`` returns ``(new_factor, objective)``.
-    The sweep stops once ``settled(prev_factors, prev_obj, factors, obj)``
-    holds for the factors and objective before and after a sweep, or,
-    unconverged, after MAX_SWEEPS sweeps.  The first sweep has nothing
-    before it to compare with, so convergence takes at least two sweeps.
-    ``mixing()``, when given, makes each start's step
-    ``mix(prev_factors, factors)``, which turns the input and output of a
-    sweep that has not settled into the next sweep's input.
-    Seeds and reseeds draw from ``rng``.  A ``start`` must have exactly
-    one term and ``op``'s sizes.
-    A sweep solves direction 0 first, from the others, so a start's first
-    factor and its coefficient are never read.
+    Direction j becomes ``solve(ws.reduce(factors, j))``, a ``(new_factor,
+    objective)`` pair.  The sweep stops once ``settled(prev_factors,
+    prev_obj, factors, obj)`` holds for the factors and objective before
+    and after a sweep, which takes at least two sweeps, or, unconverged,
+    after MAX_SWEEPS sweeps.  ``mixing()``, when given, makes each start's
+    step ``mix(prev_factors, factors)``, which turns the input and output
+    of a sweep that has not settled into the next sweep's input.
     """
-    if start is not None and (start.num_terms != 1 or start.sizes != op.sizes):
-        raise StructuralError(f"ADM start must be one rank-one term of sizes "
-                              f"{op.sizes}, got {start.num_terms} of {start.sizes}")
+    ws = DirectionWorkspace(op, m, context)
     last_error = None
-    for attempt in range(RESTART_ATTEMPTS):
-        z = start if (start is not None and attempt == 0) else seed_rank_one(op.sizes, rng)
-        factors = [f[:, 0] for f in z.factors]
+    for _ in range(RESTART_ATTEMPTS):
+        factors = [f[:, 0] for f in seed_rank_one(op.sizes, rng).factors]
         sq_norms = [f @ f for f in factors]
         obj = np.inf
         converged = False
@@ -200,9 +192,9 @@ def _sweep_loop(op, rng, update_direction, start=None,
             for sweep in range(1, MAX_SWEEPS + 1):
                 prev_factors, prev_obj = list(factors), obj
                 for j in range(op.d):
-                    factors[j], obj = update_direction(factors, j)
+                    factors[j], obj = solve(ws.reduce(factors, j))
                     sq_norms[j] = factors[j] @ factors[j]
-                    # rebalancing makes new factors, which the workspaces
+                    # rebalancing makes new factors, which the workspace
                     # must contract again, so it waits for the norms to
                     # drift apart
                     if max(sq_norms) > REBALANCE_RATIO ** 2 * min(sq_norms):
@@ -228,19 +220,16 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet,
     Each direction update is the smallest eigenpair of the contracted pencil
     (A_j, Mj_eff) with s^T Mj_eff s = 1, so the element is H-normalized.
     """
-    ws = DirectionWorkspace(op, m, TensorSum(op.sizes))
-
-    def update(factors, j):
-        dd = ws.reduce(factors, j)
+    def solve(dd):
         tau, s = gen_sym_eig_smallest(dd.A_j, dd.Mj_eff)
         return s, tau
 
-    return _sweep_loop(op, rng, update)
+    return _sweep_loop(op, m, TensorSum(op.sizes), rng, solve,
+                       _decrease_settled(-math.inf))
 
 
 def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      lambda_prev: float, rng,
-                      start: TensorSum | None = None) -> AdmOutcome:
+                      lambda_prev: float, rng) -> AdmOutcome:
     """Minimize the Rayleigh quotient of u_prev + z over rank-one z.
 
     u_prev must have unit metric norm and Rayleigh quotient lambda_prev, as
@@ -249,24 +238,20 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     solved exactly as the smallest eigenpair of its bordered matrix (see
     ``secular``), so each update is a global minimizer over its slot and
     the reported objective is the quotient value itself.  An update whose
-    infimum is not attained (PoleCollision) reseeds the solve.  A start
-    supplies factors 1..d-1.
+    infimum is not attained (PoleCollision) reseeds the solve.  The zero
+    correction's objective, for the stop test, is lambda_prev.
     """
-    ws = DirectionWorkspace(op, m, u_prev)
-
-    def update(factors, j):
-        dd = ws.reduce(factors, j)
+    def solve(dd):
         red = secular.reduce(dd.A_j, dd.Mj_eff, dd.b_j, dd.m_j, lambda_prev, 1.0)
         rho, y = secular.solve_secular(red)
         return secular.recover_minimizer(red, y), rho
 
-    return _sweep_loop(op, rng, update, start=start,
-                       settled=_decrease_settled(lambda_prev))
+    return _sweep_loop(op, m, u_prev, rng, solve,
+                       _decrease_settled(lambda_prev))
 
 
 def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      lambda_prev: float, nu: float, rng,
-                      start: TensorSum | None = None) -> AdmOutcome:
+                      lambda_prev: float, nu: float, rng) -> AdmOutcome:
     """Minimize 0.5*||u_prev + z||_a^2 - (lambda_prev + nu) <u_prev, z>,
     where ||v||_a^2 = a(v, v) + nu <v, v> with the residual rule's shift nu.
 
@@ -274,14 +259,11 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     the greedy iterate has, so the zero correction's objective is
     0.5 (lambda_prev + nu).  Each direction is a single SPD solve of the
     shifted contracted system (A_j + nu Mj_eff) s = lambda_prev m_j - b_j;
-    the quadratic objective follows from the same contracted data.  A start
-    supplies factors 1..d-1.
+    the quadratic objective follows from the same contracted data.
     """
-    ws = DirectionWorkspace(op, m, u_prev)
     zero_obj = 0.5 * (lambda_prev + nu)
 
-    def update(factors, j):
-        dd = ws.reduce(factors, j)
+    def solve(dd):
         system = dd.A_j + nu * dd.Mj_eff
         rhs = lambda_prev * dd.m_j - dd.b_j
         try:
@@ -294,13 +276,11 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         # solution of (A_j + nu M_j) s = rhs is:
         return s, zero_obj - 0.5 * float(rhs @ s)
 
-    return _sweep_loop(op, rng, update, start=start,
-                       settled=_decrease_settled(zero_obj))
+    return _sweep_loop(op, m, u_prev, rng, solve, _decrease_settled(zero_obj))
 
 
 def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
-                      lambda_prev: float, rng,
-                      start: TensorSum | None = None) -> AdmOutcome:
+                      lambda_prev: float, rng) -> AdmOutcome:
     """Solve the explicit correction equation direction-wise.
 
     Each direction solves the symmetric system
@@ -314,13 +294,9 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     with an empty memory.  The solve converges once a plain sweep moves the
     iterate from its input, which may be a mixed point, by at most
     TOL_SWEEP (1 + ||z||_H) in the metric norm, and returns that sweep's
-    plain output.  The reported objective is None.  A start supplies
-    factors 1..d-1.
+    plain output.  The reported objective is None.
     """
-    ws = DirectionWorkspace(op, m, u_prev)
-
-    def update(factors, j):
-        dd = ws.reduce(factors, j)
+    def solve(dd):
         system = dd.A_j - lambda_prev * dd.Mj_eff
         rhs = lambda_prev * dd.m_j - dd.b_j
         try:
@@ -334,5 +310,5 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
         change, norm = _change_and_norm(prev_factors, factors, m.masses)
         return change <= TOL_SWEEP * (1.0 + norm)
 
-    return _sweep_loop(op, rng, update, start=start, settled=settled,
+    return _sweep_loop(op, m, u_prev, rng, solve, settled,
                        mixing=_anderson_mixing)

@@ -63,10 +63,10 @@ def parse_solver_config(raw: dict, seed_override=None) -> GreedyConfig:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _load_run(args, entry: str, where: str):

@@ -166,7 +166,7 @@ def initialize(op: KroneckerSumOperator, m: MetricSet,
     empty = np.zeros((0, 0))
     gram_a, gram_b = _extend_grams(op, m, empty, empty, z0)
     coef, _ = _unit(z0.coeffs, gram_b)
-    u0 = TensorSum(z0.sizes, coef, z0.factors)
+    u0 = TensorSum._new(z0.sizes, coef, z0.factors)
     lam0 = float(coef @ gram_a @ coef)
     if cfg.variant is Variant.RESIDUAL and lam0 + cfg.nu <= 0:
         warnings.warn(f"shift nu={cfg.nu} may be too small: the starting "
@@ -190,13 +190,6 @@ def _pure_update(prev, pure, gram_a, gram_b):
     return pure
 
 
-def _smallest_coefficients(A, B) -> np.ndarray:
-    # basis members scaled to unit metric norm for conditioning
-    d = np.sqrt(np.maximum(np.diag(B), 1e-300))
-    _, coef = gen_sym_eig_smallest(A / np.outer(d, d), B / np.outer(d, d))
-    return coef / d
-
-
 def _galerkin_update(prev, pure, gram_a, gram_b):
     """The smallest generalized eigenvector of the basis Grams, signed to
     agree with the previous iterate.
@@ -204,11 +197,14 @@ def _galerkin_update(prev, pure, gram_a, gram_b):
     None when the metric Gram fails the SPD test: the new member then lies
     in the span of the others, and the Galerkin problem has not changed.
     """
+    # basis members scaled to unit metric norm for conditioning
+    d = np.sqrt(np.maximum(np.diag(gram_b), 1e-300))
     try:
-        coef = _smallest_coefficients(gram_a, gram_b)
+        _, coef = gen_sym_eig_smallest(gram_a / np.outer(d, d),
+                                       gram_b / np.outer(d, d))
     except IllConditionedGram:
         return None
-    coef, _ = _unit(coef, gram_b)
+    coef, _ = _unit(coef / d, gram_b)
     return coef if prev @ gram_b @ coef > 0 else -coef
 
 
@@ -247,7 +243,7 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
     if coef is None:
         u_new, lam_new, A, B = state.u, state.lam, state.gram_a, state.gram_b
     else:
-        u_new = TensorSum(members.sizes, coef, members.factors)
+        u_new = TensorSum._new(members.sizes, coef, members.factors)
         lam_new = float(coef @ A @ coef)
         if images is not None:
             images, grams = grow_residual_grams(op, images, grams, new)

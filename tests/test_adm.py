@@ -317,10 +317,9 @@ class TestExplicitStep:
         u = TensorSum.rank_one([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
         # A_j for frozen e1 is diag(1,2) + I; shift with an exact eigenvalue
         monkeypatch.setattr(adm, "RESTART_ATTEMPTS", 1)
+        monkeypatch.setattr(adm, "seed_rank_one", lambda sizes, rng: u)
         with pytest.raises(AdmFailure) as failure:
-            adm_explicit_step(op, m, u, 2.0, np.random.default_rng(0),
-                              start=TensorSum.rank_one([np.array([1.0, 0.0]),
-                                                        np.array([1.0, 0.0])]))
+            adm_explicit_step(op, m, u, 2.0, np.random.default_rng(0))
         assert isinstance(failure.value.__cause__, ExplicitStepFailure)
 
 
@@ -376,73 +375,6 @@ class TestAndersonMixing:
         assert mix(out, again) is again
 
 
-class TestStart:
-    """A start is one rank-one term that supplies factors 1..d-1, for every
-    solver that takes a start."""
-
-    @pytest.fixture
-    def solve(self, request):
-        op, m = small_problem(seed=10)
-        u, lam = unit_iterate(op, m)
-        solvers = {
-            "rayleigh": lambda start: adm_rayleigh_step(
-                op, m, u, lam, np.random.default_rng(1), start=start),
-            "residual": lambda start: adm_residual_step(
-                op, m, u, lam, 1.0, np.random.default_rng(1), start=start),
-            "explicit": lambda start: adm_explicit_step(
-                op, m, u, lam, np.random.default_rng(1), start=start),
-        }
-        return op, solvers[request.param]
-
-    @pytest.mark.parametrize("solve", ["rayleigh", "residual", "explicit"],
-                             indirect=True)
-    def test_two_term_start_rejected(self, solve):
-        op, run_from = solve
-        rng = np.random.default_rng(5)
-        z = TensorSum.rank_one([rng.standard_normal(n) for n in op.sizes])
-        with pytest.raises(StructuralError):
-            run_from(z.plus(z.scaled(0.5)))
-
-    @pytest.mark.parametrize("slot", [0, 1])
-    @pytest.mark.parametrize("solve", ["rayleigh", "residual", "explicit"],
-                             indirect=True)
-    def test_start_of_wrong_size_rejected(self, solve, slot, monkeypatch):
-        """A start whose factor in any slot has the wrong length is refused
-        before any direction update, the first slot's included."""
-        op, run_from = solve
-
-        class NoUpdates(DirectionWorkspace):
-            def reduce(self, frozen, j):
-                raise AssertionError("a direction update ran")
-
-        monkeypatch.setattr(adm, "DirectionWorkspace", NoUpdates)
-        rng = np.random.default_rng(7)
-        factors = [rng.standard_normal(n) for n in op.sizes]
-        factors[slot] = rng.standard_normal(op.sizes[slot] + 5)
-        with pytest.raises(StructuralError, match="sizes"):
-            run_from(TensorSum.rank_one(factors))
-
-    @pytest.mark.parametrize("solve", ["rayleigh", "residual", "explicit"],
-                             indirect=True)
-    def test_start_first_factor_and_coefficient_are_not_read(self, solve):
-        """Random values in place of a start's first factor and its
-        coefficient leave the outcome bitwise unchanged."""
-        op, run_from = solve
-        rng = np.random.default_rng(6)
-        factors = [rng.standard_normal(n) for n in op.sizes]
-        want = run_from(TensorSum.rank_one(factors))
-        assert want.z.num_terms == 1 and want.z.coeffs.tolist() == [1.0]
-        for _ in range(3):
-            first = rng.standard_normal(op.sizes[0])
-            got = run_from(TensorSum.rank_one([first, *factors[1:]])
-                           .scaled(rng.uniform(-5.0, 5.0)))
-            assert (got.sweeps_used, got.converged, got.objective) == (
-                want.sweeps_used, want.converged, want.objective)
-            assert np.array_equal(got.z.coeffs, want.z.coeffs)
-            for a, b in zip(got.z.factors, want.z.factors):
-                assert np.array_equal(a, b)
-
-
 class TestBoundary:
     def test_metric_of_other_sizes_rejected(self):
         """The workspace refuses a metric whose sizes differ from the
@@ -479,12 +411,12 @@ def kept_objectives(monkeypatch):
     test runs, in order."""
     kept, loop = [], adm._sweep_loop
 
-    def recording_loop(op, rng, update_direction, **kwargs):
-        def update(factors, j):
-            new, obj = update_direction(factors, j)
+    def recording_loop(op, m, context, rng, solve, *args, **kwargs):
+        def recorded(dd):
+            new, obj = solve(dd)
             kept.append(obj)
             return new, obj
-        return loop(op, rng, update, **kwargs)
+        return loop(op, m, context, rng, recorded, *args, **kwargs)
 
     monkeypatch.setattr(adm, "_sweep_loop", recording_loop)
     return kept
@@ -549,16 +481,18 @@ class TestDecreaseStop:
         ref = lam if rule == "rayleigh" else 0.5 * (
             a_inner(op, u, u) + NU * a_inner(m, u, u))
 
-        def solve(start=None):
+        def solve():
             rng = np.random.default_rng(1)
             if rule == "rayleigh":
-                return adm_rayleigh_step(op, m, u, lam, rng, start=start)
-            return adm_residual_step(op, m, u, lam, NU, rng, start=start)
+                return adm_rayleigh_step(op, m, u, lam, rng)
+            return adm_residual_step(op, m, u, lam, NU, rng)
 
         out = solve()
         assert out.converged
         monkeypatch.setattr(adm, "MAX_SWEEPS", 1)
-        again = solve(start=out.z)
+        # the next solve starts from the converged correction
+        monkeypatch.setattr(adm, "seed_rank_one", lambda sizes, rng: out.z)
+        again = solve()
         assert again.objective <= out.objective + 1e-13 * abs(out.objective)
         assert out.objective - again.objective <= max(
             adm.TOL_SWEEP * (1.0 + abs(out.objective)),

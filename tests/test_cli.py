@@ -464,10 +464,27 @@ class TestCompareFailedRun:
 
 
 class TestRefusedBeforeWriting:
-    """Configs that ``solve`` and ``compare`` refuse with exit code 2
-    before they write anything."""
+    """Configs that the commands refuse with exit code 2 before they write
+    anything."""
 
     RUN_ENTRY = {"solve": {"solver": {}}, "compare": {"variants": [{}]}}
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "compare"])
+    def test_config_not_utf8(self, tmp_path, capsys, command):
+        """A 0xff byte, which no UTF-8 text holds, is a parse error that the
+        command reports on one line, whatever the locale's encoding."""
+        payload = PROBLEM if command == "gen" else {
+            "problem": PROBLEM, **self.RUN_ENTRY[command]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(json.dumps(payload).encode().replace(
+            b"Random", b"Random\xff"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("output", [2, True, ["a"]])
