@@ -1,12 +1,13 @@
 """Small dense linear-algebra primitives.
 
 Everything here operates on matrices of size at most max_j N_j (direction
-solves) or n+1 (Galerkin bases), so plain LAPACK via numpy/scipy is the right
-tool.  The generalized problems are reduced by Cholesky congruence rather
-than matrix square roots, and only their smallest eigenpair is computed:
-LAPACK ``dsyevr`` (the MRRR driver; Dhillon & Parlett, Linear Algebra Appl.
-387, 2004) takes a single pair of the tridiagonal form by bisection and
-inverse iteration.
+solves) or n+1 (Galerkin bases).  Each solve is one LAPACK driver call that
+computes only what its caller reads: ``dsyevr`` (symmetric eigenpairs),
+``dsygvx`` (a definite pencil's smallest pair, by Cholesky congruence) or
+``dposv`` (SPD systems).  Both eigen drivers take a single pair of the
+tridiagonal form by bisection and inverse iteration, as the MRRR driver
+``dsyevr`` does for a subset (Dhillon & Parlett, Linear Algebra Appl. 387,
+2004).  Every Cholesky factor passes one relative pivot test, cholesky_spd's.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ PIVOT_RTOL = 1e-12
 # the numpy/scipy wrappers cost as much as the factorizations themselves
 _getrf = scipy.linalg.lapack.dgetrf
 _getrs = scipy.linalg.lapack.dgetrs
+_posv = scipy.linalg.lapack.dposv
 _potrf = scipy.linalg.lapack.dpotrf
-_syevd = scipy.linalg.lapack.dsyevd
 _syevr = scipy.linalg.lapack.dsyevr
+_sygvx = scipy.linalg.lapack.dsygvx
 _trtrs = scipy.linalg.lapack.dtrtrs
 
 
@@ -47,32 +49,36 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray  # orthonormal columns
 
 
-def sym_eig_full(S) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix, ascending eigenvalues.
-
-    Only one triangle of S is read.
-    """
-    vals, vecs, info = _syevd(_fortran_view(S), compute_v=1, lower=1)
+def sym_eig_full(S, count=None) -> EigenDecomposition:
+    """The ``count`` smallest eigenpairs of a symmetric matrix, all by
+    default, ascending (LAPACK ``dsyevr``, il = 1, iu = count).  Only one
+    triangle of S is read."""
+    S = _fortran_view(S)
+    vals, vecs, m, _, info = _syevr(S, compute_v=1, range="I", lower=1, il=1,
+                                    iu=len(S) if count is None else count)
     if info != 0:
         raise KernelFailure(f"symmetric eigendecomposition failed (info={info})")
-    return EigenDecomposition(vals, vecs)
+    return EigenDecomposition(vals[:m], vecs)
+
+
+def _check_pivots(stopped: bool, L, S) -> None:
+    """Raise IllConditionedGram when the Cholesky factorization of S
+    ``stopped``, or when the square of its factor L's smallest pivot is at
+    most PIVOT_RTOL times the largest diagonal entry of S."""
+    # a complete factorization has every S_ii >= L_ii^2 > 0, so the largest
+    # S_ii is the largest |S_ii|; Python's min and max are the cheaper here
+    if stopped or (min(L.diagonal().tolist()) ** 2
+                   <= PIVOT_RTOL * max(S.diagonal().tolist())):
+        raise IllConditionedGram("Cholesky pivot below tolerance; "
+                                 "matrix is not positive definite")
 
 
 def cholesky_spd(S) -> np.ndarray:
-    """Lower Cholesky factor; raises IllConditionedGram when S is not SPD.
-
-    S fails when the factorization stops or when the square of its smallest
-    pivot is at most PIVOT_RTOL times the largest diagonal entry.  Only one
-    triangle of S is read.
-    """
+    """Lower Cholesky factor; raises IllConditionedGram when S fails the
+    pivot test (``_check_pivots``).  Only one triangle of S is read."""
     S = _fortran_view(S)
     L, info = _potrf(S, lower=1, clean=1)
-    # a complete factorization has every S_ii >= L_ii^2 > 0, so the largest
-    # S_ii is the largest |S_ii|; Python's min and max are the cheaper here
-    if info != 0 or (min(L.diagonal().tolist()) ** 2
-                     <= PIVOT_RTOL * max(S.diagonal().tolist())):
-        raise IllConditionedGram("Cholesky pivot below tolerance; "
-                                 "matrix is not positive definite")
+    _check_pivots(info != 0, L, S)
     return L
 
 
@@ -92,27 +98,27 @@ def tri_solve(L, rhs, transposed: bool = False) -> np.ndarray:
 def gen_sym_eig_smallest(A, B):
     """Smallest eigenpair of A c = tau B c with B SPD; returns (tau, c).
 
-    Only that pair of the congruent matrix is computed (LAPACK ``dsyevr``
-    with il = iu = 1).  The eigenvector is normalized so that c^T B c = 1.
+    One LAPACK ``dsygvx`` call (il = iu = 1) computes only that pair, with
+    c^T B c = 1, and leaves B's Cholesky factor for the pivot test of
+    :func:`cholesky_spd`.  Only one triangle of A and of B is read.
     """
-    A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    L = cholesky_spd(B)
-    # congruence: L^-1 A L^-T has the same generalized spectrum
-    C = tri_solve(L, tri_solve(L, A).T).T
-    vals, vecs, _, _, info = _syevr(_fortran_view(C), compute_v=1, range="I",
-                                    lower=1, il=1, iu=1)
+    factor = np.array(B, order="F")   # dsygvx overwrites it with the factor
+    vals, vecs, _, _, info = _sygvx(_fortran_view(A), factor, range="I",
+                                    il=1, iu=1, overwrite_b=1)
+    _check_pivots(info > len(B), factor, B)   # info > n: B's factor stopped
     if info != 0:
-        raise KernelFailure(f"smallest symmetric eigenpair failed (info={info})")
-    c = tri_solve(L, vecs[:, 0], transposed=True)
-    c = c / np.sqrt(c @ B @ c)
-    return float(vals[0]), c
+        raise KernelFailure(f"smallest generalized eigenpair failed (info={info})")
+    return float(vals[0]), vecs[:, 0]
 
 
 def spd_solve(S, rhs) -> np.ndarray:
-    """Solve S x = rhs with S SPD via Cholesky."""
-    L = cholesky_spd(S)
-    return tri_solve(L, tri_solve(L, rhs), transposed=True)
+    """Solve S x = rhs with S SPD: one LAPACK ``dposv`` call, whose Cholesky
+    factor passes the pivot test of :func:`cholesky_spd`."""
+    S = _fortran_view(S)
+    L, x, info = _posv(S, rhs, lower=1)
+    _check_pivots(info != 0, L, S)
+    return x
 
 
 def sym_indefinite_solve(S, rhs) -> np.ndarray:

@@ -58,10 +58,11 @@ def reduce(A_eff, B_eff, a_lin, b_lin, alpha, beta: float) -> SecularReduction:
 
 
 def solve_secular(r: SecularReduction) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair (rho, y) of H, rho the quotient's infimum.  rho is
-    the unit vector y's Rayleigh quotient, the value its minimizer attains:
-    the eigenvalue itself is accurate only to rounding of the norm of H."""
-    y = sym_eig_full(r.bordered).vectors[:, 0]
+    """Smallest eigenpair (rho, y) of H, the only pair computed (LAPACK
+    ``dsyevr``, il = iu = 1).  rho, the quotient's infimum, is the unit
+    vector y's Rayleigh quotient, the value its minimizer attains: the
+    eigenvalue itself is accurate only to rounding of the norm of H."""
+    y = sym_eig_full(r.bordered, count=1).vectors[:, 0]
     return float(y @ (r.bordered @ y)), y
 
 

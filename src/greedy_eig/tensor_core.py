@@ -367,28 +367,31 @@ class DirectionWorkspace:
         self.op = op
         self.m = m
         # per dimension j: rows k*N_j .. (k+1)*N_j - 1 hold D^(k,j), the last
-        # block M_j; and U_j, plain and scaled by the context coefficients
+        # block M_j; and U_j scaled by the context coefficients
         self._stacks = [np.concatenate([stack, mass])
                         for stack, mass in zip(op.stacked, m.masses)]
-        self._context = context.factors
         self._weighted = [uj * context.coeffs for uj in context.factors]
-        # per slot, (factor, quad, proj) of the last factor contracted
-        self._slots = [(None,) * 3] * op.d
+        # per slot, the buffer [f | U_l] and the last frozen factor f
+        # contracted, with its rows [f^T D^(k,l) f | f^T D^(k,l) U_l]
+        self._bufs = [np.concatenate([np.empty((len(ul), 1)), ul], axis=1)
+                      for ul in context.factors]
+        self._slots = [(None, None)] * op.d
 
     def _contract(self, l: int, f):
-        """(f^T D^(k,l) f, f^T D^(k,l) U_l) over k and then the mass, for
-        the frozen factor ``f`` in slot ``l``."""
-        key, quad, proj = self._slots[l]
+        """[f^T D^(k,l) f | f^T D^(k,l) U_l] over k and then the mass, one
+        row each, for the frozen factor ``f`` in slot ``l``."""
+        key, rows = self._slots[l]
         if key is f:
-            return quad, proj
+            return rows
         key, f = f, np.asarray(f, dtype=float)
         if f @ f < ZERO_NORM_TOL ** 2:
             raise DegenerateDirection(f"frozen factor in dimension {l} is zero")
+        self._bufs[l][:, 0] = f
         # the factors are symmetric, so row t of y is f^T D^(t,l)
         y = (self._stacks[l] @ f).reshape(self.op.num_terms + 1, -1)
-        quad, proj = y @ f, y @ self._context[l]
-        self._slots[l] = (key, quad, proj)
-        return quad, proj
+        rows = y @ self._bufs[l]
+        self._slots[l] = (key, rows)
+        return rows
 
     def reduce(self, frozen: Sequence, j: int) -> DirectionData:
         """Contract everything but direction ``j`` against the frozen factors."""
@@ -397,12 +400,12 @@ class DirectionWorkspace:
         nj = op.sizes[j]
         # w[k] = prod_{l != j} f_l^T D^(k,l) f_l, with w[K] the mass weight;
         # p[k] = prod_{l != j} f_l^T D^(k,l) U_l, row K for the mass
-        w = p = None
+        wp = None
         for l in range(d):
             if l != j:
-                quad, proj = self._contract(l, frozen[l])
-                w = quad if w is None else w * quad
-                p = proj if p is None else p * proj
+                rows = self._contract(l, frozen[l])
+                wp = rows if wp is None else wp * rows
+        w, p = wp[:, 0], wp[:, 1:]
 
         A_j = (w[:K] @ op.stacked[j].reshape(K, -1)).reshape(nj, nj)
         Mj_eff = w[K] * self.m.masses[j]

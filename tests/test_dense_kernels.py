@@ -31,6 +31,21 @@ class TestSymEig:
         dec = sym_eig_full(spd(8))
         assert np.all(np.diff(dec.values) >= 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 15, 52])
+    def test_smallest_pair_only(self, n):
+        """count=1 computes the smallest pair of the full decomposition and
+        no other; 52 is the largest bordered order on the acceptance corpus,
+        at N = 51."""
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n))
+        s = g + g.T
+        dec = sym_eig_full(s, count=1)
+        vals, vecs = scipy.linalg.eigh(s)
+        assert dec.values.shape == (1,) and dec.vectors.shape == (n, 1)
+        assert abs(dec.values[0] - vals[0]) <= 1e-12 * np.linalg.norm(s, 2)
+        y, ref = dec.vectors[:, 0], vecs[:, 0]
+        assert np.abs(y * np.sign(y @ ref) - ref).max() <= 1e-9
+
 
 class TestCholesky:
     def test_factor(self):
@@ -64,6 +79,45 @@ class TestCholesky:
         for S in cases:
             with pytest.raises(IllConditionedGram):
                 cholesky_spd(S)
+
+
+# TestCholesky.test_failing_pivot_anywhere_raises's matrices, for the
+# kernels that take the pivot test from their own driver's factor
+FAILING_PIVOT_CASES = [
+    np.zeros((3, 3)),
+    np.diag([-1.0, 1.0, 1.0]),
+    np.diag([1.0, 1.0, -1.0]),
+    np.diag([1.0, 1e-16, 1.0]),
+    np.diag([1.0, 1e-14, 1.0, -1.0]),
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+]
+
+
+class TestPivotParity:
+    """spd_solve (dposv) and gen_sym_eig_smallest (dsygvx) refuse every
+    matrix that cholesky_spd refuses."""
+
+    @pytest.mark.parametrize("case", range(len(FAILING_PIVOT_CASES)))
+    def test_spd_solve_raises(self, case):
+        S = FAILING_PIVOT_CASES[case]
+        with pytest.raises(IllConditionedGram):
+            spd_solve(S, np.ones(len(S)))
+
+    @pytest.mark.parametrize("case", range(len(FAILING_PIVOT_CASES)))
+    def test_gen_sym_eig_smallest_raises(self, case):
+        B = FAILING_PIVOT_CASES[case]
+        with pytest.raises(IllConditionedGram):
+            gen_sym_eig_smallest(np.eye(len(B)), B)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_untouched(self, order):
+        """The drivers overwrite copies only."""
+        a = np.array(spd(5) - 3 * np.eye(5), order=order)
+        b = np.array(spd(5), order=order)
+        a0, b0 = a.copy(), b.copy()
+        gen_sym_eig_smallest(a, b)
+        spd_solve(b, np.ones(5))
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 class TestGeneralizedEig:
