@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import secular
-from .dense_kernels import (cholesky_spd, gen_sym_eig_smallest, spd_solve,
-                            sym_indefinite_solve, tri_solve)
+from .dense_kernels import (gen_sym_eig_smallest, spd_solve,
+                            sym_indefinite_solve)
 from .errors import (
     AdmFailure,
     DegenerateDirection,
@@ -149,11 +149,10 @@ def _anderson_mixing():
             # equations, whose Gram must pass the SPD pivot test
             dr, dg = np.diff(np.array(pairs), axis=0).transpose(1, 0, 2)
             try:
-                chol = cholesky_spd(dr @ dr.T)
+                gamma = spd_solve(dr @ dr.T, dr @ r)
             except IllConditionedGram:
                 pairs = pairs[-1:]
                 return factors
-            gamma = tri_solve(chol, tri_solve(chol, dr @ r), transposed=True)
             mixed, x = g - gamma @ dg, []
             for part in parts:
                 seg, mixed = mixed[:len(part)], mixed[len(part):]

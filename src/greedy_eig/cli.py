@@ -86,10 +86,6 @@ def _load_run(args, entry: str, where: str):
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, int):
-        return str(x)
     return repr(float(x))
 
 

@@ -93,7 +93,7 @@ class TraceRow:
     lambda_pure: float  # same-iteration pure-update value (= lambda_n when pure)
 
 
-@dataclass
+@dataclass(eq=False)
 class GreedyState:
     """The iterate, its basis Grams and the run's stream.  Above
     DENSE_NORM_LIMIT entries it also carries the cache of

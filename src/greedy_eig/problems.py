@@ -275,65 +275,52 @@ def save_operator(op: KroneckerSumOperator, m: MetricSet, path) -> None:
         fh.write("\n")
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.data):
-            raise ParseError(f"truncated file while reading {what}", self.pos)
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-
 def load_operator(path):
     """Read an operator file written by :func:`save_operator`.
 
-    Contents the operator or metric would reject (a non-finite entry, a
-    mass that is not SPD) raise ParseError.  Files of another format
-    version, version 1 included, raise VersionError.
+    The header is read field by field, and the payload must be exactly the
+    size the header declares.  Contents the operator or metric would reject
+    (a non-finite entry, a mass that is not SPD) raise ParseError.  Files of
+    another format version, version 1 included, raise VersionError.
     """
     with open(str(path), "rb") as fh:
         data = fh.read()
-    cur = _Cursor(data)
-    magic = cur.take(4, "magic")
-    if magic != FORMAT_MAGIC:
-        raise ParseError(f"bad magic {magic!r}", 0)
-    (version,) = struct.unpack("<I", cur.take(4, "version"))
-    if version != FORMAT_VERSION:
-        raise VersionError(
-            f"unsupported format version {version} (expected "
-            f"{FORMAT_VERSION}); regenerate the file with `greedy-eig gen`"
-        )
-    (d,) = struct.unpack("<I", cur.take(4, "dimension count"))
-    if d < 2 or d > 64:
-        raise ParseError(f"implausible dimension count {d}", cur.pos - 4)
-    sizes = struct.unpack(f"<{d}I", cur.take(4 * d, "sizes"))
-    if any(n < 1 or n > 1 << 20 for n in sizes):
-        raise ParseError(f"implausible sizes {sizes}", cur.pos - 4 * d)
-    (K,) = struct.unpack("<I", cur.take(4, "term count"))
-    if K < 1 or K > 1 << 20:
-        raise ParseError(f"implausible term count {K}", cur.pos - 4)
-
-    def read_matrix(n, what):
-        raw = cur.take(8 * n * n, what)
-        return np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
-
-    terms = [
-        [read_matrix(n, f"factor block (term {k}, dim {j})")
-         for j, n in enumerate(sizes)]
-        for k in range(K)
-    ]
-    masses = [read_matrix(n, f"metric block (dim {j})")
-              for j, n in enumerate(sizes)]
-    if cur.pos != len(data):
-        raise ParseError(
-            f"{len(data) - cur.pos} trailing bytes after payload", cur.pos
-        )
+    if data[:4] != FORMAT_MAGIC:
+        raise ParseError(f"bad magic {data[:4]!r}", 0)
+    offset = 4   # of the header field being read
     try:
-        return KroneckerSumOperator(terms), MetricSet(masses)
+        (version,) = struct.unpack_from("<I", data, offset)
+        if version != FORMAT_VERSION:
+            raise VersionError(
+                f"unsupported format version {version} (expected "
+                f"{FORMAT_VERSION}); regenerate the file with `greedy-eig gen`"
+            )
+        offset = 8
+        (d,) = struct.unpack_from("<I", data, offset)
+        if d < 2 or d > 64:
+            raise ParseError(f"implausible dimension count {d}", offset)
+        offset = 12
+        *sizes, K = struct.unpack_from(f"<{d + 1}I", data, offset)
+    except struct.error:
+        raise ParseError(f"truncated header: the file has {len(data)} bytes",
+                         offset) from None
+    if any(n < 1 or n > 1 << 20 for n in sizes):
+        raise ParseError(f"implausible sizes {tuple(sizes)}", 12)
+    if K < 1 or K > 1 << 20:
+        raise ParseError(f"implausible term count {K}", 12 + 4 * d)
+    start, payload = 16 + 4 * d, 8 * (K + 1) * sum(n * n for n in sizes)
+    if len(data) - start != payload:
+        raise ParseError(f"payload is {len(data) - start} bytes, the header "
+                         f"declares {payload}", start)
+    # the K terms' factor blocks, then the metric's, each n x n row-major
+    blocks, at = [], start
+    for n in sizes * (K + 1):
+        blocks.append(np.frombuffer(data, "<f8", n * n, at).reshape(n, n))
+        at += 8 * n * n
+    try:
+        return (KroneckerSumOperator([blocks[k * d:(k + 1) * d]
+                                      for k in range(K)]),
+                MetricSet(blocks[K * d:]))
     except StructuralError as exc:
         raise ParseError(f"invalid operator data: {exc}") from exc
 

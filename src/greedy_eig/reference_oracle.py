@@ -38,17 +38,16 @@ DEGENERACY_TOL = 1e-8
 ROUNDING_FACTOR = 100
 
 
-def _check_size(sizes) -> int:
+def _check_size(sizes) -> None:
     total = int(np.prod(sizes))
     if total > DENSE_SIZE_LIMIT:
         raise TooLargeForOracle(
             f"dense assembly of dimension {total} exceeds the guard "
             f"{DENSE_SIZE_LIMIT}"
         )
-    return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseReference:
     """Reference eigendata for the smallest eigenvalue of (A, M).
 

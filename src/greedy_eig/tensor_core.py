@@ -50,49 +50,36 @@ def symmetrize_factor(mat) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KroneckerSumOperator:
     """Symmetric bilinear form given by a sum of Kronecker-product terms.
 
     ``terms[k][j]`` is the j-th dimension factor of the k-th term; a factor
     that is not symmetric to rounding is refused (``symmetrize_factor``).
+    Operators hold arrays, so they compare and hash by identity.
     """
 
     terms: tuple
+    d: int
+    num_terms: int
+    sizes: tuple
 
     def __init__(self, terms: Sequence[Sequence[np.ndarray]]):
         if len(terms) < 1:
             raise StructuralError("operator needs at least one Kronecker term")
-        d = len(terms[0])
-        if d < 2:
+        if len(terms[0]) < 2:
             raise StructuralError("operator needs at least two dimensions")
-        clean = []
-        sizes = None
-        for term in terms:
-            if len(term) != d:
-                raise StructuralError("all terms must have the same number of factors")
-            facs = tuple(symmetrize_factor(f) for f in term)
-            term_sizes = tuple(f.shape[0] for f in facs)
-            if sizes is None:
-                sizes = term_sizes
-            elif term_sizes != sizes:
+        clean = tuple(tuple(symmetrize_factor(f) for f in term) for term in terms)
+        sizes = tuple(f.shape[0] for f in clean[0])
+        for term in clean:   # a term with another factor count fails too
+            term_sizes = tuple(f.shape[0] for f in term)
+            if term_sizes != sizes:
                 raise StructuralError(
-                    f"term factor sizes {term_sizes} do not match {sizes}"
-                )
-            clean.append(facs)
-        object.__setattr__(self, "terms", tuple(clean))
-
-    @functools.cached_property
-    def d(self) -> int:
-        return len(self.terms[0])
-
-    @functools.cached_property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    @functools.cached_property
-    def sizes(self) -> tuple:
-        return tuple(f.shape[0] for f in self.terms[0])
+                    f"term factor sizes {term_sizes} do not match {sizes}")
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "d", len(sizes))
+        object.__setattr__(self, "num_terms", len(clean))
+        object.__setattr__(self, "sizes", sizes)
 
     @functools.cached_property
     def stacked(self) -> tuple:
@@ -200,10 +187,6 @@ class TensorSum:
     def plus(self, other: "TensorSum") -> "TensorSum":
         if other.sizes != self.sizes:
             raise StructuralError("cannot add tensors of different shapes")
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
         return TensorSum._new(
             self.sizes,
             np.concatenate([self.coeffs, other.coeffs]),
@@ -409,8 +392,6 @@ class DirectionWorkspace:
 
         A_j = (w[:K] @ op.stacked[j].reshape(K, -1)).reshape(nj, nj)
         Mj_eff = w[K] * self.m.masses[j]
-        if not p.size:   # an empty context projects to zero
-            return DirectionData(A_j, Mj_eff, np.zeros(nj), np.zeros(nj))
         # v[k] = sum_i c_i p[k, i] U_j[:, i]; b_j = sum_k D^(k,j) v[k]
         v = p @ self._weighted[j].T
         b_j = op.stacked[j].T @ v[:K].ravel()

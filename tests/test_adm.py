@@ -15,7 +15,8 @@ from greedy_eig.adm import (
     adm_rayleigh_step,
     adm_residual_step,
 )
-from greedy_eig.errors import AdmFailure, ExplicitStepFailure, StructuralError
+from greedy_eig.errors import (AdmFailure, DegenerateDirection,
+                               ExplicitStepFailure, StructuralError)
 from greedy_eig.greedy import GreedyConfig, Variant
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.tensor_core import (
@@ -440,6 +441,46 @@ class TestSweepLoop:
         out = adm_initial_guess(op, m, np.random.default_rng(0))
         assert out.sweeps_used == 1
         assert not out.converged
+
+    @staticmethod
+    def zero_first_starts(monkeypatch, count):
+        """Make the first ``count`` seeds have a zero second factor; return
+        the list of seeds drawn and the unpatched ``seed_rank_one``."""
+        seeds, draw = [], adm.seed_rank_one
+
+        def seed_rank_one(sizes, rng):
+            factors = [f[:, 0] for f in draw(sizes, rng).factors]
+            seeds.append(factors)
+            if len(seeds) <= count:
+                factors[1] = np.zeros(sizes[1])
+            return TensorSum.rank_one(factors)
+
+        monkeypatch.setattr(adm, "seed_rank_one", seed_rank_one)
+        return seeds, draw
+
+    def test_start_with_a_zero_factor_reseeds(self, monkeypatch):
+        """A start whose factor is zero breaks at its first contraction
+        (DegenerateDirection) and the solve goes on from the next seed."""
+        op, m = small_problem(seed=3)
+        seeds, draw = self.zero_first_starts(monkeypatch, 1)
+        out = adm_initial_guess(op, m, np.random.default_rng(0))
+        assert len(seeds) == 2 and out.converged
+        # the same solve as one whose stream skipped the broken draw
+        rng = np.random.default_rng(0)
+        draw(op.sizes, rng)
+        monkeypatch.setattr(adm, "seed_rank_one", draw)
+        want = adm_initial_guess(op, m, rng)
+        assert out.objective == want.objective
+        for a, b in zip(out.z.factors, want.z.factors):
+            assert np.array_equal(a, b)
+
+    def test_every_start_with_a_zero_factor_fails(self, monkeypatch):
+        op, m = small_problem(seed=3)
+        seeds, _ = self.zero_first_starts(monkeypatch, adm.RESTART_ATTEMPTS)
+        with pytest.raises(AdmFailure) as failure:
+            adm_initial_guess(op, m, np.random.default_rng(0))
+        assert len(seeds) == adm.RESTART_ATTEMPTS == 3
+        assert isinstance(failure.value.__cause__, DegenerateDirection)
 
     @pytest.mark.parametrize("rule", ["initial", "rayleigh", "residual"])
     def test_objective_never_rises(self, rule, kept_objectives):

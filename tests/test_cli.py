@@ -8,8 +8,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from greedy_eig import (KroneckerSumOperator, gen_random_kronecker, problems,
-                        save_operator)
+from greedy_eig import (KroneckerSumOperator, gen_random_kronecker, greedy,
+                        problems, save_operator)
 from greedy_eig.cli import (
     EXIT_CONFIG,
     EXIT_ITER_CAP,
@@ -19,7 +19,8 @@ from greedy_eig.cli import (
     main,
     parse_solver_config,
 )
-from greedy_eig.errors import DegenerateIterate, ParseError, VersionError
+from greedy_eig.errors import (AdmFailure, DegenerateIterate, ParseError,
+                               VersionError)
 from greedy_eig.greedy import GreedyConfig, Variant, run
 from greedy_eig.problems import ProblemSpec, load_operator
 
@@ -241,6 +242,21 @@ class TestSolve:
             assert main(["solve", "--config", cfg, "--out", out]) == EXIT_STEP_FAILURE
         summary = json.loads((tmp_path / "trace.csv.json").read_text())
         assert summary["reason"].startswith("step_failure")
+
+    def test_failure_before_the_first_step_exits_4(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """A GreedyEigError that no step reports, here from the initial
+        guess, is a failure of the solve: exit 4, one line, no file."""
+        def fail(*args):
+            raise AdmFailure("forced")
+
+        monkeypatch.setattr(greedy, "adm_initial_guess", fail)
+        cfg = write_config(tmp_path, {"problem": PROBLEM, "solver": {}})
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "t.csv")]) == EXIT_STEP_FAILURE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: AdmFailure: forced"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_unknown_solver_key(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -484,6 +500,30 @@ class TestRefusedBeforeWriting:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "UTF-8" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command,payload", [
+        ("gen", ["RandomKronecker"]),
+        ("gen", {"sizes": [4, 4]}),
+        ("solve", {"problem": ["RandomKronecker"], "solver": {}}),
+        ("solve", {"problem": {"sizes": [4, 4]}, "solver": {}}),
+        ("solve", {"solver": {}}),
+        ("solve", {"problem": PROBLEM}),
+        ("compare", {"problem": PROBLEM}),
+        ("compare", {"variants": [{}]}),
+        ("solve", [PROBLEM]),
+        ("compare", "config"),
+    ], ids=["spec_not_mapping", "spec_without_kind",
+            "run_spec_not_mapping", "run_spec_without_kind",
+            "run_without_problem", "run_without_solver",
+            "compare_without_variants", "compare_without_problem",
+            "run_config_a_list", "compare_config_a_string"])
+    def test_malformed_config(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["solve", "compare"])

@@ -379,6 +379,25 @@ class TestTrapStagnation:
         assert res.lam == pytest.approx(2.0, abs=1e-6)
 
 
+class TestIdentityComparison:
+    """Forms, references and states hold arrays, so two of them compare
+    by identity: equal values do not make them equal, and either can be a
+    dict key."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random_kronecker(2, (3, 3), 2, seed=0)[0],
+        lambda: gen_random_kronecker(2, (3, 3), 2, seed=0)[1],
+        lambda: dense_reference(*gen_random_kronecker(2, (3, 3), 2, seed=0)),
+        lambda: initialize(*gen_random_kronecker(2, (3, 3), 2, seed=0),
+                           GreedyConfig(rng_seed=1)),
+    ], ids=["operator", "metric", "dense_reference", "greedy_state"])
+    def test_equal_values_are_distinct(self, make):
+        a, b = make(), make()
+        assert a == a and b == b and a != b
+        keys = {a: 1, b: 2}
+        assert len(keys) == 2 and keys[a] == 1 and keys[b] == 2
+
+
 class TestDegenerateLowest:
     def test_converges_into_the_eigenspace(self):
         op, m = gen_degenerate_lowest((6, 6), 2, seed=3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from greedy_eig import problems
 from greedy_eig.adm import adm_initial_guess
 from greedy_eig.errors import InvalidSpec, ParseError, VersionError
+from greedy_eig.greedy import GreedyConfig, run
 from greedy_eig.problems import (
     FORMAT_MAGIC,
     ProblemSpec,
@@ -312,6 +313,29 @@ class TestSerialization:
             load_operator(path)
         assert exc.value.offset is not None
 
+    def test_every_cut_is_a_parse_error(self, tmp_path):
+        """A file cut at any byte, inside the header or the payload, is
+        refused with the offset of what is missing."""
+        op, m = gen_random_kronecker(3, (2, 3, 2), 1, seed=0)
+        path = tmp_path / "op.geig"
+        save_operator(op, m, path)
+        data = path.read_bytes()
+        # the offsets of magic, version, d, sizes and K, and the payload
+        fields = (0, 4, 8, 12, 4 + 4 + 4 + 3 * 4 + 4)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ParseError) as exc:
+                load_operator(path)
+            assert exc.value.offset == max(f for f in fields if f <= cut), cut
+
+    def test_trailing_byte(self, tmp_path):
+        op, m = gen_random_kronecker(2, (3, 3), 1, seed=0)
+        path = tmp_path / "op.geig"
+        save_operator(op, m, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ParseError, match="declares"):
+            load_operator(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "op.geig"
         path.write_bytes(b"NOPE" + b"\x00" * 100)
@@ -352,6 +376,22 @@ class TestProblemSpec:
                            {"d": 2, "sizes": [4, 4], "K": 2, "seed": 5})
         op, m = spec.build()
         assert op.sizes == (4, 4)
+
+    def test_build_separable(self):
+        """The Separable kind is reproducible per seed, and its rank-one
+        ground state is what a greedy run finds."""
+        def build(seed):
+            return ProblemSpec.from_dict(
+                {"kind": "Separable", "sizes": [4, 5], "seed": seed}).build()
+
+        (op, m), (again, _), (other, _) = build(3), build(3), build(4)
+        assert op.sizes == m.sizes == (4, 5) and op.num_terms == 2
+        for t1, t2, t3 in zip(op.terms, again.terms, other.terms):
+            for f1, f2, f3 in zip(t1, t2, t3):
+                assert np.array_equal(f1, f2)
+            assert not all(np.array_equal(f1, f3) for f1, f3 in zip(t1, t3))
+        res = run(op, m, GreedyConfig(rng_seed=1))
+        assert res.lam == pytest.approx(dense_reference(op, m).mu1, abs=1e-10)
 
     def test_build_from_file(self, tmp_path):
         op, m = gen_random_kronecker(2, (3, 4), 1, seed=8)

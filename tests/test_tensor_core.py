@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedy_eig import tensor_core
-from greedy_eig.errors import StructuralError
+from greedy_eig.errors import DegenerateDirection, StructuralError
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.reference_oracle import dense_assemble
 from greedy_eig.tensor_core import (
@@ -88,6 +88,12 @@ class TestConstruction:
     def test_rejects_mismatched_sizes(self):
         with pytest.raises(StructuralError):
             KroneckerSumOperator([[np.eye(2), np.eye(3)], [np.eye(3), np.eye(3)]])
+
+    def test_rejects_terms_with_different_factor_counts(self):
+        for terms in ([[np.eye(3), np.eye(3)], [np.eye(3)] * 3],
+                      [[np.eye(3)] * 3, [np.eye(3), np.eye(3)]]):
+            with pytest.raises(StructuralError, match="factor sizes"):
+                KroneckerSumOperator(terms)
 
     def test_rejects_single_dimension(self):
         with pytest.raises(StructuralError):
@@ -236,6 +242,19 @@ class TestDirectionReduction:
                 assert np.isclose(s @ dd.Mj_eff @ s, z @ m_dense @ z)
                 assert np.isclose(dd.b_j @ s, c_vec @ a_dense @ z)
                 assert np.isclose(dd.m_j @ s, c_vec @ m_dense @ z)
+
+    def test_zero_frozen_factor_raises(self):
+        sizes = (4, 3, 2)
+        rng = np.random.default_rng(10)
+        op = random_operator(sizes, 2, rng)
+        ctx = random_tensor_sum(sizes, 2, rng)
+        ws = DirectionWorkspace(op, MetricSet.identity(sizes), ctx)
+        frozen = [rng.standard_normal(n) for n in sizes]
+        frozen[1] = np.zeros(3)
+        ws.reduce(frozen, 1)   # the open slot may hold anything
+        for j in (0, 2):
+            with pytest.raises(DegenerateDirection, match="dimension 1"):
+                ws.reduce(frozen, j)
 
     def test_workspace_matches_one_shot(self):
         sizes = (4, 3)
