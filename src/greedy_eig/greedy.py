@@ -30,14 +30,12 @@ from .dense_kernels import gen_sym_eig_smallest, one_blas_thread
 from .errors import (DegenerateIterate, GreedyEigError, IllConditionedGram,
                      require_count)
 from .tensor_core import (
+    BasisGrams,
     KroneckerSumOperator,
     MetricSet,
     TensorSum,
-    bordered,
     eig_residual,
-    grow_residual_grams,
-    residual_by_grams,
-    residual_grams,
+    grow_basis,
 )
 
 ITERATE_COLLAPSE_TOL = 1e-12
@@ -95,20 +93,16 @@ class TraceRow:
 
 @dataclass(eq=False)
 class GreedyState:
-    """The iterate, its basis Grams and the run's stream.  Above
-    DENSE_NORM_LIMIT entries it also carries the cache of
-    ``residual_grams``, grown with the basis, from which the eigenpair
-    residual is read in O(n^2); below, both cache fields are None."""
+    """The iterate, the Grams of its basis and the run's stream.  The
+    Grams (``tensor_core.grow_basis``) grow with the basis and carry
+    whatever the eigenpair residual is read from."""
 
     n: int
     u: TensorSum         # its terms are the basis: u_0 and the kept z_i
     lam: float
     trace: list          # TraceRow per executed iteration
-    gram_a: np.ndarray   # basis Gram of the operator form
-    gram_b: np.ndarray   # basis Gram of the metric
+    grams: BasisGrams    # of the basis: A, B and the residual's
     rng: np.random.Generator   # the run's stream; a step draws from a copy
-    images: tuple | None      # per axis, every member's K + 1 images
-    residual_grams: np.ndarray | None   # <P z_a, Q z_b>, P, Q in (A, M)
 
 
 @dataclass(frozen=True)
@@ -119,27 +113,6 @@ class GreedyResult:
     reason: str
     iterations: int
     iterates: tuple       # the normalized iterate of each trace row
-
-
-def _new_images(op, m, members):
-    """Per dimension, the images [D^(1,j) f; ...; D^(K,j) f; M_j f] of the
-    last of ``members``'s factors f."""
-    return [np.vstack([(stack @ cols[:, -1]).reshape(op.num_terms, -1),
-                       mass @ cols[:, -1]])
-            for stack, mass, cols in zip(op.stacked, m.masses, members.factors)]
-
-
-def _extend_grams(op, m, A, B, members, images=None):
-    """Grow the basis Grams by one row/column for the last of ``members``.
-
-    Per dimension, the new member's ``images`` (``_new_images``, formed
-    when not given) meet all member factors in one product.
-    """
-    rows = np.ones((op.num_terms + 1, len(A) + 1))
-    for y, cols in zip(images or _new_images(op, m, members), members.factors):
-        rows *= y @ cols
-    a_row, b_row = rows[:-1].sum(axis=0), rows[-1]
-    return bordered(A, a_row, a_row), bordered(B, b_row, b_row)
 
 
 def _unit(coef, gram_b):
@@ -163,18 +136,16 @@ def initialize(op: KroneckerSumOperator, m: MetricSet,
     rng = np.random.default_rng(cfg.rng_seed)
     out = adm_initial_guess(op, m, rng)
     z0 = out.z
-    empty = np.zeros((0, 0))
-    gram_a, gram_b = _extend_grams(op, m, empty, empty, z0)
-    coef, _ = _unit(z0.coeffs, gram_b)
+    grams = grow_basis(op, m, z0)
+    coef, _ = _unit(z0.coeffs, grams.b)
     u0 = TensorSum._new(z0.sizes, coef, z0.factors)
-    lam0 = float(coef @ gram_a @ coef)
+    lam0 = float(coef @ grams.a @ coef)
     if cfg.variant is Variant.RESIDUAL and lam0 + cfg.nu <= 0:
         warnings.warn(f"shift nu={cfg.nu} may be too small: the starting "
                       f"rank-one Rayleigh value is {lam0:.3e}", stacklevel=2)
-    cache = residual_grams(op, m, u0) if residual_by_grams(u0.sizes) else (None,) * 2
-    res0 = eig_residual(op, m, u0, lam0, cache[1])
+    res0 = eig_residual(op, m, u0, lam0, grams.residual)
     row = TraceRow(0, lam0, 0.0, 0.0, 0.0, res0, 1.0, 0.0, lam0)
-    return GreedyState(0, u0, lam0, [row], gram_a, gram_b, rng, *cache)
+    return GreedyState(0, u0, lam0, [row], grams, rng)
 
 
 def _compute_correction(op, m, state, cfg, rng) -> TensorSum:
@@ -223,8 +194,8 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
     rng = np.random.Generator(copy.copy(state.rng.bit_generator))
     z = _compute_correction(op, m, state, cfg, rng)
     members = state.u.plus(z)
-    new = _new_images(op, m, members)
-    A, B = _extend_grams(op, m, state.gram_a, state.gram_b, members, new)
+    grams = grow_basis(op, m, members, state.grams)
+    A, B = grams.a, grams.b
     prev = np.append(state.u.coeffs, 0.0)   # u over the new basis
     plus = members.coeffs                    # u + z
     pure, alpha = _unit(plus, B)
@@ -239,20 +210,16 @@ def _step(state, op, m, cfg, update_coefficients) -> GreedyState:
         euler = (a_z @ plus + shift * (b_z @ plus)
                  - (state.lam + shift) * (b_z @ prev))
     z_norm_a = float(np.sqrt(max(a_z[-1] + cfg.nu * b_z[-1], 0.0)))
-    images, grams = state.images, state.residual_grams
     if coef is None:
-        u_new, lam_new, A, B = state.u, state.lam, state.gram_a, state.gram_b
+        u_new, lam_new, grams = state.u, state.lam, state.grams
     else:
         u_new = TensorSum._new(members.sizes, coef, members.factors)
         lam_new = float(coef @ A @ coef)
-        if images is not None:
-            images, grams = grow_residual_grams(op, images, grams, new)
-    res = eig_residual(op, m, u_new, lam_new, grams)
+    res = eig_residual(op, m, u_new, lam_new, grams.residual)
     row = TraceRow(state.n + 1, lam_new, state.lam - lam_new, z_norm_a,
                    float(abs(euler)), res, alpha, time.perf_counter() - t0,
                    lam_pure)
-    return GreedyState(row.n, u_new, lam_new, state.trace + [row], A, B, rng,
-                       images, grams)
+    return GreedyState(row.n, u_new, lam_new, state.trace + [row], grams, rng)
 
 
 def step(state: GreedyState, op: KroneckerSumOperator, m: MetricSet,

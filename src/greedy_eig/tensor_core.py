@@ -15,8 +15,9 @@ by dimension through small Gram matrices; something of size prod(N_j) is
 formed only by ``to_dense``, and by ``eig_residual`` for tensors of at most
 DENSE_NORM_LIMIT entries.  Above that limit the eigenpair residual is read
 from the Euclidean Grams of the members' images under A and M
-(``residual_grams``), which the greedy state grows by one row per step
-(``grow_residual_grams``).
+(``residual_grams``).  A greedy basis's Grams live in one ``BasisGrams``
+value, which ``grow_basis`` grows by one member per step: the forms' Grams
+A and B and, above the limit, the residual's images and Grams.
 """
 
 from __future__ import annotations
@@ -178,9 +179,6 @@ class TensorSum:
     def num_terms(self) -> int:
         return len(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return self.num_terms == 0
-
     def scaled(self, t: float) -> "TensorSum":
         return TensorSum._new(self.sizes, t * self.coeffs, self.factors)
 
@@ -197,12 +195,10 @@ class TensorSum:
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full coefficient tensor, flattened C-order."""
-        if self.is_zero():
-            return np.zeros(math.prod(self.sizes))
         # rows run over the leading indices, one column per term
         lead = self.factors[0] * self.coeffs
         for f in self.factors[1:-1]:
-            lead = (lead[:, None, :] * f[None, :, :]).reshape(-1, self.num_terms)
+            lead = (lead[:, None, :] * f).reshape(len(lead) * len(f), -1)
         return (lead @ self.factors[-1].T).ravel()
 
 
@@ -213,26 +209,29 @@ def _check_shapes(u: TensorSum, v: TensorSum, sizes) -> None:
         )
 
 
+def _axis_product(blocks):
+    """The entrywise product of per-axis blocks, taken in axis order."""
+    return functools.reduce(np.multiply, blocks)
+
+
+def _pencil_stacks(op: KroneckerSumOperator, m: MetricSet) -> list:
+    """Per axis j, the (K + 1) N_j x N_j array [D^(1,j); ...; D^(K,j); M_j]:
+    one product applies every term's factor and the mass."""
+    return [np.concatenate([stack, mass])
+            for stack, mass in zip(op.stacked, m.masses)]
+
+
 def a_inner(op: KroneckerSumOperator, u: TensorSum, v: TensorSum) -> float:
     """a(u, v) for the Kronecker-sum operator."""
     _check_shapes(u, v, op.sizes)
-    if u.is_zero() or v.is_zero():
-        return 0.0
-    had = None   # had[k] = hadamard_j U_j^T D^(k,j) V_j
-    for uj, vj, stack in zip(u.factors, v.factors, op.stacked):
-        g = uj.T @ (stack @ vj).reshape(op.num_terms, len(uj), -1)
-        had = g if had is None else had * g
+    # had[k] = hadamard_j U_j^T D^(k,j) V_j
+    had = _axis_product(uj.T @ (stack @ vj).reshape(op.num_terms, len(uj), -1)
+                        for uj, vj, stack in zip(u.factors, v.factors, op.stacked))
     return float(u.coeffs @ had.sum(axis=0) @ v.coeffs)
 
 
 def h_norm(u: TensorSum, m: MetricSet) -> float:
     return float(np.sqrt(max(a_inner(m, u, u), 0.0)))
-
-
-def residual_by_grams(sizes) -> bool:
-    """Whether ``eig_residual`` reads these sizes from the residual Grams:
-    above DENSE_NORM_LIMIT entries, read at call time."""
-    return math.prod(sizes) > DENSE_NORM_LIMIT
 
 
 def bordered(old: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -248,10 +247,7 @@ def _gram_blocks(K: int, rows, images) -> np.ndarray:
     rows of ``rows`` hold the K + 1 images of each z_a and the columns of
     ``images`` those of each z_b: the Hadamard product over the axes of
     their Euclidean Grams, summed over the operator terms."""
-    had = None
-    for r, y in zip(rows, images):
-        g = r @ y
-        had = g if had is None else had * g
+    had = _axis_product(r @ y for r, y in zip(rows, images))
     sel = np.zeros((2, K + 1))   # sums the operator terms, keeps the mass
     sel[0, :K] = sel[1, K] = 1.0
     n_rows, n_cols = (k // (K + 1) for k in had.shape)
@@ -272,14 +268,49 @@ def residual_grams(op: KroneckerSumOperator, m: MetricSet, u: TensorSum) -> tupl
     return images, _gram_blocks(K, [y.T for y in images], images)
 
 
-def grow_residual_grams(op: KroneckerSumOperator, images: tuple,
-                        grams: np.ndarray, new: Sequence[np.ndarray]) -> tuple:
-    """The residual cache grown by a member whose per-axis images are the
-    rows of ``new``: one product per axis with every member's images gives
-    the new row and column of each Gram, O(K^2 n sum_j N_j)."""
-    images = tuple(np.concatenate([y, f.T], axis=1) for y, f in zip(images, new))
-    x = _gram_blocks(op.num_terms, new, images)[:, :, 0]
-    return images, bordered(grams, x, x.transpose(1, 0, 2))
+@dataclass(frozen=True, eq=False)
+class BasisGrams:
+    """The Grams of a basis z_1, ..., z_n: A = [a(z_a, z_b)] and
+    B = [<z_a, z_b>].  Above DENSE_NORM_LIMIT entries it also holds the
+    cache of ``residual_grams``, the members' per-axis images and the
+    Grams <P z_a, Q z_b> for P, Q in (A, M); below, both are None."""
+
+    a: np.ndarray
+    b: np.ndarray
+    images: tuple | None
+    residual: np.ndarray | None
+
+
+def grow_basis(op: KroneckerSumOperator, m: MetricSet, members: TensorSum,
+               grams: BasisGrams | None = None) -> BasisGrams:
+    """``grams`` of all but the last of ``members`` grown by the last (the
+    value given is not changed), or, when ``grams`` is None, the Grams of
+    the one-member basis ``members``.  The last member's images
+    [D^(1,j) f; ...; D^(K,j) f; M_j f] are formed once: per axis, one
+    product with every member's factors gives the new row of A and B and,
+    above DENSE_NORM_LIMIT, one with every member's images that of each
+    residual Gram, O(K^2 n sum_j N_j)."""
+    K = op.num_terms
+    new = [np.vstack([(stack @ cols[:, -1]).reshape(K, -1), mass @ cols[:, -1]])
+           for stack, mass, cols in zip(op.stacked, m.masses, members.factors)]
+    rows = _axis_product(y @ cols for y, cols in zip(new, members.factors))
+    a_row, b_row = rows[:-1].sum(axis=0), rows[-1]
+    images = residual = None
+    if grams is None:
+        empty = np.zeros((0, 0))
+        grams = BasisGrams(empty, empty, None, None)
+        if math.prod(op.sizes) > DENSE_NORM_LIMIT:
+            # views of the rows: numpy forms their Gram as one symmetric
+            # product, bitwise the one of residual_grams
+            images = tuple(y.T for y in new)
+            residual = _gram_blocks(K, new, images)
+    elif grams.images is not None:
+        images = tuple(np.concatenate([y, f.T], axis=1)
+                       for y, f in zip(grams.images, new))
+        x = _gram_blocks(K, new, images)[:, :, 0]
+        residual = bordered(grams.residual, x, x.transpose(1, 0, 2))
+    return BasisGrams(bordered(grams.a, a_row, a_row),
+                      bordered(grams.b, b_row, b_row), images, residual)
 
 
 def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum,
@@ -290,20 +321,18 @@ def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum,
     through one stacked array [D^(1,j); ...; D^(K,j); M_j] per axis, exact
     to rounding.  Above, with c the coefficients of u's members,
     ||r||^2 = c^T G_AA c - 2 lam c^T G_AM c + lam^2 c^T G_MM c, read from
-    ``grams`` (the greedy state grows them with its basis) or from
+    ``grams`` (the residual Grams of ``grow_basis``) or from
     ``residual_grams``.  This squares the norm: a residual whose terms
     cancel below about sqrt(eps) = 1e-8 of their own norms, as an
     eigenpair's do, is not resolved."""
-    if residual_by_grams(u.sizes):
+    if math.prod(u.sizes) > DENSE_NORM_LIMIT:
         grams = residual_grams(op, m, u)[1] if grams is None else grams
         w = np.array([1.0, -lam])
         return float(np.sqrt(max(w @ (grams @ u.coeffs @ u.coeffs) @ w, 0.0)))
-    stacks = [np.concatenate([stack, mass])
-              for stack, mass in zip(op.stacked, m.masses)]
     # y[t] is the t-th term's image, the mass's last: per axis, each
     # term's factor acts on it in one broadcast product
     y, lead = u.to_dense().reshape(1, 1, -1), 1
-    for j, (nj, stack) in enumerate(zip(u.sizes, stacks)):
+    for j, (nj, stack) in enumerate(zip(u.sizes, _pencil_stacks(op, m))):
         f = stack.reshape(-1, nj, nj)
         if j < op.d - 1:
             y = f[:, None] @ y.reshape(len(y), lead, nj, -1)
@@ -351,8 +380,7 @@ class DirectionWorkspace:
         self.m = m
         # per dimension j: rows k*N_j .. (k+1)*N_j - 1 hold D^(k,j), the last
         # block M_j; and U_j scaled by the context coefficients
-        self._stacks = [np.concatenate([stack, mass])
-                        for stack, mass in zip(op.stacked, m.masses)]
+        self._stacks = _pencil_stacks(op, m)
         self._weighted = [uj * context.coeffs for uj in context.factors]
         # per slot, the buffer [f | U_l] and the last frozen factor f
         # contracted, with its rows [f^T D^(k,l) f | f^T D^(k,l) U_l]

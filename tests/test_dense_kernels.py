@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from greedy_eig import dense_kernels
 from greedy_eig.dense_kernels import (
     cholesky_spd,
     gen_sym_eig_smallest,
     spd_solve,
     sym_eig_full,
     sym_indefinite_solve,
+    tri_solve,
 )
-from greedy_eig.errors import IllConditionedGram, SingularSystem
+from greedy_eig.errors import IllConditionedGram, KernelFailure, SingularSystem
 
 RNG = np.random.default_rng(11)
 
@@ -191,3 +193,28 @@ class TestSolvers:
         s = np.outer(np.ones(4), np.ones(4))
         with pytest.raises(SingularSystem):
             sym_indefinite_solve(s, np.ones(4))
+
+
+def failing(driver):
+    """``driver`` with its LAPACK ``info``, the last output, set to 1."""
+    def call(*args, **kwargs):
+        return (*driver(*args, **kwargs)[:-1], 1)
+    return call
+
+
+class TestKernelFailure:
+    """A LAPACK driver that returns info != 0 for a reason other than a
+    failed pivot raises KernelFailure."""
+
+    @pytest.mark.parametrize("name, solve", [
+        ("_trtrs", lambda s: tri_solve(cholesky_spd(s), np.ones(len(s)))),
+        ("_syevr", lambda s: sym_eig_full(s, count=1)),
+        ("_sygvx", lambda s: gen_sym_eig_smallest(s, np.eye(len(s)))),
+    ], ids=["tri_solve", "sym_eig_full", "gen_sym_eig_smallest"])
+    def test_nonzero_info_raises(self, monkeypatch, name, solve):
+        s = spd(5)
+        solve(s)
+        monkeypatch.setattr(dense_kernels, name,
+                            failing(getattr(dense_kernels, name)))
+        with pytest.raises(KernelFailure, match=r"info=1\)"):
+            solve(s)

@@ -8,7 +8,7 @@ import pytest
 
 from greedy_eig import greedy, tensor_core
 from greedy_eig.dense_kernels import _openblas_pools
-from greedy_eig.errors import StructuralError
+from greedy_eig.errors import DegenerateIterate, StructuralError
 from greedy_eig.greedy import (
     GreedyConfig,
     Variant,
@@ -219,8 +219,8 @@ class TestRankDeficientGram:
         assert np.array_equal(got.u.coeffs, u.coeffs)
         assert all(np.array_equal(a, b)
                    for a, b in zip(got.u.factors, u.factors))
-        assert np.array_equal(got.gram_a, state.gram_a)
-        assert np.array_equal(got.gram_b, state.gram_b)
+        assert np.array_equal(got.grams.a, state.grams.a)
+        assert np.array_equal(got.grams.b, state.grams.b)
         assert got.lam == state.lam
         assert got.trace[-1].lambda_decrease == 0.0
 
@@ -239,6 +239,23 @@ class TestRankDeficientGram:
             assert abs(res.lam - mu1) <= 1e-13 * abs(mu1)
 
 
+class TestDegenerateIterate:
+    def test_correction_cancelling_the_iterate_raises(self, monkeypatch):
+        """A correction of -u makes u + z zero: it cannot be normalized,
+        and the run ends in a step failure."""
+        op, m = small_problem(seed=0)
+        cfg = GreedyConfig(rng_seed=3)
+        state = initialize(op, m, cfg)
+        monkeypatch.setattr(greedy, "_compute_correction",
+                            lambda op, m, state, cfg, rng: state.u.scaled(-1.0))
+        for advance in (step, orthogonal_update):
+            with pytest.raises(DegenerateIterate, match="cannot normalize"):
+                advance(state, op, m, cfg)
+        res = run(op, m, cfg)
+        assert res.reason.startswith("step_failure: DegenerateIterate")
+        assert res.iterations == 0
+
+
 class TestExtendGrams:
     @pytest.mark.parametrize("n", [0, 1, 6])
     def test_grown_grams_equal_the_block_formula(self, n):
@@ -251,7 +268,9 @@ class TestExtendGrams:
                             [rng.standard_normal((7, n + 1)) for _ in range(2)])
         g = rng.standard_normal((n, n))
         A, B = g + g.T, g @ g.T
-        grown_a, grown_b = greedy._extend_grams(op, m, A, B, members)
+        grown = tensor_core.grow_basis(op, m, members,
+                                       tensor_core.BasisGrams(A, B, None, None))
+        grown_a, grown_b = grown.a, grown.b
         rows = np.ones((op.num_terms + 1, n + 1))
         for stack, mass, cols in zip(op.stacked, m.masses, members.factors):
             f = cols[:, -1]
@@ -276,14 +295,16 @@ def large_problem():
 
 
 def cache_copy(state):
-    return [y.copy() for y in state.images], state.residual_grams.copy()
+    return ([y.copy() for y in state.grams.images],
+            state.grams.residual.copy())
 
 
 def same_cache(state, cache):
     images, grams = cache
-    return (len(state.images) == len(images)
-            and all(np.array_equal(a, b) for a, b in zip(state.images, images))
-            and np.array_equal(state.residual_grams, grams))
+    return (len(state.grams.images) == len(images)
+            and all(np.array_equal(a, b)
+                    for a, b in zip(state.grams.images, images))
+            and np.array_equal(state.grams.residual, grams))
 
 
 class TestAboveDenseLimit:
@@ -318,7 +339,7 @@ class TestAboveDenseLimit:
         state = initialize(op, m, cfg)
         for _ in range(2):
             state = orthogonal_update(state, op, m, cfg)
-        assert state.residual_grams.shape == (2, 2, 3, 3)
+        assert state.grams.residual.shape == (2, 2, 3, 3)
         before = cache_copy(state)
         u = state.u
         u0 = TensorSum(u.sizes, [1.0], [f[:, :1] for f in u.factors])
@@ -338,7 +359,7 @@ class TestAboveDenseLimit:
         first, second = (advance(state, op, m, cfg) for _ in range(2))
         assert same_cache(state, before)
         assert same_cache(second, cache_copy(first))
-        assert first.residual_grams.shape == (2, 2, 3, 3)
+        assert first.grams.residual.shape == (2, 2, 3, 3)
 
 # (modes per dimension, rule, orthogonal, solver seeds) of trap runs at
 # max_iter 30 that once ended in a step failure at their first or second
@@ -390,7 +411,10 @@ class TestIdentityComparison:
         lambda: dense_reference(*gen_random_kronecker(2, (3, 3), 2, seed=0)),
         lambda: initialize(*gen_random_kronecker(2, (3, 3), 2, seed=0),
                            GreedyConfig(rng_seed=1)),
-    ], ids=["operator", "metric", "dense_reference", "greedy_state"])
+        lambda: initialize(*gen_random_kronecker(2, (3, 3), 2, seed=0),
+                           GreedyConfig(rng_seed=1)).grams,
+    ], ids=["operator", "metric", "dense_reference", "greedy_state",
+            "basis_grams"])
     def test_equal_values_are_distinct(self, make):
         a, b = make(), make()
         assert a == a and b == b and a != b

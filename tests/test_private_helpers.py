@@ -1,9 +1,11 @@
-"""Every private module-level name of the package is used in the package.
+"""Every private module-level name of the package is used in the package,
+and every module reads what it imports.
 
 Tests may still call a helper whose last caller in the package is gone, so
 nothing else fails when one is left behind.  A name counts as used when the
 package loads it, reads it as an attribute, or holds it as a string, as
-``problems._BUILDERS`` holds the names of the builders it looks up.
+``problems._BUILDERS`` holds the names of the builders it looks up.  An
+import counts as read only when its own module loads the name it binds.
 """
 
 import ast
@@ -50,3 +52,28 @@ def test_every_private_name_is_referenced():
     orphans = [f"{module}: {name}" for module, name in defined
                if name not in used]
     assert not orphans, f"defined but never used in the package: {orphans}"
+
+
+def imported_names(tree):
+    """The names a module binds by its top-level imports, ``from
+    __future__`` ones aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0]
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_import_is_read():
+    """``__init__`` imports to re-export, so it is left out."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in imported_names(tree)
+                   if name not in loaded]
+    assert not unread, f"imported but never read: {unread}"

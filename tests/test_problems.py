@@ -55,6 +55,11 @@ class TestRandomKronecker:
         with pytest.raises(InvalidSpec):
             gen_random_kronecker(2, (4, 4), 0, seed=0)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_size_count_must_match_d(self, d):
+        with pytest.raises(InvalidSpec, match=f"expected {d} sizes, got 2"):
+            gen_random_kronecker(d, (4, 4), 1, seed=0)
+
 
 class TestSeparable:
     def test_diagonal_case(self):
@@ -84,6 +89,10 @@ class TestSeparable:
         overlap = abs(outer @ ref.eigenspace[:, 0])
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
+    def test_needs_two_dimensions(self):
+        with pytest.raises(InvalidSpec, match="two dimensions"):
+            gen_separable([np.eye(3)])
+
 
 class TestKroneckerDecompose:
     def test_round_trip(self):
@@ -98,6 +107,24 @@ class TestKroneckerDecompose:
         op = kronecker_decompose(dense, (n1, n2))
         back, _ = dense_assemble(op, MetricSet.identity((n1, n2)))
         assert np.allclose(back, dense, atol=1e-12)
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(InvalidSpec, match="shape"):
+            kronecker_decompose(np.eye(6), (2, 2))
+
+    def test_zero_blocks_are_skipped(self):
+        """Block-diagonal: only the n1 diagonal blocks give terms."""
+        rng = np.random.default_rng(17)
+        g = rng.standard_normal((4, 4))
+        dense = np.kron(np.diag([1.0, 2.0, 3.0]), g + g.T)
+        op = kronecker_decompose(dense, (3, 4))
+        assert op.num_terms == 3
+        back, _ = dense_assemble(op, MetricSet.identity((3, 4)))
+        assert np.array_equal(back, dense)
+
+    def test_rejects_zero_matrix(self):
+        with pytest.raises(InvalidSpec, match="zero matrix"):
+            kronecker_decompose(np.zeros((6, 6)), (2, 3))
 
     def test_rejects_unstructured_symmetric_matrix(self):
         rng = np.random.default_rng(16)
@@ -124,6 +151,11 @@ class TestDegenerateLowest:
         for t1, t2 in zip(op1.terms, op2.terms):
             for f1, f2 in zip(t1, t2):
                 assert np.array_equal(f1, f2)
+
+    @pytest.mark.parametrize("sizes", [(6,), (3, 3, 3)])
+    def test_needs_two_dimensions(self, sizes):
+        with pytest.raises(InvalidSpec, match="two dimensions"):
+            gen_degenerate_lowest(sizes, 2, seed=0)
 
     def test_incompatible_multiplicity(self):
         with pytest.raises(InvalidSpec):
@@ -290,6 +322,13 @@ class TestSerialization:
                 assert np.array_equal(f1, f2)
         for m1, m2_ in zip(m.masses, m2.masses):
             assert np.array_equal(m1, m2_)
+
+    def test_sizes_disagree(self, tmp_path):
+        op, _ = gen_random_kronecker(2, (3, 3), 1, seed=0)
+        path = tmp_path / "op.geig"
+        with pytest.raises(InvalidSpec, match="sizes disagree"):
+            save_operator(op, MetricSet.identity((3, 4)), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_written(self, tmp_path):
         import json

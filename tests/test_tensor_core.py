@@ -18,6 +18,7 @@ from greedy_eig.tensor_core import (
     eig_residual,
     h_norm,
     rebalance,
+    symmetrize_factor,
 )
 
 RNG = np.random.default_rng(42)
@@ -85,6 +86,16 @@ class TestConstruction:
         with pytest.raises(StructuralError, match="asymmetric"):
             KroneckerSumOperator([[np.eye(n), factor]])
 
+    @pytest.mark.parametrize("factor", [np.ones((2, 3)), np.ones(3)],
+                             ids=["rectangular", "vector"])
+    def test_non_square_factor_refused(self, factor):
+        with pytest.raises(StructuralError, match="square"):
+            symmetrize_factor(factor)
+
+    def test_rejects_no_terms(self):
+        with pytest.raises(StructuralError, match="at least one"):
+            KroneckerSumOperator([])
+
     def test_rejects_mismatched_sizes(self):
         with pytest.raises(StructuralError):
             KroneckerSumOperator([[np.eye(2), np.eye(3)], [np.eye(3), np.eye(3)]])
@@ -127,6 +138,26 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             TensorSum.rank_one(factors)
 
+    def test_sum_rejects_factor_count(self):
+        with pytest.raises(StructuralError, match="factor count"):
+            TensorSum((3, 3), [1.0], [np.ones((3, 1))])
+
+    @pytest.mark.parametrize("factors", [
+        [np.ones((3, 1)), np.ones((2, 1))],
+        [np.ones((3, 2)), np.ones((3, 2))],
+    ], ids=["size", "term_count"])
+    def test_sum_rejects_block_shape(self, factors):
+        with pytest.raises(StructuralError, match="block shape"):
+            TensorSum((3, 3), [1.0], factors)
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (3, 3, 2)],
+                             ids=["other_size", "extra_axis"])
+    def test_plus_rejects_another_shape(self, sizes):
+        """(3, 3, 2) would otherwise pair the first two axes and drop the
+        third."""
+        with pytest.raises(StructuralError, match="different shapes"):
+            random_tensor_sum((3, 3), 1).plus(random_tensor_sum(sizes, 1))
+
     def test_rebalanced_preserves_tensor(self):
         factors = [3.0 * np.ones(2), 0.25 * np.ones(3)]
         balanced = rebalance(factors)
@@ -167,6 +198,17 @@ class TestInnerProducts:
         assert eig_residual(op, m, z, 1.5) == 0.0
         monkeypatch.setattr(tensor_core, "DENSE_NORM_LIMIT", 0)
         assert eig_residual(op, m, z, 1.5) == 0.0
+
+    @pytest.mark.parametrize("sizes", [(3, 4, 2), (2, 3, 2, 3)],
+                             ids=["d3", "d4"])
+    def test_zero_sum_at_higher_order(self, sizes):
+        """The empty sum assembles to zeros, and its forms with any sum are
+        zero, at d >= 3 as at d = 2."""
+        rng = np.random.default_rng(8)
+        op = random_operator(sizes, 2, rng)
+        z, u = TensorSum(sizes), random_tensor_sum(sizes, 2, rng)
+        assert np.array_equal(z.to_dense(), np.zeros(np.prod(sizes)))
+        assert a_inner(op, z, u) == a_inner(op, u, z) == a_inner(op, z, z) == 0.0
 
     def test_shape_mismatch_raises(self):
         m = MetricSet.identity((3, 3))
@@ -427,23 +469,24 @@ class TestResidualGrams:
     @settings(database=None, derandomize=True, deadline=None, max_examples=50)
     @given(gram_cases())
     def test_grown_grams_match_a_fresh_build(self, case):
-        """Grown one member at a time from the empty cache, the residual
+        """Grown one member at a time by ``grow_basis``, the residual
         Grams <P z_a, Q z_b> (P, Q in A, M) equal a fresh build to 1e-12 of
         their cancellation-free scale, and the residual read from either
         agrees, on sums of 0-6 members."""
         op, m, u = case
-        K = op.num_terms
         empty = TensorSum(u.sizes)
         images, grams = tensor_core.residual_grams(op, m, empty)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tensor_core, "DENSE_NORM_LIMIT", 0)
             assert eig_residual(op, m, empty, 1.5, grams) == 0.0
             assert eig_residual(op, m, empty, 1.5) == 0.0
+        basis = None
         for n in range(1, u.num_terms + 1):
             head = TensorSum(u.sizes, u.coeffs[:n], [f[:, :n] for f in u.factors])
-            new = [np.vstack([(stack @ f[:, -1]).reshape(K, -1), mass @ f[:, -1]])
-                   for stack, mass, f in zip(op.stacked, m.masses, head.factors)]
-            images, grams = tensor_core.grow_residual_grams(op, images, grams, new)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tensor_core, "DENSE_NORM_LIMIT", 0)
+                basis = tensor_core.grow_basis(op, m, head, basis)
+            images, grams = basis.images, basis.residual
             fresh_images, fresh = tensor_core.residual_grams(op, m, head)
             assert grams.shape == fresh.shape == (2, 2, n, n)
             assert [y.shape for y in images] == [y.shape for y in fresh_images]
