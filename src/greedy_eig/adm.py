@@ -4,7 +4,8 @@ Each greedy iteration needs one rank-one correction.  The four inner solvers
 here sweep cyclically over tensor directions, freezing all factors but one:
 
 * ``adm_initial_guess``  - smallest eigenpair of the contracted pencil,
-* ``adm_rayleigh_step``  - global direction minimizer, a bordered eigenpair,
+* ``adm_rayleigh_step``  - global direction minimizer, by Newton's method on
+                           the secular function or a bordered eigenpair,
 * ``adm_residual_step``  - SPD linear solve of the shifted quadratic,
 * ``adm_explicit_step``  - the residual rule's solve at shift -lambda_prev.
 
@@ -171,11 +172,12 @@ def _sweep_loop(op, m, context, rng, solve, settled,
     ``seed_rank_one`` draws from ``rng``; every start reuses one
     ``DirectionWorkspace(op, m, context)``.
 
-    Direction j becomes ``solve(ws.reduce(factors, j))``, a ``(new_factor,
-    objective)`` pair.  The sweep stops once ``settled(prev_factors,
-    prev_obj, factors, obj)`` holds for the factors and objective before
-    and after a sweep, which takes at least two sweeps, or, unconverged,
-    after MAX_SWEEPS sweeps.  ``mixing()``, when given, makes each start's
+    Direction j becomes ``solve(ws.reduce(factors, j), obj)``, a
+    ``(new_factor, objective)`` pair, where obj is the objective the current
+    factors attain, inf before each start's first update.  The sweep stops
+    once ``settled(prev_factors, prev_obj, factors, obj)`` holds for the
+    factors and objective before and after a sweep, which takes at least
+    two sweeps, or, unconverged, after MAX_SWEEPS sweeps.  ``mixing()``, when given, makes each start's
     step ``mix(prev_factors, factors)``, which turns the input and output
     of a sweep that has not settled into the next sweep's input.
     """
@@ -191,7 +193,7 @@ def _sweep_loop(op, m, context, rng, solve, settled,
             for sweep in range(1, MAX_SWEEPS + 1):
                 prev_factors, prev_obj = list(factors), obj
                 for j in range(op.d):
-                    factors[j], obj = solve(ws.reduce(factors, j))
+                    factors[j], obj = solve(ws.reduce(factors, j), obj)
                     sq_norms[j] = factors[j] @ factors[j]
                     # rebalancing makes new factors, which the workspace
                     # must contract again, so it waits for the norms to
@@ -219,7 +221,7 @@ def adm_initial_guess(op: KroneckerSumOperator, m: MetricSet,
     Each direction update is the smallest eigenpair of the contracted pencil
     (A_j, Mj_eff) with s^T Mj_eff s = 1, so the element is H-normalized.
     """
-    def solve(dd):
+    def solve(dd, _obj):
         tau, s = gen_sym_eig_smallest(dd.A_j, dd.Mj_eff)
         return s, tau
 
@@ -234,13 +236,21 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     u_prev must have unit metric norm and Rayleigh quotient lambda_prev, as
     the greedy iterate has: they are the bordered quotient's constants
     a(u_prev, u_prev) and <u_prev, u_prev>.  Each direction problem is
-    solved exactly as the smallest eigenpair of its bordered matrix (see
-    ``secular``), so each update is a global minimizer over its slot and
-    the reported objective is the quotient value itself.  An update whose
-    infimum is not attained (PoleCollision) reseeds the solve.  The zero
-    correction's objective, for the stop test, is lambda_prev.
+    solved exactly (see ``secular``): by Newton's method on its secular
+    function from the value the current factors attain, or, on a start's
+    first update and wherever that route declines, as the smallest
+    eigenpair of its bordered matrix.  So each update is a global minimizer
+    over its slot and the reported objective is the quotient value itself.
+    An update whose infimum is not attained (PoleCollision) reseeds the
+    solve.  The zero correction's objective, for the stop test, is
+    lambda_prev.
     """
-    def solve(dd):
+    def solve(dd, obj):
+        if math.isfinite(obj):
+            found = secular.newton_minimizer(dd.A_j, dd.Mj_eff, dd.b_j, dd.m_j,
+                                             lambda_prev, 1.0, obj)
+            if found is not None:
+                return found
         red = secular.reduce(dd.A_j, dd.Mj_eff, dd.b_j, dd.m_j, lambda_prev, 1.0)
         rho, y = secular.solve_secular(red)
         return secular.recover_minimizer(red, y), rho
@@ -262,7 +272,7 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     """
     zero_obj = 0.5 * (lambda_prev + nu)
 
-    def solve(dd):
+    def solve(dd, _obj):
         system = dd.A_j + nu * dd.Mj_eff
         rhs = lambda_prev * dd.m_j - dd.b_j
         try:
@@ -295,7 +305,7 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     TOL_SWEEP (1 + ||z||_H) in the metric norm, and returns that sweep's
     plain output.  The reported objective is None.
     """
-    def solve(dd):
+    def solve(dd, _obj):
         system = dd.A_j - lambda_prev * dd.Mj_eff
         rhs = lambda_prev * dd.m_j - dd.b_j
         try:

@@ -4,10 +4,12 @@ Everything here operates on matrices of size at most max_j N_j (direction
 solves) or n+1 (Galerkin bases).  Each solve is one LAPACK driver call that
 computes only what its caller reads: ``dsyevr`` (symmetric eigenpairs),
 ``dsygvx`` (a definite pencil's smallest pair, by Cholesky congruence) or
-``dposv`` (SPD systems).  Both eigen drivers take a single pair of the
-tridiagonal form by bisection and inverse iteration, as the MRRR driver
-``dsyevr`` does for a subset (Dhillon & Parlett, Linear Algebra Appl. 387,
-2004).  Every Cholesky factor passes one relative pivot test, cholesky_spd's.
+``dposv`` (SPD systems; ``spd_factor_solve`` keeps the factor, and
+``cholesky_solve`` is one ``dpotrs`` call per further right-hand side on
+it).  Both eigen drivers take a single pair of the tridiagonal form by
+bisection and inverse iteration, as the MRRR driver ``dsyevr`` does for a
+subset (Dhillon & Parlett, Linear Algebra Appl. 387, 2004).  Every
+Cholesky factor passes one relative pivot test, cholesky_spd's.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ _getrf = scipy.linalg.lapack.dgetrf
 _getrs = scipy.linalg.lapack.dgetrs
 _posv = scipy.linalg.lapack.dposv
 _potrf = scipy.linalg.lapack.dpotrf
+_potrs = scipy.linalg.lapack.dpotrs
 _syevr = scipy.linalg.lapack.dsyevr
 _sygvx = scipy.linalg.lapack.dsygvx
 _trtrs = scipy.linalg.lapack.dtrtrs
@@ -112,12 +115,27 @@ def gen_sym_eig_smallest(A, B):
     return float(vals[0]), vecs[:, 0]
 
 
-def spd_solve(S, rhs) -> np.ndarray:
+def spd_factor_solve(S, rhs) -> tuple[np.ndarray, np.ndarray]:
     """Solve S x = rhs with S SPD: one LAPACK ``dposv`` call, whose Cholesky
-    factor passes the pivot test of :func:`cholesky_spd`."""
+    factor passes the pivot test of :func:`cholesky_spd`.  Returns x and
+    the factor, whose lower triangle :func:`cholesky_solve` reads."""
     S = _fortran_view(S)
     L, x, info = _posv(S, rhs, lower=1)
     _check_pivots(info != 0, L, S)
+    return x, L
+
+
+def spd_solve(S, rhs) -> np.ndarray:
+    """x of :func:`spd_factor_solve`."""
+    return spd_factor_solve(S, rhs)[0]
+
+
+def cholesky_solve(L, rhs) -> np.ndarray:
+    """Solve L L^T x = rhs on a factor from :func:`spd_factor_solve`: one
+    LAPACK ``dpotrs`` call."""
+    x, info = _potrs(L, rhs, lower=1)
+    if info != 0:
+        raise KernelFailure(f"Cholesky solve failed (info={info})")
     return x
 
 

@@ -38,7 +38,9 @@ from .tensor_core import (
     grow_basis,
 )
 
-ITERATE_COLLAPSE_TOL = 1e-12
+# smallest metric norm of a coefficient vector c, relative to the sum
+# sum_i |c_i| ||m_i|| over the members m_i, that normalization accepts
+ITERATE_COLLAPSE_RTOL = 1e-6
 
 
 class Variant(enum.Enum):
@@ -116,11 +118,16 @@ class GreedyResult:
 
 
 def _unit(coef, gram_b):
-    """``coef`` scaled to unit metric norm, and the scale factor."""
-    nrm = float(np.sqrt(max(coef @ gram_b @ coef, 0.0)))
-    if nrm < ITERATE_COLLAPSE_TOL:
-        raise DegenerateIterate(f"updated iterate has H-norm {nrm:.3e}; "
-                                "cannot normalize")
+    """``coef`` scaled to unit metric norm, and the scale factor.
+
+    c^T B c rounds to about eps (sum_i |c_i| sqrt(B_ii))^2, so a norm
+    below ITERATE_COLLAPSE_RTOL of that sum is a sum of members that
+    cancelled, and raises DegenerateIterate."""
+    nrm = math.sqrt(max(coef @ gram_b @ coef, 0.0))
+    scale = float(np.abs(coef) @ np.sqrt(gram_b.diagonal()))
+    if not nrm > ITERATE_COLLAPSE_RTOL * scale:
+        raise DegenerateIterate(f"updated iterate has H-norm {nrm:.3e}, its "
+                                f"members' sum {scale:.3e}; cannot normalize")
     alpha = 1.0 / nrm
     return alpha * coef, alpha
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from greedy_eig import adm, greedy
+from greedy_eig import adm, greedy, secular
 from greedy_eig.adm import (
     adm_explicit_step,
     adm_initial_guess,
@@ -16,7 +16,8 @@ from greedy_eig.adm import (
     adm_residual_step,
 )
 from greedy_eig.errors import (AdmFailure, DegenerateDirection,
-                               ExplicitStepFailure, StructuralError)
+                               ExplicitStepFailure, PoleCollision,
+                               StructuralError)
 from greedy_eig.greedy import GreedyConfig, Variant
 from greedy_eig.problems import gen_random_kronecker
 from greedy_eig.tensor_core import (
@@ -413,8 +414,8 @@ def kept_objectives(monkeypatch):
     kept, loop = [], adm._sweep_loop
 
     def recording_loop(op, m, context, rng, solve, *args, **kwargs):
-        def recorded(dd):
-            new, obj = solve(dd)
+        def recorded(dd, obj):
+            new, obj = solve(dd, obj)
             kept.append(obj)
             return new, obj
         return loop(op, m, context, rng, recorded, *args, **kwargs)
@@ -503,6 +504,38 @@ class TestSweepLoop:
         assert kept[-1] == out.objective
         for a, b in zip(kept, kept[1:]):
             assert b <= a + 1e-13 * (1.0 + abs(a))
+
+    def test_a_reseeded_start_begins_on_the_bordered_route(self, monkeypatch):
+        """A start's first Rayleigh update has no value that its factors
+        attain, so it takes the bordered route; every later update starts
+        Newton's method from the objective the factors attain.  After a
+        broken update (PoleCollision) the reseeded start begins on the
+        bordered route again."""
+        op, m = spd_mass_problem(1)
+        u = adm_initial_guess(op, m, np.random.default_rng(0)).z
+        lam = rayleigh(op, m, u)
+        routes, newton, reduce = [], secular.newton_minimizer, secular.reduce
+
+        def traced_newton(*args):
+            routes.append(("newton", args[-1]))
+            if len(routes) == 3:   # the first start's third update
+                raise PoleCollision("a broken update")
+            return newton(*args)
+
+        def traced_reduce(*args):
+            routes.append(("bordered", None))
+            return reduce(*args)
+
+        monkeypatch.setattr(secular, "newton_minimizer", traced_newton)
+        monkeypatch.setattr(secular, "reduce", traced_reduce)
+        out = adm_rayleigh_step(op, m, u, lam, np.random.default_rng(1))
+        assert out.converged
+        names = [name for name, _ in routes]
+        assert names[:5] == ["bordered", "newton", "newton", "bordered",
+                             "newton"]
+        assert names.count("bordered") == 2
+        assert all(math.isfinite(rho) for name, rho in routes
+                   if name == "newton")
 
 
 class TestDecreaseStop:

@@ -6,8 +6,10 @@ import scipy.linalg
 
 from greedy_eig import dense_kernels
 from greedy_eig.dense_kernels import (
+    cholesky_solve,
     cholesky_spd,
     gen_sym_eig_smallest,
+    spd_factor_solve,
     spd_solve,
     sym_eig_full,
     sym_indefinite_solve,
@@ -120,6 +122,19 @@ class TestPivotParity:
         gen_sym_eig_smallest(a, b)
         spd_solve(b, np.ones(5))
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+class TestFactorSolve:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_factor_solves_further_right_hand_sides(self, order):
+        """spd_factor_solve's factor is cholesky_spd's, and cholesky_solve
+        on it solves S x = rhs for another rhs."""
+        s = np.array(spd(9), order=order)
+        rhs, other = RNG.standard_normal(9), RNG.standard_normal(9)
+        x, factor = spd_factor_solve(s, rhs)
+        assert np.allclose(np.tril(factor), cholesky_spd(s))
+        assert np.allclose(s @ x, rhs)
+        assert np.allclose(s @ cholesky_solve(factor, other), other)
 
 
 class TestGeneralizedEig:

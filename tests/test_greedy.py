@@ -240,10 +240,15 @@ class TestRankDeficientGram:
 
 
 class TestDegenerateIterate:
-    def test_correction_cancelling_the_iterate_raises(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_correction_cancelling_the_iterate_raises(self, seed,
+                                                      monkeypatch):
         """A correction of -u makes u + z zero: it cannot be normalized,
-        and the run ends in a step failure."""
-        op, m = small_problem(seed=0)
+        and the run ends in a step failure.  At seed 0 the sum cancels
+        exactly.  At seed 1 c^T B c reads about 1e-16, a norm of 1e-8 at
+        the rounding floor of the members' Gram, which is read against the
+        members' norms."""
+        op, m = small_problem(seed=seed)
         cfg = GreedyConfig(rng_seed=3)
         state = initialize(op, m, cfg)
         monkeypatch.setattr(greedy, "_compute_correction",

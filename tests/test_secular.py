@@ -10,6 +10,7 @@ oracle.  With a general B the oracles are the dense generalized eigenvalue
 of the bordered pencil and sampled points.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedy_eig.errors import DegenerateDenominator, PoleCollision
-from greedy_eig.secular import recover_minimizer, reduce, solve_secular
+from greedy_eig.secular import (newton_minimizer, recover_minimizer, reduce,
+                                solve_secular)
 
 # smallest root of rho = 1/rho + 1/(rho - 2), found by bisection to 1e-13
 KNOWN_ROOT = -1.1700864866260337
@@ -324,3 +326,136 @@ class TestRecoverMinimizer:
         assert abs(quotient(p, s) - rho) <= 1e-10 * tol
         scale = 1.0 + np.max(np.abs(p.kappa))
         assert abs(rho - bisect_root(p)) <= 1e-13 * scale
+
+
+def bordered(A, B, a, b, alpha, beta):
+    """(minimizer, value) of the quotient by the bordered route, or None
+    where its infimum is not attained."""
+    red = reduce(A, B, a, b, alpha, beta)
+    rho, y = solve_secular(red)
+    try:
+        return recover_minimizer(red, y), rho
+    except PoleCollision:
+        return None
+
+
+def start_near(s, log_step, rng):
+    """A random direction at 10**log_step of the scale of s from s."""
+    return s + 10.0 ** log_step * (1.0 + np.abs(s).max()) * rng.standard_normal(
+        len(s))
+
+
+class TestNewtonMinimizer:
+    """Newton's method on the secular function from a value that some S
+    attains: it declines, or it gives the bordered route's infimum and
+    minimizer."""
+
+    @settings(database=None, derandomize=True, deadline=None,
+              max_examples=300)
+    @given(st.one_of(stiff_problems(), clustered_problems()),
+           st.floats(-3.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_stiff_problems_decline_or_match_the_bordered_route(
+            self, p, log_step, seed):
+        """The start is a random S near the minimizer, or near 0 where the
+        infimum is not attained; the route then declines."""
+        n = len(p.kappa)
+        A, B, b = np.diag(p.kappa), np.eye(n), np.zeros(n)
+        found = bordered(A, B, p.c, b, p.gamma, p.delta)
+        s0 = found[0] if found else np.zeros(n)
+        start = start_near(s0, log_step, np.random.default_rng(seed))
+        newton = newton_minimizer(A, B, p.c, b, p.gamma, p.delta,
+                                  quotient(p, start))
+        if newton is None:
+            return
+        assert found is not None
+        (s, rho), (S, value) = found, newton
+        scale = 1.0 + np.max(np.abs(p.kappa))
+        # an attained value, within Newton's error after its last step
+        assert rho - 1e-13 * scale <= value <= rho + 1e-9 * scale
+        assert abs(quotient(p, S) - rho) <= 1e-13 * scale
+        # the minimizer: stationary at the bordered route's infimum
+        assert (np.linalg.norm((p.kappa - rho) * S + p.c)
+                <= 1e-13 * scale * (1.0 + np.linalg.norm(S)))
+
+    @settings(database=None, derandomize=True, deadline=None,
+              max_examples=200)
+    @given(st.integers(1, 12), st.floats(0.0, 3.0), st.floats(-2.0, 0.0),
+           st.floats(-3.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_spd_mass_problems_decline_or_match_the_bordered_route(
+            self, n, log_cond, log_delta, log_step, seed):
+        """Symmetric A and SPD B of condition up to 1e3, from a random S
+        near the minimizer."""
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        A = A + A.T
+        B = spd(rng, n, 10.0 ** log_cond)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        alpha = rng.standard_normal()
+        beta = float(b @ np.linalg.solve(B, b)) + 10.0 ** log_delta
+        found = bordered(A, B, a, b, alpha, beta)
+        s0 = found[0] if found else np.zeros(n)
+        start = start_near(s0, log_step, rng)
+        newton = newton_minimizer(
+            A, B, a, b, alpha, beta,
+            full_quotient(A, B, a, b, alpha, beta, start))
+        if newton is None:
+            return
+        assert found is not None
+        (s, rho), (S, value) = found, newton
+        # the bordered value itself is accurate to rounding of the whitened
+        # matrix, about 1e-13 of it here
+        assert abs(value - rho) <= 1e-11 * max(1.0, abs(rho))
+        assert np.linalg.norm(S - s) <= 1e-10 * (1.0 + np.linalg.norm(s))
+
+    def test_declines_at_or_above_the_pencils_smallest_eigenvalue(self):
+        """There A - rho B is not positive definite: the infimum lies at or
+        below rho only if it is not attained, and the route declines."""
+        rng = np.random.default_rng(21)
+        n = 6
+        A = rng.standard_normal((n, n))
+        A = A + A.T
+        B = spd(rng, n, 1e3)
+        a, b = rng.standard_normal(n), 0.1 * rng.standard_normal(n)
+        lowest = scipy.linalg.eigh(A, B, eigvals_only=True)[0]
+        for rho in (lowest, lowest + 1e-9 * abs(lowest), lowest + 1.0):
+            assert newton_minimizer(A, B, a, b, 0.5, 1.0, rho) is None
+        # the poles of a reduced problem: B = I
+        p = Problem(np.array([-2.0, 1.0, 3.0]), np.array([0.5, 1.0, -1.0]),
+                    0.3, 0.8)
+        for rho in (-2.0, 0.0, 5.0):
+            assert newton_minimizer(np.diag(p.kappa), np.eye(3), p.c,
+                                    np.zeros(3), p.gamma, p.delta, rho) is None
+
+    @pytest.mark.parametrize("rdelta", [0.0, 1e-15, 5e-15])
+    def test_declines_on_a_degenerate_denominator(self, rdelta):
+        """b = B s0 and a = A s0 make S(rho) = -s0 for every rho, where the
+        denominator is delta = beta - s0^T B s0 <= 1e-14 beta.  The route
+        declines; the bordered route raises DegenerateDenominator."""
+        rng = np.random.default_rng(22)
+        n = 5
+        A = spd(rng, n, 1e2)
+        B = spd(rng, n, 1e3)
+        s0 = rng.standard_normal(n)
+        s0 /= math.sqrt(s0 @ B @ s0)
+        a, b = A @ s0, B @ s0
+        alpha, beta = s0 @ A @ s0 - 1.0, 1.0 + rdelta
+        # a value some S attains; it is negative, so A - rho B is SPD
+        t = rng.standard_normal(n)
+        t *= 0.5 / math.sqrt(t @ A @ t)
+        rho = full_quotient(A, B, a, b, alpha, beta, t - s0)
+        assert rho < 0
+        assert newton_minimizer(A, B, a, b, alpha, beta, rho) is None
+        with pytest.raises(DegenerateDenominator):
+            reduce(A, B, a, b, alpha, beta)
+
+    def test_declines_where_the_denominator_vanishes(self):
+        """A = diag(2, 3), a = (2, 0), b = (1, 0), beta = 1, so delta = 0:
+        S = (-1, 1) attains rho = -2, where S(rho) = (-1, 0) and the
+        denominator is exactly 0.  The route declines instead of dividing
+        by it."""
+        A, B = np.diag([2.0, 3.0]), np.eye(2)
+        a, b = np.array([2.0, 0.0]), np.array([1.0, 0.0])
+        assert full_quotient(A, B, a, b, -3.0, 1.0, np.array([-1.0, 1.0])) == -2.0
+        assert newton_minimizer(A, B, a, b, -3.0, 1.0, -2.0) is None
+        with pytest.raises(DegenerateDenominator):
+            reduce(A, B, a, b, -3.0, 1.0)
