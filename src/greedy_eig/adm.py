@@ -10,20 +10,20 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 * ``adm_explicit_step``  - the residual rule's solve at shift -lambda_prev.
 
 One driver, ``_sweep_loop``, owns the direction workspace, the seeds and
-reseeds, the rebalancing and the sweeps; each rule supplies only its
-direction solve and its stop test.  The first three rules minimize an
-objective, which every direction solve reports as a byproduct of the
-contracted data, and stop at the first of two tests: a sweep changed the
-objective by at most TOL_SWEEP relative, or by at most DECREASE_RTOL of the
-correction's decrease below the zero correction's objective (none for the
-initial guess).  The explicit sweep has no objective: it is a fixed-point
+reseeds and the sweeps; each rule supplies only its direction solve, on the
+slot's pencil coefficients, and its stop test.  The first three rules
+minimize an objective, which every direction solve reports as a byproduct
+of the contracted data, and stop at the first of two tests: a sweep changed
+the objective by at most TOL_SWEEP relative, or by at most DECREASE_RTOL of
+the correction's decrease below the zero correction's objective (none for
+the initial guess).  The explicit sweep has no objective: it is a fixed-point
 iteration, accelerated by type-II Anderson mixing of factors 1..d-1 between
 sweeps, and it stops once a plain sweep moves its rank-one iterate by at
 most TOL_SWEEP relative, a change taken in closed form from one 3 x 3 Gram
-per axis.  Factors are rebalanced to equal norms whenever an update leaves
-their norms far apart, and on return; the objectives are invariant under
-that rescaling.  Seeds and reseeds draw from the generator the caller
-passes, so the greedy driver's seed fixes every draw.
+per axis.  The sweep is gauge-free: factors are balanced to equal norms
+only at each seed and on return, and the zero test reads the rank-one
+element (``DirectionWorkspace.reduce``).  Seeds and reseeds draw from the
+generator the caller passes, so the greedy driver's seed fixes every draw.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ from .tensor_core import (
 )
 
 
-# largest ratio of two factor norms the sweep lets stand before rebalancing
-REBALANCE_RATIO = 1e3
 MAX_SWEEPS = 50          # sweeps per start before giving up on convergence
 TOL_SWEEP = 1e-10        # relative change a settled sweep stays within
 DECREASE_RTOL = 3e-2     # share of the correction's decrease, likewise
@@ -125,15 +123,15 @@ def _anderson_mixing():
     sign matched to the sweep's input, and hands the mixed factors back at
     the plain output's norms and signs.  ``mix(prev_factors, factors)``
     takes a sweep's input and plain output and returns the next sweep's
-    input.  It keeps x and the last MIX_MEMORY + 1 pairs (r, g) of the plain
-    output g and its change r = g - x, at unit norms.  When r grows, or the
-    least squares on their differences is ill-conditioned, the memory keeps
-    only the newest pair, and the sweep goes on from its plain output.
+    input.  It keeps x, the newest pair [r, g] of the plain output g and its
+    change r = g - x at unit norms, and the rows [dr, dg] of the last
+    MIX_MEMORY differences of pairs.  When r grows, or the least squares on
+    them is ill-conditioned, the memory keeps only the newest pair.
     """
-    x, pairs = None, []   # the sweep's input at unit norms; the last (r, g) pairs
+    x, rg, rr, diffs = None, None, -math.inf, []   # input; [r, g]; r.r; rows
 
     def mix(prev_factors, factors):
-        nonlocal x, pairs
+        nonlocal x, rg, rr, diffs
         if x is None:
             x = [f / math.sqrt(f @ f) for f in prev_factors[1:]]
         # the plain output g at unit norms and matched signs, and its change
@@ -142,17 +140,17 @@ def _anderson_mixing():
         parts = [f / s for f, s in zip(factors[1:], scale)]
         g = np.concatenate(parts)
         r = g - np.concatenate(x)
-        if pairs and r @ r > pairs[-1][0] @ pairs[-1][0]:
-            pairs = []
-        pairs, x = (pairs + [(r, g)])[-MIX_MEMORY - 1:], parts
-        if len(pairs) > 1:
+        new, new_rr = np.concatenate([r, g]), r @ r
+        diffs = [] if new_rr > rr else (diffs + [new - rg])[-MIX_MEMORY:]
+        rg, rr, x = new, new_rr, parts
+        if diffs:
             # the least-squares problem min |r - dr gamma| by its normal
             # equations, whose Gram must pass the SPD pivot test
-            dr, dg = np.diff(np.array(pairs), axis=0).transpose(1, 0, 2)
+            dr, dg = np.array(diffs).reshape(-1, 2, len(r)).transpose(1, 0, 2)
             try:
                 gamma = spd_solve(dr @ dr.T, dr @ r)
             except IllConditionedGram:
-                pairs = pairs[-1:]
+                diffs = []
                 return factors
             mixed, x = g - gamma @ dg, []
             for part in parts:
@@ -185,7 +183,6 @@ def _sweep_loop(op, m, context, rng, solve, settled,
     last_error = None
     for _ in range(RESTART_ATTEMPTS):
         factors = [f[:, 0] for f in seed_rank_one(op.sizes, rng).factors]
-        sq_norms = [f @ f for f in factors]
         obj = np.inf
         converged = False
         mix = mixing() if mixing else None
@@ -194,19 +191,11 @@ def _sweep_loop(op, m, context, rng, solve, settled,
                 prev_factors, prev_obj = list(factors), obj
                 for j in range(op.d):
                     factors[j], obj = solve(ws.reduce(factors, j), obj)
-                    sq_norms[j] = factors[j] @ factors[j]
-                    # rebalancing makes new factors, which the workspace
-                    # must contract again, so it waits for the norms to
-                    # drift apart
-                    if max(sq_norms) > REBALANCE_RATIO ** 2 * min(sq_norms):
-                        factors = rebalance(factors) or factors
-                        sq_norms = [f @ f for f in factors]
                 if sweep > 1 and settled(prev_factors, prev_obj, factors, obj):
                     converged = True
                     break
                 if mix and sweep < MAX_SWEEPS:
                     factors = mix(prev_factors, factors)
-                    sq_norms = [f @ f for f in factors]
             return AdmOutcome(_balanced(factors), sweep, converged, obj)
         except (DegenerateDirection, PoleCollision, ExplicitStepFailure) as exc:
             last_error = exc
@@ -247,8 +236,7 @@ def adm_rayleigh_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     """
     def solve(dd, obj):
         if math.isfinite(obj):
-            found = secular.newton_minimizer(dd.A_j, dd.Mj_eff, dd.b_j, dd.m_j,
-                                             lambda_prev, 1.0, obj)
+            found = secular.newton_minimizer(dd, lambda_prev, 1.0, obj)
             if found is not None:
                 return found
         red = secular.reduce(dd.A_j, dd.Mj_eff, dd.b_j, dd.m_j, lambda_prev, 1.0)
@@ -271,12 +259,13 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     the quadratic objective follows from the same contracted data.
     """
     zero_obj = 0.5 * (lambda_prev + nu)
+    shift = np.append(np.ones(op.num_terms), nu)   # A_j + nu Mj_eff
+    source = np.append(-np.ones(op.num_terms), lambda_prev)   # lambda_prev m_j - b_j
 
     def solve(dd, _obj):
-        system = dd.A_j + nu * dd.Mj_eff
-        rhs = lambda_prev * dd.m_j - dd.b_j
+        rhs = dd.vector(source)
         try:
-            s = spd_solve(system, rhs)
+            s = spd_solve(dd.matrix(shift), rhs)
         except IllConditionedGram as exc:
             raise NuTooSmall(
                 f"shifted direction system not SPD (nu={nu}): {exc}"
@@ -305,11 +294,13 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     TOL_SWEEP (1 + ||z||_H) in the metric norm, and returns that sweep's
     plain output.  The reported objective is None.
     """
+    source = np.append(-np.ones(op.num_terms), lambda_prev)   # lambda_prev m_j - b_j
+    shift = -source   # A_j - lambda_prev Mj_eff
+
     def solve(dd, _obj):
-        system = dd.A_j - lambda_prev * dd.Mj_eff
-        rhs = lambda_prev * dd.m_j - dd.b_j
         try:
-            return sym_indefinite_solve(system, rhs), None
+            return sym_indefinite_solve(dd.matrix(shift),
+                                        dd.vector(source)), None
         except SingularSystem as exc:
             raise ExplicitStepFailure(
                 f"explicit direction system singular at shift {lambda_prev}: {exc}"

@@ -26,8 +26,9 @@ rho_0: rho* lies left of the pencil's smallest eigenvalue, the infimum is
 attained, and on that interval phi is concave and decreasing.  Newton's
 steps from rho_0 >= rho* then fall monotonically and quadratically to the
 root rho*, the bordered route's eigenvalue, and S(rho*) is its minimizer.
-Each step is one Cholesky solve.  The route declines, returning None, when
-a shifted matrix fails the pivot test of ``dense_kernels``, when the
+Each step forms A - rho B and rho b - a from the pencil coefficients and
+takes one Cholesky solve.  The route declines, returning None, when a
+shifted matrix fails the pivot test of ``dense_kernels``, when the
 denominator falls to 1e-14 beta, or when rho has not settled within
 NEWTON_STEPS steps; the bordered route then decides, and raises
 DegenerateDenominator or PoleCollision where the quotient calls for it.
@@ -99,10 +100,10 @@ def recover_minimizer(r: SecularReduction, y: np.ndarray) -> np.ndarray:
     return x[:-1] / x[-1]
 
 
-def newton_minimizer(A, B, a, b, alpha, beta, rho):
+def newton_minimizer(dd, alpha, beta, rho):
     """(S, value) minimizing the quotient from a value ``rho`` that some S
     attains, by Newton's method on the secular function; None where the
-    route declines (see the module docstring).
+    route declines (see the module docstring), on a DirectionData ``dd``.
 
     Each step sets rho <- rho + phi(rho) / den(S(rho)), the quotient value
     that S(rho) attains.  Once a step moves rho by at most NEWTON_RTOL
@@ -112,14 +113,20 @@ def newton_minimizer(A, B, a, b, alpha, beta, rho):
     by Newton's error after that step: about eps |rho| / gap relative, for
     a root at distance gap below the pencil's smallest eigenvalue.
     """
+    w, v, stack, stack_t = dd
+    n, w_mass, v_mass = len(stack_t), float(w[-1]), v[-1]
+    B, b = w_mass * stack[-1].reshape(n, n), stack_t[:, -n:] @ v_mass   # Mj_eff, m_j
+    cw, cv = w.copy(), -v   # w (1, ..., 1, -rho), (-1, ..., -1, rho) v
     for _ in range(NEWTON_STEPS):
-        r = rho * b - a
+        cw[-1] = -rho * w_mass
+        np.multiply(v_mass, rho, out=cv[-1])
+        r = stack_t @ cv.ravel()   # rho b - a
         try:
-            S, L = spd_factor_solve(A - rho * B, r)
+            S, L = spd_factor_solve((cw @ stack).reshape(n, n), r)
         except IllConditionedGram:
             return None
         half_grad = B @ S + b   # of den at S
-        den = float(S @ half_grad + b @ S) + beta   # S^T B S + 2 b^T S + beta
+        den = float(S @ (half_grad + b)) + beta   # S^T B S + 2 b^T S + beta
         if den <= 1e-14 * beta:
             return None
         step = ((alpha - rho * beta) - float(r @ S)) / den

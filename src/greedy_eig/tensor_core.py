@@ -343,17 +343,43 @@ def eig_residual(op: KroneckerSumOperator, m: MetricSet, u: TensorSum,
 
 
 class DirectionData(NamedTuple):
-    """Per-direction contraction of the bilinear forms around a rank-one hole.
+    """The pencil of the open slot j around a rank-one hole: coefficients w
+    (K + 1) and v ((K + 1) x N_j) on slot j's stack [D^(1,j); ...; D^(K,j);
+    M_j], viewed as ``stack`` ((K + 1) x N_j^2) and ``stack_t`` (transposed).
 
     Writing z(s) for the frozen rank-one element with s in the open slot:
     a(z(s), z(t)) = s^T A_j t, <z(s), z(t)> = s^T Mj_eff t,
-    a(context, z(s)) = b_j^T s, <context, z(s)> = m_j^T s.
+    a(context, z(s)) = b_j^T s, <context, z(s)> = m_j^T s, where, with
+    c = (1, ..., 1, s), A_j + s Mj_eff = sum_k c_k w_k D^(k,j) = ``matrix(c)``
+    and b_j + s m_j = sum_k c_k D^(k,j) v_k = ``vector(c)``.
     """
 
-    A_j: np.ndarray
-    Mj_eff: np.ndarray
-    b_j: np.ndarray
-    m_j: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    stack: np.ndarray
+    stack_t: np.ndarray
+
+    def matrix(self, c) -> np.ndarray:
+        return ((c * self.w) @ self.stack).reshape(self.v.shape[1], -1)
+
+    def vector(self, c) -> np.ndarray:
+        return self.stack_t @ (c[:, None] * self.v).ravel()
+
+    @property
+    def A_j(self) -> np.ndarray:
+        return (self.w[:-1] @ self.stack[:-1]).reshape(self.v.shape[1], -1)
+
+    @property
+    def Mj_eff(self) -> np.ndarray:
+        return self.w[-1] * self.stack[-1].reshape(self.v.shape[1], -1)
+
+    @property
+    def b_j(self) -> np.ndarray:
+        return self.stack_t[:, :-len(self.stack_t)] @ self.v[:-1].ravel()
+
+    @property
+    def m_j(self) -> np.ndarray:
+        return self.stack_t[:, -len(self.stack_t):] @ self.v[-1]
 
 
 class DirectionWorkspace:
@@ -363,7 +389,7 @@ class DirectionWorkspace:
     solve.  Per dimension, the K operator factors and the mass matrix are
     stacked into one array, so one product gives a frozen factor's images
     under all of them; those images meet the factor and the context factors
-    for the slot's weights and projections, and no image of the context is
+    for the slot's pencil coefficients, and no image of the context is
     formed.  The contraction of the last factor seen in each slot is kept,
     so a sweep that changes one factor per update recomputes one slot per
     update; frozen factors must therefore not be modified in place between
@@ -377,10 +403,10 @@ class DirectionWorkspace:
             raise StructuralError(
                 f"metric sizes {m.sizes} do not match operator sizes {op.sizes}")
         self.op = op
-        self.m = m
         # per dimension j: rows k*N_j .. (k+1)*N_j - 1 hold D^(k,j), the last
-        # block M_j; and U_j scaled by the context coefficients
-        self._stacks = _pencil_stacks(op, m)
+        # block M_j, and its two views; U_j scaled by the context coefficients
+        self._stacks = [(s, s.reshape(op.num_terms + 1, -1), s.T)
+                        for s in _pencil_stacks(op, m)]
         self._weighted = [uj * context.coeffs for uj in context.factors]
         # per slot, the buffer [f | U_l] and the last frozen factor f
         # contracted, with its rows [f^T D^(k,l) f | f^T D^(k,l) U_l]
@@ -391,37 +417,33 @@ class DirectionWorkspace:
     def _contract(self, l: int, f):
         """[f^T D^(k,l) f | f^T D^(k,l) U_l] over k and then the mass, one
         row each, for the frozen factor ``f`` in slot ``l``."""
-        key, rows = self._slots[l]
-        if key is f:
-            return rows
-        key, f = f, np.asarray(f, dtype=float)
-        if f @ f < ZERO_NORM_TOL ** 2:
-            raise DegenerateDirection(f"frozen factor in dimension {l} is zero")
         self._bufs[l][:, 0] = f
         # the factors are symmetric, so row t of y is f^T D^(t,l)
-        y = (self._stacks[l] @ f).reshape(self.op.num_terms + 1, -1)
+        y = (self._stacks[l][0] @ f).reshape(self.op.num_terms + 1, -1)
         rows = y @ self._bufs[l]
-        self._slots[l] = (key, rows)
+        self._slots[l] = (f, rows)
         return rows
 
     def reduce(self, frozen: Sequence, j: int) -> DirectionData:
-        """Contract everything but direction ``j`` against the frozen factors."""
-        op = self.op
-        d, K = op.d, op.num_terms
-        nj = op.sizes[j]
+        """Contract everything but direction ``j`` against the frozen
+        factors.  DegenerateDirection when the rank-one element is zero: the
+        product over the slots of f_l^T M_l f_l, w[K] times the entry kept
+        for ``frozen[j]`` (1 if none), is at most ZERO_NORM_TOL^(2d)."""
         # w[k] = prod_{l != j} f_l^T D^(k,l) f_l, with w[K] the mass weight;
         # p[k] = prod_{l != j} f_l^T D^(k,l) U_l, row K for the mass
         wp = None
-        for l in range(d):
+        for l, (f, (key, rows)) in enumerate(zip(frozen, self._slots)):
             if l != j:
-                rows = self._contract(l, frozen[l])
+                if key is not f:
+                    rows = self._contract(l, f)
                 wp = rows if wp is None else wp * rows
-        w, p = wp[:, 0], wp[:, 1:]
-
-        A_j = (w[:K] @ op.stacked[j].reshape(K, -1)).reshape(nj, nj)
-        Mj_eff = w[K] * self.m.masses[j]
-        # v[k] = sum_i c_i p[k, i] U_j[:, i]; b_j = sum_k D^(k,j) v[k]
-        v = p @ self._weighted[j].T
-        b_j = op.stacked[j].T @ v[:K].ravel()
-        m_j = self.m.masses[j] @ v[K]
-        return DirectionData(A_j, Mj_eff, b_j, m_j)
+        key, own = self._slots[j]
+        zero = ZERO_NORM_TOL ** (2 * len(frozen))
+        if wp[-1, 0] * (own[-1, 0] if key is frozen[j] else 1.0) <= zero:
+            mass = [rows[-1, 0] if key is f else math.inf
+                    for f, (key, rows) in zip(frozen, self._slots)]
+            raise DegenerateDirection("rank-one element is zero; smallest "
+                                      f"factor in dimension {mass.index(min(mass))}")
+        # v[k] = sum_i c_i p[k, i] U_j[:, i]
+        return DirectionData(wp[:, 0], wp[:, 1:] @ self._weighted[j].T,
+                             *self._stacks[j][1:])

@@ -483,6 +483,40 @@ class TestSweepLoop:
         assert len(seeds) == adm.RESTART_ATTEMPTS == 3
         assert isinstance(failure.value.__cause__, DegenerateDirection)
 
+    @pytest.mark.parametrize("rule", ["rayleigh", "residual", "explicit"])
+    def test_a_rescaled_start_gives_the_same_outcome(self, rule, monkeypatch):
+        """Scaling a balanced seed's factors by 1, 2^-60 and 2^60 leaves its
+        rank-one element as it was, and every update of the sweep is
+        homogeneous in the frozen factors, exactly so under powers of two.
+        So the solve from the rescaled start returns the balanced start's
+        outcome bitwise: the 2^-60 factor, frozen in the first update, does
+        not count as zero by its own norm, and nothing rebalances inside
+        the sweep."""
+        op, m = spd_mass_problem(2)
+        u, lam = unit_iterate(op, m)
+        seed = [f[:, 0] for f in adm.seed_rank_one(
+            op.sizes, np.random.default_rng(5)).factors]
+        solve = {
+            "rayleigh": lambda: adm_rayleigh_step(
+                op, m, u, lam, np.random.default_rng(1)),
+            "residual": lambda: adm_residual_step(
+                op, m, u, lam, NU, np.random.default_rng(1)),
+            "explicit": lambda: adm_explicit_step(
+                op, m, u, lam, np.random.default_rng(1)),
+        }[rule]
+        outcomes = []
+        for scales in ((1.0, 1.0, 1.0), (1.0, 2.0 ** -60, 2.0 ** 60)):
+            start = TensorSum.rank_one([s * f for s, f in zip(scales, seed)])
+            monkeypatch.setattr(adm, "seed_rank_one", lambda sizes, rng: start)
+            outcomes.append(solve())
+        balanced, rescaled = outcomes
+        assert balanced.converged and balanced.sweeps_used > 2
+        assert rescaled.sweeps_used == balanced.sweeps_used
+        assert rescaled.converged == balanced.converged
+        assert rescaled.objective == balanced.objective
+        for a, b in zip(rescaled.z.factors, balanced.z.factors):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("rule", ["initial", "rayleigh", "residual"])
     def test_objective_never_rises(self, rule, kept_objectives):
         """Each minimizing update is exact over its slot, so no update of a

@@ -2,14 +2,15 @@
 
 import csv
 import json
+import math
 import struct
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from greedy_eig import (KroneckerSumOperator, gen_random_kronecker, greedy,
-                        problems, save_operator)
+from greedy_eig import (KroneckerSumOperator, MetricSet, dense_reference,
+                        gen_random_kronecker, greedy, problems, save_operator)
 from greedy_eig.cli import (
     EXIT_CONFIG,
     EXIT_ITER_CAP,
@@ -429,6 +430,40 @@ class TestCompare:
         assert main(["compare", "--config", cfg,
                      "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
         assert not (tmp_path / "c.csv").exists()
+
+    def test_spd_masses_of_condition_1e3(self, tmp_path):
+        """SPD masses of condition 1e3 on each axis, written through
+        save_operator: the Rayleigh rule in both flavours and the residual
+        rule, with the dense oracle.  No row fails, every err_* cell is
+        finite, and no recorded lambda lies below mu1."""
+        op, _ = gen_random_kronecker(2, (12, 10), 2, seed=1)
+        rng = np.random.default_rng(5)
+        qs = [np.linalg.qr(rng.standard_normal((n, n)))[0] for n in op.sizes]
+        masses = [(q * np.geomspace(10 ** -1.5, 10 ** 1.5, len(q))) @ q.T
+                  for q in qs]
+        path = str(tmp_path / "mass.geig")
+        save_operator(op, MetricSet([0.5 * (w + w.T) for w in masses]), path)
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "FromFile", "path": path}, "oracle": True,
+            "variants": [
+                {"variant": "rayleigh", "max_iter": 60, "rng_seed": 3},
+                {"variant": "rayleigh", "orthogonal": True, "max_iter": 60,
+                 "rng_seed": 3},
+                {"variant": "residual", "max_iter": 60, "rng_seed": 3},
+            ],
+        })
+        out = str(tmp_path / "mass.csv")
+        assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
+        mu1 = dense_reference(*load_operator(path)).mu1
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["variant"] for r in rows} == {
+            "rayleigh", "orthogonal-rayleigh", "residual"}
+        assert not [r for r in rows if r["reason"].startswith("failed:")]
+        cells = [r[k] for r in rows for k in r if k.startswith("err_")]
+        assert cells and all(c and math.isfinite(float(c)) for c in cells)
+        lowest = min(float(r["lambda_n"]) for r in rows)
+        assert lowest >= mu1 - 1e-9 * (1 + abs(mu1))
 
     def test_duplicate_labels_rejected(self, tmp_path, capsys, monkeypatch):
         """Rows carry only the rule and flavour, so two variants that

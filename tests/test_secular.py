@@ -19,9 +19,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greedy_eig import secular
 from greedy_eig.errors import DegenerateDenominator, PoleCollision
-from greedy_eig.secular import (newton_minimizer, recover_minimizer, reduce,
-                                solve_secular)
+from greedy_eig.secular import recover_minimizer, reduce, solve_secular
+from greedy_eig.tensor_core import DirectionData
 
 # smallest root of rho = 1/rho + 1/(rho - 2), found by bisection to 1e-13
 KNOWN_ROOT = -1.1700864866260337
@@ -339,6 +340,24 @@ def bordered(A, B, a, b, alpha, beta):
         return None
 
 
+def pencil(A, B, a, v):
+    """The quotient with matrices A and B, a and b = B v, as the pencil
+    coefficients of a direction: on the stack [A; I; B], w = (1, 0, 1)
+    and v = (0, a, v)."""
+    n = len(a)
+    stack = np.concatenate([A, np.eye(n), B])
+    return DirectionData(np.array([1.0, 0.0, 1.0]),
+                         np.array([np.zeros(n), a, v]),
+                         stack.reshape(3, -1), stack.T)
+
+
+def newton_minimizer(A, B, a, b, alpha, beta, rho):
+    """``secular.newton_minimizer`` on the quotient with matrices A and B,
+    a and b, whose pencil has v = B^-1 b."""
+    return secular.newton_minimizer(pencil(A, B, a, np.linalg.solve(B, b)),
+                                    alpha, beta, rho)
+
+
 def start_near(s, log_step, rng):
     """A random direction at 10**log_step of the scale of s from s."""
     return s + 10.0 ** log_step * (1.0 + np.abs(s).max()) * rng.standard_normal(
@@ -444,7 +463,8 @@ class TestNewtonMinimizer:
         t *= 0.5 / math.sqrt(t @ A @ t)
         rho = full_quotient(A, B, a, b, alpha, beta, t - s0)
         assert rho < 0
-        assert newton_minimizer(A, B, a, b, alpha, beta, rho) is None
+        assert secular.newton_minimizer(pencil(A, B, a, s0), alpha, beta,
+                                        rho) is None
         with pytest.raises(DegenerateDenominator):
             reduce(A, B, a, b, alpha, beta)
 
