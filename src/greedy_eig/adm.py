@@ -10,8 +10,9 @@ here sweep cyclically over tensor directions, freezing all factors but one:
 * ``adm_explicit_step``  - the residual rule's solve at shift -lambda_prev.
 
 One driver, ``_sweep_loop``, owns the direction workspace, the seeds and
-reseeds and the sweeps; each rule supplies only its direction solve, on the
-slot's pencil coefficients, and its stop test.  The first three rules
+reseeds and the sweeps; each rule supplies only its direction solve and its
+stop test.  Each shifted system comes from ``DirectionData.shifted``: only
+``tensor_core`` reads the stack layout.  The first three rules
 minimize an objective, which every direction solve reports as a byproduct
 of the contracted data, and stop at the first of two tests: a sweep changed
 the objective by at most TOL_SWEEP relative, or by at most DECREASE_RTOL of
@@ -259,13 +260,11 @@ def adm_residual_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     the quadratic objective follows from the same contracted data.
     """
     zero_obj = 0.5 * (lambda_prev + nu)
-    shift = np.append(np.ones(op.num_terms), nu)   # A_j + nu Mj_eff
-    source = np.append(-np.ones(op.num_terms), lambda_prev)   # lambda_prev m_j - b_j
 
     def solve(dd, _obj):
-        rhs = dd.vector(source)
+        system, rhs = dd.shifted(nu, lambda_prev)
         try:
-            s = spd_solve(dd.matrix(shift), rhs)
+            s = spd_solve(system, rhs)
         except IllConditionedGram as exc:
             raise NuTooSmall(
                 f"shifted direction system not SPD (nu={nu}): {exc}"
@@ -294,13 +293,10 @@ def adm_explicit_step(op: KroneckerSumOperator, m: MetricSet, u_prev: TensorSum,
     TOL_SWEEP (1 + ||z||_H) in the metric norm, and returns that sweep's
     plain output.  The reported objective is None.
     """
-    source = np.append(-np.ones(op.num_terms), lambda_prev)   # lambda_prev m_j - b_j
-    shift = -source   # A_j - lambda_prev Mj_eff
-
     def solve(dd, _obj):
         try:
-            return sym_indefinite_solve(dd.matrix(shift),
-                                        dd.vector(source)), None
+            return sym_indefinite_solve(*dd.shifted(-lambda_prev,
+                                                    lambda_prev)), None
         except SingularSystem as exc:
             raise ExplicitStepFailure(
                 f"explicit direction system singular at shift {lambda_prev}: {exc}"

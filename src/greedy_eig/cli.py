@@ -10,6 +10,7 @@ rejection so that reproducibility mistakes fail loudly.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import fields
@@ -107,10 +108,9 @@ def _trace_rows(result, ref, nu):
 
 
 def _write_csv(path, header, rows) -> None:
+    """Fields holding a comma, a quote or a line break are quoted."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _exit_code_for(reason: str) -> int:

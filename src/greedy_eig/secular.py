@@ -26,12 +26,12 @@ rho_0: rho* lies left of the pencil's smallest eigenvalue, the infimum is
 attained, and on that interval phi is concave and decreasing.  Newton's
 steps from rho_0 >= rho* then fall monotonically and quadratically to the
 root rho*, the bordered route's eigenvalue, and S(rho*) is its minimizer.
-Each step forms A - rho B and rho b - a from the pencil coefficients and
-takes one Cholesky solve.  The route declines, returning None, when a
-shifted matrix fails the pivot test of ``dense_kernels``, when the
-denominator falls to 1e-14 beta, or when rho has not settled within
-NEWTON_STEPS steps; the bordered route then decides, and raises
-DegenerateDenominator or PoleCollision where the quotient calls for it.
+Each step takes A - rho B and rho b - a from ``DirectionData.shifted``
+(only ``tensor_core`` reads the stack layout) and one Cholesky solve.  The
+route declines, returning None, when a shifted matrix fails the pivot test
+of ``dense_kernels``, when the denominator falls to 1e-14 beta, or when rho
+has not settled within NEWTON_STEPS steps; the bordered route then decides,
+and raises DegenerateDenominator or PoleCollision where the quotient needs it.
 ``adm_rayleigh_step`` starts the Newton route from the value its current
 factors attain, and takes the bordered route on each start's first update,
 which has no such value, and wherever the Newton route declines.
@@ -113,16 +113,11 @@ def newton_minimizer(dd, alpha, beta, rho):
     by Newton's error after that step: about eps |rho| / gap relative, for
     a root at distance gap below the pencil's smallest eigenvalue.
     """
-    w, v, stack, stack_t = dd
-    n, w_mass, v_mass = len(stack_t), float(w[-1]), v[-1]
-    B, b = w_mass * stack[-1].reshape(n, n), stack_t[:, -n:] @ v_mass   # Mj_eff, m_j
-    cw, cv = w.copy(), -v   # w (1, ..., 1, -rho), (-1, ..., -1, rho) v
+    B, b = dd.Mj_eff, dd.m_j
     for _ in range(NEWTON_STEPS):
-        cw[-1] = -rho * w_mass
-        np.multiply(v_mass, rho, out=cv[-1])
-        r = stack_t @ cv.ravel()   # rho b - a
+        shifted, r = dd.shifted(-rho, rho)   # A - rho B, rho b - a
         try:
-            S, L = spd_factor_solve((cw @ stack).reshape(n, n), r)
+            S, L = spd_factor_solve(shifted, r)
         except IllConditionedGram:
             return None
         half_grad = B @ S + b   # of den at S

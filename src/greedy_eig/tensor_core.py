@@ -261,10 +261,9 @@ def residual_grams(op: KroneckerSumOperator, m: MetricSet, u: TensorSum) -> tupl
     as the columns of an (N_j, n (K + 1)) array, and the Grams
     G[p, q, a, b] = <P z_a, Q z_b> for P, Q in (A, M)."""
     K, n = op.num_terms, u.num_terms
-    images = tuple(
-        np.concatenate([(stack @ f).reshape(K, len(f), n), (mass @ f)[None]])
-        .transpose(1, 2, 0).reshape(len(f), -1)
-        for stack, mass, f in zip(op.stacked, m.masses, u.factors))
+    images = tuple((stack @ f).reshape(K + 1, len(f), n)
+                   .transpose(1, 2, 0).reshape(len(f), -1)
+                   for stack, f in zip(_pencil_stacks(op, m), u.factors))
     return images, _gram_blocks(K, [y.T for y in images], images)
 
 
@@ -291,8 +290,8 @@ def grow_basis(op: KroneckerSumOperator, m: MetricSet, members: TensorSum,
     above DENSE_NORM_LIMIT, one with every member's images that of each
     residual Gram, O(K^2 n sum_j N_j)."""
     K = op.num_terms
-    new = [np.vstack([(stack @ cols[:, -1]).reshape(K, -1), mass @ cols[:, -1]])
-           for stack, mass, cols in zip(op.stacked, m.masses, members.factors)]
+    new = [(stack @ cols[:, -1]).reshape(K + 1, -1)
+           for stack, cols in zip(_pencil_stacks(op, m), members.factors)]
     rows = _axis_product(y @ cols for y, cols in zip(new, members.factors))
     a_row, b_row = rows[:-1].sum(axis=0), rows[-1]
     images = residual = None
@@ -349,9 +348,9 @@ class DirectionData(NamedTuple):
 
     Writing z(s) for the frozen rank-one element with s in the open slot:
     a(z(s), z(t)) = s^T A_j t, <z(s), z(t)> = s^T Mj_eff t,
-    a(context, z(s)) = b_j^T s, <context, z(s)> = m_j^T s, where, with
-    c = (1, ..., 1, s), A_j + s Mj_eff = sum_k c_k w_k D^(k,j) = ``matrix(c)``
-    and b_j + s m_j = sum_k c_k D^(k,j) v_k = ``vector(c)``.
+    a(context, z(s)) = b_j^T s, <context, z(s)> = m_j^T s.  Every shifted
+    direction system is ``shifted(sigma, tau)``, the pair (A_j + sigma Mj_eff,
+    tau m_j - b_j), and only this module reads the stack layout.
     """
 
     w: np.ndarray
@@ -359,11 +358,14 @@ class DirectionData(NamedTuple):
     stack: np.ndarray
     stack_t: np.ndarray
 
-    def matrix(self, c) -> np.ndarray:
-        return ((c * self.w) @ self.stack).reshape(self.v.shape[1], -1)
-
-    def vector(self, c) -> np.ndarray:
-        return self.stack_t @ (c[:, None] * self.v).ravel()
+    def shifted(self, sigma: float, tau: float) -> tuple:
+        """The coefficients (1, ..., 1, sigma) w on the stack and
+        (-1, ..., -1, tau) v on its transpose, one product each."""
+        w, v = self.w.copy(), -self.v
+        w[-1] *= sigma
+        np.multiply(self.v[-1], tau, out=v[-1])
+        return ((w @ self.stack).reshape(len(self.stack_t), -1),
+                self.stack_t @ v.ravel())
 
     @property
     def A_j(self) -> np.ndarray:

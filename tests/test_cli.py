@@ -464,6 +464,10 @@ class TestCompare:
         assert cells and all(c and math.isfinite(float(c)) for c in cells)
         lowest = min(float(r["lambda_n"]) for r in rows)
         assert lowest >= mu1 - 1e-9 * (1 + abs(mu1))
+        # a run that ends in a step failure is no pass either
+        last = {r["variant"]: r["reason"] for r in rows}
+        assert set(last.values()) <= {
+            "converged_lambda", "converged_residual", "max_iter"}, last
 
     def test_duplicate_labels_rejected(self, tmp_path, capsys, monkeypatch):
         """Rows carry only the rule and flavour, so two variants that
@@ -499,19 +503,22 @@ class TestCompareFailedRun:
     def test_failed_variant_row_is_as_wide_as_the_header(self, tmp_path,
                                                          monkeypatch):
         """A variant whose run raises writes one row with every column,
-        and the failure lands in the reason column."""
-        def fail(*args, **kwargs):
-            raise DegenerateIterate("forced")
-
-        monkeypatch.setattr("greedy_eig.cli.run", fail)
+        and the failure lands whole in the reason column, also when its
+        message holds a comma and a quote."""
         cfg = write_config(tmp_path, {"problem": PROBLEM,
                                       "variants": [{"max_iter": 2}]})
         out = str(tmp_path / "c.csv")
-        assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
-        header, row = read_csv(out)
-        assert len(row) == len(header)
-        assert row[-1] == "failed: DegenerateIterate: forced"
+        for message in ("forced", 'forced, with a "comma"'):
+            def fail(*args, message=message, **kwargs):
+                raise DegenerateIterate(message)
 
+            monkeypatch.setattr("greedy_eig.cli.run", fail)
+            assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
+            header, row = read_csv(out)
+            assert len(row) == len(header)
+            assert row[-1] == f"failed: DegenerateIterate: {message}"
+            with open(out, newline="") as fh:
+                assert [None in r for r in csv.DictReader(fh)] == [False]
 
 
 class TestRefusedBeforeWriting:
@@ -583,3 +590,76 @@ class TestRefusedBeforeWriting:
         out = tmp_path / "t.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+
+class TestEndToEnd:
+    """Problems written by ``gen`` and solved through ``main``, as a user
+    would run them.  Besides each check's own conditions, no run may end
+    in a step failure."""
+
+    def gen_and_solve(self, tmp_path, spec, solver, oracle=False):
+        """(exit code, summary, trace rows) of ``solve`` on ``spec``."""
+        op_path = str(tmp_path / "op.geig")
+        assert main(["gen", "--config", write_config(tmp_path, spec, "p.json"),
+                     "--out", op_path]) == EXIT_OK
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "FromFile", "path": op_path},
+            "solver": solver, "oracle": oracle}, "run.json")
+        out = str(tmp_path / "trace.csv")
+        rc = main(["solve", "--config", cfg, "--out", out])
+        with open(out + ".json") as fh:
+            summary = json.load(fh)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert not summary["reason"].startswith("step_failure"), summary
+        return rc, summary, rows
+
+    def test_d3_above_the_dense_residual_limit(self, tmp_path):
+        """16 x 16 x 17 = 4,352 entries: the residual is read from Grams
+        grown with the basis, and every eig_residual_h is finite and
+        positive."""
+        rc, _, rows = self.gen_and_solve(
+            tmp_path, {"kind": "RandomKronecker", "d": 3,
+                       "sizes": [16, 16, 17], "K": 2, "seed": 1},
+            {"max_iter": 30})
+        cells = [float(r["eig_residual_h"]) for r in rows]
+        assert rc in (EXIT_OK, EXIT_ITER_CAP)
+        assert cells and all(math.isfinite(c) and c > 0 for c in cells)
+
+    def test_d3_with_the_dense_oracle(self, tmp_path):
+        """Every err_* and eig_residual_h cell is filled and finite, and
+        lambda is not below mu1."""
+        rc, summary, rows = self.gen_and_solve(
+            tmp_path, {"kind": "RandomKronecker", "d": 3,
+                       "sizes": [8, 9, 10], "K": 2, "seed": 1},
+            {"max_iter": 30, "rng_seed": 3}, oracle=True)
+        cells = [r[k] for r in rows for k in r
+                 if k.startswith("err_") or k == "eig_residual_h"]
+        mu1 = summary["mu1"]
+        assert rc in (EXIT_OK, EXIT_ITER_CAP)
+        assert rows and all(c and math.isfinite(float(c)) for c in cells)
+        assert summary["lambda"] >= mu1 - 1e-9 * (1 + abs(mu1))
+
+    def test_orthogonal_basis_that_spans_the_space(self, tmp_path):
+        """A 9-dimensional problem: once the orthogonal basis spans the
+        space a correction adds nothing, and the run still converges."""
+        rc, _, _ = self.gen_and_solve(
+            tmp_path, {"kind": "RandomKronecker", "d": 2, "sizes": [3, 3],
+                       "K": 2, "seed": 0},
+            {"variant": "residual", "orthogonal": True, "max_iter": 30,
+             "rng_seed": 1, "tol_lambda": 1e-13, "tol_residual": 1e-15})
+        assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("modes,solver", [
+        (4, {"max_iter": 60, "rng_seed": 3}),
+        # seed 2 starts the first Rayleigh correction where a direction
+        # update has no minimizer, and the ADM solve reseeds
+        (3, {"max_iter": 30, "rng_seed": 2}),
+    ], ids=["4_modes", "3_modes_seed_2"])
+    def test_excited_trap_stays_above_its_minimum(self, tmp_path, modes,
+                                                  solver):
+        """The trap's dense minimum is mu_02 = 1: no run reports less."""
+        rc, summary, _ = self.gen_and_solve(
+            tmp_path, {"kind": "ExcitedTrap", "modes_per_dim": modes}, solver)
+        assert rc in (EXIT_OK, EXIT_ITER_CAP)
+        assert summary["lambda"] >= 1 - 1e-9

@@ -279,8 +279,8 @@ class TestExtendGrams:
         rows = np.ones((op.num_terms + 1, n + 1))
         for stack, mass, cols in zip(op.stacked, m.masses, members.factors):
             f = cols[:, -1]
-            rows *= np.vstack([(stack @ f).reshape(op.num_terms, -1),
-                               mass @ f]) @ cols
+            rows *= (np.concatenate([stack, mass]) @ f).reshape(
+                op.num_terms + 1, -1) @ cols
         a_row, b_row = rows[:-1].sum(axis=0), rows[-1]
         assert np.array_equal(grown_a, np.block([[A, a_row[:-1, None]], [a_row]]))
         assert np.array_equal(grown_b, np.block([[B, b_row[:-1, None]], [b_row]]))

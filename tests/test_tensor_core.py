@@ -263,7 +263,9 @@ class TestOperatorApplication:
 
 class TestDirectionReduction:
     def test_reduction_matches_dense_quadratics(self):
-        """The contracted data reproduces the dense bilinear forms."""
+        """The contracted data reproduces the dense bilinear forms, and
+        ``shifted(sigma, tau)`` the shifted system (A_j + sigma Mj_eff,
+        tau m_j - b_j)."""
         sizes = (3, 4, 2)
         rng = np.random.default_rng(5)
         op = random_operator(sizes, 2, rng)
@@ -284,6 +286,12 @@ class TestDirectionReduction:
                 assert np.isclose(s @ dd.Mj_eff @ s, z @ m_dense @ z)
                 assert np.isclose(dd.b_j @ s, c_vec @ a_dense @ z)
                 assert np.isclose(dd.m_j @ s, c_vec @ m_dense @ z)
+                sigma, tau = 3.0 * rng.standard_normal(2)
+                shifted, rhs = dd.shifted(sigma, tau)
+                assert np.isclose(s @ shifted @ s,
+                                  z @ (a_dense + sigma * m_dense) @ z)
+                assert np.isclose(rhs @ s, tau * c_vec @ m_dense @ z
+                                  - c_vec @ a_dense @ z)
 
     def test_zero_frozen_factor_raises(self):
         sizes = (4, 3, 2)
