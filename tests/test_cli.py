@@ -76,6 +76,14 @@ def dense_err_vec_a(solver_raw):
     return dists
 
 
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    # the description says "solvers", so match the subcommand choices
+    assert "{gen,solve,compare}" in capsys.readouterr().out
+
+
 class TestGen:
     def test_round_trip_through_solve(self, tmp_path):
         gen_cfg = write_config(tmp_path, PROBLEM, "gen.json")
@@ -320,7 +328,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("corrupt", ["nan_factor", "version_1",
                                          "trailing_bytes", "asymmetric_factor",
-                                         "ill_conditioned_mass"])
+                                         "ill_conditioned_mass",
+                                         "cut_to_20_bytes"])
     def test_corrupt_operator_file(self, tmp_path, corrupt):
         op, m = gen_random_kronecker(2, (4, 3), 2, seed=0)
         path = tmp_path / "op.geig"
@@ -343,6 +352,9 @@ class TestSolve:
             # version 1 stored a shift nu after the masses
             data[4:8] = struct.pack("<I", 1)
             data += struct.pack("<d", 0.0)
+        elif corrupt == "cut_to_20_bytes":
+            # inside the header: K is cut off
+            del data[20:]
         else:
             data += bytes(8)
         path.write_bytes(bytes(data))
@@ -353,8 +365,11 @@ class TestSolve:
             "problem": {"kind": "FromFile", "path": str(path)},
             "solver": {"max_iter": 2},
         })
+        out = tmp_path / "out"
+        out.mkdir()
         assert main(["solve", "--config", cfg,
-                     "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+                     "--out", str(out / "t.csv")]) == EXIT_CONFIG
+        assert not list(out.iterdir())
 
 
 class TestSolverConfig:
@@ -569,15 +584,18 @@ class TestRefusedBeforeWriting:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
-    @pytest.mark.parametrize("output", [2, True, ["a"]])
-    def test_non_string_output(self, tmp_path, monkeypatch, command, output):
-        """An integer or true would name an open file descriptor."""
+    @pytest.mark.parametrize("output", [2, True, ["a"], 1])
+    def test_non_string_output(self, tmp_path, capfd, monkeypatch, command,
+                               output):
+        """An integer or true would name an open file descriptor: nothing
+        reaches stdout, even through descriptor 1."""
         monkeypatch.setattr("greedy_eig.cli.run",
                             lambda *args: pytest.fail("a solve ran"))
         cfg = write_config(tmp_path, {"problem": PROBLEM,
                                       **self.RUN_ENTRY[command],
                                       "output": output})
         assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert capfd.readouterr().out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
@@ -597,13 +615,21 @@ class TestEndToEnd:
     would run them.  Besides each check's own conditions, no run may end
     in a step failure."""
 
-    def gen_and_solve(self, tmp_path, spec, solver, oracle=False):
-        """(exit code, summary, trace rows) of ``solve`` on ``spec``."""
+    # the problem the CI workflow runs through the installed entry point
+    SMALL = {"kind": "RandomKronecker", "d": 2, "sizes": [6, 5], "K": 2,
+             "seed": 1}
+
+    def gen(self, tmp_path, spec):
+        """``gen`` of ``spec``: the FromFile problem that reads it."""
         op_path = str(tmp_path / "op.geig")
         assert main(["gen", "--config", write_config(tmp_path, spec, "p.json"),
                      "--out", op_path]) == EXIT_OK
+        return {"kind": "FromFile", "path": op_path}
+
+    def gen_and_solve(self, tmp_path, spec, solver, oracle=False):
+        """(exit code, summary, trace rows) of ``solve`` on ``spec``."""
         cfg = write_config(tmp_path, {
-            "problem": {"kind": "FromFile", "path": op_path},
+            "problem": self.gen(tmp_path, spec),
             "solver": solver, "oracle": oracle}, "run.json")
         out = str(tmp_path / "trace.csv")
         rc = main(["solve", "--config", cfg, "--out", out])
@@ -613,6 +639,39 @@ class TestEndToEnd:
             rows = list(csv.DictReader(fh))
         assert not summary["reason"].startswith("step_failure"), summary
         return rc, summary, rows
+
+    def test_all_four_rules_through_compare(self, tmp_path):
+        """The paper's comparison: the Rayleigh, residual and explicit rules,
+        the explicit one in both flavours, each with rows and none failed."""
+        variants = [{"variant": v, "max_iter": 60, "rng_seed": 3}
+                    for v in ("rayleigh", "residual", "explicit")]
+        variants.append({"variant": "explicit", "orthogonal": True,
+                         "max_iter": 60, "rng_seed": 3})
+        cfg = write_config(tmp_path, {"problem": self.gen(tmp_path, self.SMALL),
+                                      "variants": variants}, "compare.json")
+        out = str(tmp_path / "compare.csv")
+        assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
+        with open(out, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert tuple(reader.fieldnames) == ("variant", *TRACE_COLUMNS,
+                                                "reason")
+            rows = list(reader)
+        assert {r["variant"] for r in rows} == {
+            "explicit", "orthogonal-explicit", "rayleigh", "residual"}
+        reasons = {r["reason"] for r in rows}
+        assert not [r for r in reasons
+                    if r.startswith(("failed:", "step_failure"))], reasons
+
+    def test_oracle_solve_of_the_small_problem(self, tmp_path):
+        """Every err_* cell is filled and finite, and the summary's
+        err_lambda is |lambda - mu1| exactly."""
+        rc, summary, rows = self.gen_and_solve(
+            tmp_path, self.SMALL, {"max_iter": 60, "rng_seed": 3},
+            oracle=True)
+        cells = [r[k] for r in rows for k in r if k.startswith("err_")]
+        assert rc in (EXIT_OK, EXIT_ITER_CAP)
+        assert summary["err_lambda"] == abs(summary["lambda"] - summary["mu1"])
+        assert rows and all(c and math.isfinite(float(c)) for c in cells)
 
     def test_d3_above_the_dense_residual_limit(self, tmp_path):
         """16 x 16 x 17 = 4,352 entries: the residual is read from Grams

@@ -1,8 +1,8 @@
 """The CI workflow's inline Python snippets compile.
 
-The workflow's checks on the installed console script and on the benchmark
-smoke run are ``python -c '...'`` one-liners inside shell steps; a syntax
-error there would only show on a CI runner.
+The workflow's check on the benchmark smoke run is a ``python -c '...'``
+one-liner inside a shell step; a syntax error there would only show on a
+CI runner.  The package's own checks run in the tests, not in the workflow.
 """
 
 import re
